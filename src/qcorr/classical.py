@@ -100,15 +100,50 @@ def psd_rank_lower_bound(p: DistMatrix) -> int:
     return math.isqrt(r - 1) + 1 if r >= 1 else 1
 
 
+#: Levenberg-Marquardt damping in ``_descend``: the first lam is LM_LAMBDA0
+#: times the mean diagonal of J J^T; accepted steps divide it by LM_DOWN,
+#: rejected ones multiply it by LM_UP.
+LM_LAMBDA0 = 1e-3
+LM_DOWN = 3.0
+LM_UP = 4.0
+#: lam never drops below LM_LAMBDA_FLOOR times its first value, so J J^T +
+#: lam I stays invertible when J J^T is singular (zero rows of P).
+LM_LAMBDA_FLOOR = 1e-15
+#: A start has stalled when lam passes LM_LAMBDA_CAP times its first value,
+#: or when STALL_WINDOW accepted steps lower the squared residual by less
+#: than the fraction STALL_DROP.
+LM_LAMBDA_CAP = 1e12
+STALL_WINDOW = 10
+STALL_DROP = 1e-3
+#: A start stops once its squared residual is below this.
+VALUE_FLOOR = 1e-28
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the factorization searches; one seed drives all randomness."""
+    """Knobs for the factorization searches; one seed drives all randomness.
+
+    ``starts`` is the number of seeded random starts of ``psd_fit`` (and
+    of the nonnegative fits); ``max_iters`` caps the Levenberg-Marquardt
+    trial steps, accepted or rejected, of one start; ``tol`` is the
+    Frobenius residual below which a fit counts as a witness. Invalid
+    values raise InvalidInput naming the field.
+    """
 
     starts: int = 16
     max_iters: int = 5000
-    grad_tol: float = 1e-10
     tol: float = 1e-7
     seed: int = 0
+
+    def __post_init__(self):
+        if self.starts < 0:
+            raise InvalidInput(f"SolverConfig.starts must be >= 0, got {self.starts!r}")
+        if self.max_iters < 1:
+            raise InvalidInput(
+                f"SolverConfig.max_iters must be >= 1, got {self.max_iters!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise InvalidInput(
+                f"SolverConfig.tol must be finite and > 0, got {self.tol!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -191,143 +226,86 @@ def _trace_form(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.einsum("xab,yba->xy", c, d).real
 
 
-def _objective(P: np.ndarray, e: np.ndarray, f: np.ndarray) -> float:
-    diff = _trace_form(_grams(e), _grams(f)) - P
-    return float((diff * diff).sum())
+def _jacobian(
+    e: np.ndarray, f: np.ndarray, c: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian of t[x, y] = tr(C_x D_y) with respect to E and F.
 
-
-def _ray_step(resid: np.ndarray, z: np.ndarray, grad: np.ndarray,
-              other: np.ndarray) -> float:
-    """Exact minimizer of the objective along z - eta * grad.
-
-    With the other side fixed, each Gram matrix is quadratic in eta, so
-    the objective is a quartic polynomial in eta; its derivative is a
-    cubic whose best nonnegative real root seeds the backtracking search.
+    Returns (je, jf), both of shape (n, m, r, r): je[x, y] = 2 E_x D_y is
+    the derivative of t[x, y] with respect to E_x and jf[x, y] = 2 F_y C_x
+    the one with respect to F_y. The real part holds the derivatives with
+    respect to the real coordinates, the imaginary part those with respect
+    to the imaginary coordinates. t[x, y] does not depend on E_x' or F_y'
+    for x' != x, y' != y.
     """
-    # C(eta) = C0 - eta * (G^dag Z + Z^dag G) + eta^2 * G^dag G
-    c1 = -np.einsum("xba,xbc->xac", grad.conj(), z) - np.einsum(
-        "xba,xbc->xac", z.conj(), grad
-    )
-    c2 = np.einsum("xba,xbc->xac", grad.conj(), grad)
-    t1 = _trace_form(c1, other)
-    t2 = _trace_form(c2, other)
-    # L(eta) = sum (resid + eta t1 + eta^2 t2)^2
-    a = 2.0 * float((resid * t1).sum())
-    b = 2.0 * (float((t1 * t1).sum()) + 2.0 * float((resid * t2).sum()))
-    c = 6.0 * float((t1 * t2).sum())
-    d = 4.0 * float((t2 * t2).sum())
-    candidates = []
-    if d > 0.0:
-        roots = np.roots([d, c, b, a])
-        candidates = [float(r.real) for r in roots
-                      if abs(r.imag) < 1e-10 * max(1.0, abs(r.real)) and r.real > 0.0]
-    elif b > 0.0:
-        candidates = [-a / b] if -a / b > 0.0 else []
-    if not candidates:
-        return 0.0
-
-    def along(eta: float) -> float:
-        v = resid + eta * t1 + eta * eta * t2
-        return float((v * v).sum())
-
-    return min(candidates, key=along)
-
-
-def _backtrack(z, grad, gnorm2, value, evaluate, eta0):
-    """Armijo backtracking from eta0; returns (new_z, new_value) or None."""
-    eta = eta0
-    while eta > 1e-20:
-        trial = z - eta * grad
-        trial_val = evaluate(trial)
-        if trial_val <= value - 1e-4 * eta * gnorm2:
-            return trial, trial_val
-        eta *= 0.5
-    return None
+    je = 2.0 * np.einsum("xab,ybc->xyac", e, d)
+    jf = 2.0 * np.einsum("yab,xbc->xyac", f, c)
+    return je, jf
 
 
 def _descend(
     P: np.ndarray, e0: np.ndarray, f0: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Alternating gradient descent with backtracking on the parameterized
-    objective sum (tr(E_x^dag E_x F_y^dag F_y) - P)^2.
+    """Levenberg-Marquardt on the n*m residuals tr(C_x D_y) - P(x, y) over
+    the real and imaginary parts of E and F.
 
-    Each side's backtracking starts from the exact minimizer along its
-    gradient ray (a cubic-root computation), so flat quartic valleys do
-    not starve the step size. Returns the final factors and the objective
-    value after every iteration; the recorded sequence is non-increasing
-    because only improving steps are accepted.
+    The step is delta = -J^T (J J^T + lam I)^-1 res. A step is accepted
+    when it lowers the squared residual; lam is divided by LM_DOWN after an
+    accepted step and multiplied by LM_UP after a rejected one. The start
+    stops when the squared residual is below VALUE_FLOOR, when it stalls
+    (lam passes LM_LAMBDA_CAP times its first value, or STALL_WINDOW
+    accepted steps lower it by less than the fraction STALL_DROP), or after
+    ``cfg.max_iters`` trial steps, accepted or not. Returns the final
+    factors and the squared residual after every accepted step, a
+    non-increasing sequence.
     """
     e = e0.astype(np.complex128).copy()
     f = f0.astype(np.complex128).copy()
-    history = [_objective(P, e, f)]
-    stall = 0
+    n, m = P.shape
+    rows, cols, eye = np.arange(n), np.arange(m), np.eye(n * m)
+    c, d = _grams(e), _grams(f)
+    resid = _trace_form(c, d) - P
+    history = [float((resid * resid).sum())]
+    lam = floor = cap = None
+    accepted = True
 
     for _ in range(cfg.max_iters):
-        c = _grams(e)
-        d = _grams(f)
-        t = _trace_form(c, d)
-
-        # Exact minimization along the global scaling direction.
-        num = float((t * P).sum())
-        den = float((t * t).sum())
-        if den > 0.0 and num > 0.0:
-            gamma = (num / den) ** 0.25
-            e *= gamma
-            f *= gamma
-            c = _grams(e)
-            d = _grams(f)
-            t = _trace_form(c, d)
-
-        resid = t - P
-        value = float((resid * resid).sum())
-
-        grad_e = 4.0 * np.einsum("xy,xab,ybc->xac", resid, e, d)
-        gnorm2_e = float(np.vdot(grad_e, grad_e).real)
-        if gnorm2_e > 0.0:
-            eta0 = _ray_step(resid, e, grad_e, d) or value / gnorm2_e
-            hit = _backtrack(e, grad_e, gnorm2_e, value,
-                             lambda z: _objective_with_d(P, z, d), eta0)
-            if hit is not None:
-                e, value = hit
-
-        c = _grams(e)
-        t = _trace_form(c, d)
-        resid = t - P
-        value = float((resid * resid).sum())
-
-        grad_f = 4.0 * np.einsum("xy,yab,xbc->yac", resid, f, c)
-        gnorm2_f = float(np.vdot(grad_f, grad_f).real)
-        if gnorm2_f > 0.0:
-            resid_t = resid.T
-            eta0 = _ray_step(resid_t, f, grad_f, c) or value / gnorm2_f
-            hit = _backtrack(f, grad_f, gnorm2_f, value,
-                             lambda z: _objective_with_c(P, c, z), eta0)
-            if hit is not None:
-                f, value = hit
-
-        prev = history[-1]
-        history.append(value)
-        if math.sqrt(gnorm2_e + gnorm2_f) < cfg.grad_tol:
+        if history[-1] < VALUE_FLOOR:
             break
-        if value < 1e-24:
-            break
-        if prev - value <= 1e-16 * max(value, 1e-30):
-            stall += 1
-            if stall >= 25:
+        if accepted:
+            je, jf = _jacobian(e, f, c, d)
+            # (J J^T)[(x, y), (x', y')] couples residuals through a shared
+            # E_x (x = x') or a shared F_y (y = y'); real coordinates make
+            # each inner product the real part of a complex one.
+            jjt = np.zeros((n, m, n, m))
+            jjt[rows, :, rows, :] = np.einsum("xyab,xzab->xyz", je.conj(), je).real
+            jjt[:, cols, :, cols] += np.einsum("xyab,wyab->yxw", jf.conj(), jf).real
+            jjt = jjt.reshape(n * m, n * m)
+            if lam is None:
+                scale = float(np.trace(jjt)) / (n * m)
+                if scale <= 0.0:  # J = 0: a stationary point
+                    break
+                lam = LM_LAMBDA0 * scale
+                floor, cap = LM_LAMBDA_FLOOR * lam, LM_LAMBDA_CAP * lam
+        w = np.linalg.solve(jjt + lam * eye, resid.reshape(-1)).reshape(n, m)
+        e_try = e - np.einsum("xy,xyab->xab", w, je)
+        f_try = f - np.einsum("xy,xyab->yab", w, jf)
+        c_try, d_try = _grams(e_try), _grams(f_try)
+        r_try = _trace_form(c_try, d_try) - P
+        value = float((r_try * r_try).sum())
+        accepted = value < history[-1]
+        if accepted:
+            e, f, c, d, resid = e_try, f_try, c_try, d_try, r_try
+            history.append(value)
+            lam = max(lam / LM_DOWN, floor)
+            if (len(history) > STALL_WINDOW
+                    and value > (1.0 - STALL_DROP) * history[-1 - STALL_WINDOW]):
                 break
         else:
-            stall = 0
+            lam *= LM_UP
+            if lam > cap:
+                break
     return e, f, history
-
-
-def _objective_with_d(P: np.ndarray, e: np.ndarray, d: np.ndarray) -> float:
-    diff = _trace_form(_grams(e), d) - P
-    return float((diff * diff).sum())
-
-
-def _objective_with_c(P: np.ndarray, c: np.ndarray, f: np.ndarray) -> float:
-    diff = _trace_form(c, _grams(f)) - P
-    return float((diff * diff).sum())
 
 
 def _random_start(
@@ -385,16 +363,20 @@ def psd_fit(
     cfg: SolverConfig | None = None,
     inits: Iterable[tuple[np.ndarray, np.ndarray]] = (),
 ) -> PsdFactorization:
-    """Best size-r psd factorization found by seeded multi-start descent.
+    """Best size-r psd factorization found by seeded multi-start
+    Levenberg-Marquardt.
 
     Parameterizing C_x = E_x^dag E_x and D_y = F_y^dag F_y keeps the
-    factors psd without any projection; each start runs alternating
-    gradient descent with backtracking line search. Two deterministic
-    warm starts precede the ``cfg.starts`` random ones: the exact diagonal
-    construction (available whenever r >= min(n, m)) and a diagonal lift
-    of a nonnegative factorization. Deterministic given ``cfg.seed``; ties
-    between starts go to the lowest start index. ``inits`` supplies extra
-    starting points, tried first.
+    factors psd without any projection; each start runs a
+    Levenberg-Marquardt least-squares solve on the n*m residuals
+    tr(C_x D_y) - P(x, y) until its squared residual is below 1e-28, it
+    stalls, or it has taken ``cfg.max_iters`` trial steps. Two
+    deterministic warm starts precede the ``cfg.starts`` random ones: the
+    exact diagonal construction (available whenever r >= min(n, m)) and a
+    diagonal lift of a nonnegative factorization. ``inits`` supplies extra
+    starting points, tried first. The search stops at the first start whose
+    residual is below ``cfg.tol``; otherwise the best start wins, ties
+    going to the lowest start index. Deterministic given ``cfg.seed``.
     """
     if not isinstance(p, DistMatrix):
         raise InvalidInput("expected a DistMatrix")
@@ -406,22 +388,25 @@ def psd_fit(
     zero_rows = np.where(P.sum(axis=1) <= 0.0)[0]
     zero_cols = np.where(P.sum(axis=0) <= 0.0)[0]
 
-    rng = np.random.default_rng(cfg.seed)
-    starts = [(np.array(e0, dtype=np.complex128), np.array(f0, dtype=np.complex128))
-              for e0, f0 in inits]
-    exact = _diagonal_exact_start(P, r)
-    if exact is not None:
-        starts.append(exact)
-    w, h, _ = _nonneg_fit(
-        P, r, rng=np.random.default_rng(cfg.seed ^ 0x9E3779B9),
-        starts=2, iters=400, tol=cfg.tol,
-    )
-    starts.append(_diag_start_from_nonneg(w, h, r))
-    starts.extend(_random_start(rng, n, m, r) for _ in range(cfg.starts))
+    def starts():
+        # Built lazily: the search often stops before the later starts.
+        for e0, f0 in inits:
+            yield np.array(e0, dtype=np.complex128), np.array(f0, dtype=np.complex128)
+        exact = _diagonal_exact_start(P, r)
+        if exact is not None:
+            yield exact
+        w, h, _ = _nonneg_fit(
+            P, r, rng=np.random.default_rng(cfg.seed ^ 0x9E3779B9),
+            starts=2, iters=400, tol=cfg.tol,
+        )
+        yield _diag_start_from_nonneg(w, h, r)
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.starts):
+            yield _random_start(rng, n, m, r)
 
     best_val = math.inf
     best_e = best_f = None
-    for e0, f0 in starts:
+    for e0, f0 in starts():
         # Zero rows/columns impose no constraint; pin their factors to zero.
         e0 = e0.copy()
         f0 = f0.copy()
@@ -431,7 +416,7 @@ def psd_fit(
         if history[-1] < best_val:
             best_val = history[-1]
             best_e, best_f = e, f
-        if best_val < 1e-24:
+        if best_val < cfg.tol * cfg.tol:
             break
 
     cs = tuple(hermitize(best_e[x].conj().T @ best_e[x]) for x in range(n))

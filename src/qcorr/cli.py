@@ -324,16 +324,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        report = args.func(args)
+        report = {"format": FORMAT, "command": args.command, **args.func(args)}
+        if args.json:
+            # Strict JSON: a NaN or infinity in a report is an internal failure.
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     except QcorrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    report = {"format": FORMAT, "command": args.command, **report}
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text)
     else:
         _emit_text(report)
     return 0

@@ -123,6 +123,24 @@ def schmidt_decompose(psi: PureState) -> SchmidtForm:
     return SchmidtForm(coeffs=sing**2, left=left, right=right)
 
 
+def require_eps(eps: float) -> float:
+    """Return an accuracy parameter eps after checking its domain [0, inf].
+
+    The one check of eps, for fidelity slacks and squared distances alike:
+    NaN and negative values raise InvalidInput.
+    """
+    if not eps >= 0.0:
+        raise InvalidInput(f"eps must be a nonnegative number, got {eps!r}")
+    return eps
+
+
+def _kept_weight(eps: float) -> float:
+    """Schmidt weight an approximant within fidelity 1 - eps must keep:
+    (1 - eps)^2 below eps = 1, and 0 from there on, where the empty
+    protocol suffices."""
+    return (1.0 - eps) ** 2 if require_eps(eps) < 1.0 else 0.0
+
+
 def _min_terms(cum: np.ndarray, target: float) -> int:
     """Minimal k with cum[k-1] >= target - RANK_SLACK, capped at len(cum)."""
     if target - RANK_SLACK <= 0.0:
@@ -141,8 +159,7 @@ def rank_eps(a, eps: float) -> int:
     arr = as_complex_array(a, "rank_eps input")
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidInput("rank_eps expects a nonempty 2-D matrix")
-    if eps < 0.0:
-        raise InvalidInput("eps must be nonnegative")
+    require_eps(eps)
     fro = float(np.linalg.norm(arr))
     if abs(fro - 1.0) > 1e-9:
         raise NotNormalized(f"Frobenius norm {fro!r} deviates from 1 beyond 1e-9")
@@ -162,12 +179,7 @@ def srank_eps(psi: PureState, eps: float) -> int:
     ``rank_eps(vec_inv(psi), 2*eps - eps**2)``. Returns 0 for eps >= 1
     (the empty protocol suffices).
     """
-    if eps < 0.0:
-        raise InvalidInput("eps must be nonnegative")
-    coeffs = schmidt_decompose(psi).coeffs
-    cum = np.cumsum(coeffs)
-    k = _min_terms(cum, (1.0 - eps) ** 2)
-    return min(k, coeffs.size) if k else 0
+    return _min_terms(np.cumsum(schmidt_decompose(psi).coeffs), _kept_weight(eps))
 
 
 def q_eps(psi: PureState, eps: float) -> int:
@@ -190,8 +202,7 @@ def build_approximant(psi: PureState, eps: float) -> tuple[PureState, float]:
     """
     form = schmidt_decompose(psi)
     cum = np.cumsum(form.coeffs)
-    r = _min_terms(cum, (1.0 - eps) ** 2)
-    r = max(min(r, form.rank), 1)
+    r = max(_min_terms(cum, _kept_weight(eps)), 1)
     weights = np.sqrt(form.coeffs[:r] / float(cum[r - 1]))
     mat = (form.left[:, :r] * weights) @ form.right[:, :r].T
     phi = PureState(psi.dim_a, psi.dim_b, mat.reshape(-1))

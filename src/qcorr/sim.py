@@ -30,7 +30,7 @@ from .linalg import (
     schmidt_matrix,
     svd,
 )
-from .pure import PureState, schmidt_decompose, srank_eps
+from .pure import PureState, require_eps, schmidt_decompose, srank_eps
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,7 @@ class ProtocolSpec:
     eps: float
 
     def __post_init__(self):
-        if self.eps < 0.0:
-            raise InvalidInput("eps must be nonnegative")
+        require_eps(self.eps)
         if self.seed_size_qubits < 0:
             raise InvalidInput("seed size must be nonnegative")
         _, da, db = _seed_density(self.seed)

@@ -3,6 +3,8 @@ Gram extraction."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr.classical import (
     DistMatrix,
@@ -10,7 +12,7 @@ from qcorr.classical import (
     SolverConfig,
     _descend,
     _grams,
-    _objective,
+    _jacobian,
     _random_start,
     _trace_form,
     gram_extract,
@@ -63,33 +65,45 @@ def test_psd_rank_lower_bound_examples():
     assert psd_rank_lower_bound(THIRD_I3) == 2  # ceil(sqrt(3))
 
 
-def test_gradient_matches_finite_differences():
+def test_jacobian_matches_central_differences():
     rng = np.random.default_rng(53)
-    P = rng.uniform(0.1, 1.0, size=(2, 3))
-    P /= P.sum()
     e, f = _random_start(rng, 2, 3, 2)
-    d = _grams(f)
-    resid = _trace_form(_grams(e), d) - P
-    grad = 4.0 * np.einsum("xy,xab,ybc->xac", resid, e, d)
-    h = 1e-7
-    for idx in [(0, 0, 0), (1, 1, 1), (0, 1, 0)]:
-        for delta, part in ((h, "re"), (1j * h, "im")):
-            bump = np.zeros_like(e)
-            bump[idx] = delta
-            num = (_objective(P, e + bump, f) - _objective(P, e - bump, f)) / (2 * h)
-            # grad packs the real-coordinate gradient as a complex array:
-            # d/d(re) = Re(grad), d/d(im) = Im(grad).
-            ana = grad[idx].real if part == "re" else grad[idx].imag
-            assert abs(num - ana) <= 1e-5 * max(1.0, abs(ana))
+    je, jf = _jacobian(e, f, _grams(e), _grams(f))
+
+    def trace_form(e, f):
+        return _trace_form(_grams(e), _grams(f))
+
+    h = 1e-6
+    for side in ("E", "F"):
+        for k, a, b in [(0, 0, 0), (1, 1, 1), (0, 1, 0), (1, 0, 1)]:
+            # The Jacobian packs the real-coordinate derivative as a complex
+            # array: d/d(re) = Re(jac), d/d(im) = Im(jac).
+            for step, part in ((h, np.real), (1j * h, np.imag)):
+                ana = np.zeros((2, 3))
+                if side == "E":
+                    bump = np.zeros_like(e)
+                    bump[k, a, b] = step
+                    num = (trace_form(e + bump, f) - trace_form(e - bump, f)) / (2 * h)
+                    ana[k, :] = part(je[k, :, a, b])  # only row k moves with E_k
+                else:
+                    bump = np.zeros_like(f)
+                    bump[k, a, b] = step
+                    num = (trace_form(e, f + bump) - trace_form(e, f - bump)) / (2 * h)
+                    ana[:, k] = part(jf[:, k, a, b])  # only column k moves with F_k
+                np.testing.assert_allclose(num, ana, rtol=1e-6, atol=1e-9)
 
 
 def test_descent_objective_non_increasing():
     rng = np.random.default_rng(59)
-    P = np.eye(2) / 2
-    e0, f0 = _random_start(rng, 2, 2, 2)
-    _, _, history = _descend(P, e0, f0, SolverConfig(max_iters=300))
-    diffs = np.diff(history)
-    assert np.all(diffs <= 1e-18)
+    # I2/2 at r = 2 converges; I3/3 at r = 2 stalls at its floor.
+    for P in (np.eye(2) / 2, np.eye(3) / 3):
+        n = P.shape[0]
+        e0, f0 = _random_start(rng, n, n, 2)
+        e, f, history = _descend(P, e0, f0, SolverConfig(max_iters=300))
+        assert len(history) > 1
+        assert np.all(np.diff(history) <= 0.0)
+        diff = _trace_form(_grams(e), _grams(f)) - P
+        assert float((diff * diff).sum()) == history[-1]
 
 
 def test_psd_fit_uniform_product_rank1():
@@ -105,6 +119,16 @@ def test_psd_fit_half_i2_rank2():
 def test_psd_fit_third_i3_rank2_infeasible():
     fact = psd_fit(THIRD_I3, 2, SolverConfig(starts=64))
     assert fact.residual >= 1e-3
+
+
+def test_psd_fit_pins_zero_rows_and_columns():
+    p = validate_dist([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    fact = psd_fit(p, 2)
+    assert fact.residual <= 1e-8
+    # Row 1 and column 1 are zero: their factors start at zero, their
+    # Jacobian entries vanish, so every step leaves them at zero.
+    assert not fact.cs[1].any()
+    assert not fact.ds[1].any()
 
 
 def test_psd_fit_residual_consistent_with_factors():
@@ -135,6 +159,46 @@ def test_psd_rank_search_third_i3():
     report = psd_rank_search(THIRD_I3)
     assert (report.lower, report.upper, report.status) == (2, 3, "heuristic")
     assert ceil_log2(report.upper) == 2
+
+
+def _uniform_draw(rng, n):
+    raw = rng.uniform(0.0, 1.0, size=(n, n))
+    return validate_dist(raw / raw.sum())
+
+
+def _second_uniform_draw(rng, n):
+    _uniform_draw(rng, n)
+    return _uniform_draw(rng, n)
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: random_psd_factorization(np.random.default_rng(0), 10, 10, 3)[0], 3),
+    (lambda: _uniform_draw(np.random.default_rng(0), 6), 3),
+    (lambda: _second_uniform_draw(np.random.default_rng(5), 10), 4),
+], ids=["planted-10x10-r3", "uniform-6x6", "uniform-10x10"])
+def test_psd_rank_search_certifies_larger_inputs(make, expected):
+    dist = make()
+    report = psd_rank_search(dist)
+    assert (report.lower, report.upper, report.status) == (expected, expected, "certified")
+    resid = float(np.linalg.norm(report.witness.trace_products() - dist.p))
+    assert resid < SolverConfig().tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 5), r=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_psd_rank_search_upper_at_most_planted_size(n, m, r, seed):
+    dist, _ = random_psd_factorization(np.random.default_rng(seed), n, m, r)
+    assert psd_rank_search(dist).upper <= r
+
+
+def test_solver_config_rejects_out_of_domain_values():
+    for field, value in (("starts", -5), ("max_iters", 0), ("max_iters", -2),
+                         ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")),
+                         ("tol", float("inf"))):
+        with pytest.raises(InvalidInput, match=field):
+            SolverConfig(**{field: value})
+    SolverConfig(starts=0, max_iters=1, tol=1e-12)
 
 
 def test_synth_trivial_point_mass():

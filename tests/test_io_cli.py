@@ -252,6 +252,30 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--starts", "-5", "starts"),
+    ("--tol", "-1", "tol"),
+    ("--tol", "nan", "tol"),
+])
+def test_cli_rejects_out_of_domain_solver_settings(tmp_path, capsys, flag, value, field):
+    rc = main(["--json", "psdrank", "--dist", _write_half_csv(tmp_path), flag, value])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
+@pytest.mark.parametrize("command, value", [
+    ("qeps", "nan"), ("qeps", "-1"), ("approx", "-1"), ("approx", "nan"),
+])
+def test_cli_rejects_out_of_domain_eps(tmp_path, capsys, command, value):
+    rc = main(["--json", command, "--state", _write_epr(tmp_path), "--eps", value])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eps" in captured.err
+
+
 def test_cli_missing_file_exit_code(tmp_path, capsys):
     rc = main(["schmidt", "--state", str(tmp_path / "nope.json")])
     assert rc == 2

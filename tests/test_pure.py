@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcorr.errors import NotNormalized
+from qcorr.errors import InvalidInput, NotNormalized
 from qcorr.pure import (
     PureState,
     build_approximant,
@@ -143,11 +143,30 @@ def test_srank_matches_rank_of_amplitude_matrix():
 
 def test_srank_non_increasing_in_eps():
     rng = np.random.default_rng(41)
-    psi = random_pure_state(rng, 5, 5)
-    grid = [0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 1.0]
-    values = [srank_eps(psi, e) for e in grid]
-    assert values == sorted(values, reverse=True)
-    assert srank_eps(psi, 1.0) == 0
+    grid = np.append([0.0, 0.01], np.linspace(0.05, 3.0, 60))
+    for psi in (random_pure_state(rng, 5, 5), EPR, UNIFORM4, SKEWED):
+        values = [srank_eps(psi, e) for e in grid]
+        assert values == sorted(values, reverse=True)
+        # The empty protocol meets every fidelity target 1 - eps <= 0.
+        assert all(v == 0 for v, e in zip(values, grid) if e >= 1.0)
+    assert srank_eps(EPR, 1.5) == srank_eps(EPR, 2.0) == 0
+
+
+def test_eps_domain_rejects_nan_and_negative():
+    for eps in (-1.0, -1e-12, float("nan")):
+        with pytest.raises(InvalidInput):
+            srank_eps(EPR, eps)
+        with pytest.raises(InvalidInput):
+            build_approximant(EPR, eps)
+        with pytest.raises(InvalidInput):
+            rank_eps(np.eye(2) / np.sqrt(2), eps)
+
+
+def test_approximant_keeps_leading_term_for_eps_at_least_one():
+    for eps in (1.0, 1.5, 2.0):
+        phi, fid = build_approximant(SKEWED, eps)
+        assert np.linalg.matrix_rank(vec_inv(phi)) == 1
+        assert abs(fid - np.sqrt(0.9)) <= 1e-12
 
 
 def test_q_eps_examples():

@@ -46,6 +46,12 @@ def test_channel_requires_trace_preservation():
         LocalChannel((np.array([[1.0, 0.0], [0.0, 0.5]]),))
 
 
+def test_protocol_spec_rejects_nan_and_negative_eps():
+    for eps in (-0.1, float("nan")):
+        with pytest.raises(InvalidInput, match="eps"):
+            identity_epr_spec(eps)
+
+
 def test_apply_protocol_identity_on_epr():
     out = apply_protocol(identity_epr_spec())
     np.testing.assert_allclose(out.mat, EPR.to_density().mat, atol=1e-12)
