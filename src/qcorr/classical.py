@@ -23,10 +23,12 @@ from .errors import FactorizationMismatch, InvalidInput, NotNormalized, NotPsd
 from .linalg import (
     RegisterState,
     absorbed_schmidt_vectors,
+    comp_aux_dims,
     hermitize,
     matrix_rank,
     psd_sqrt,
     require_hermitian,
+    schmidt_matrix,
 )
 
 #: Entries of a distribution below this are clamped to exact zeros.
@@ -603,15 +605,7 @@ def gram_extract(state: RegisterState) -> PsdFactorization:
     norm = state.norm()
     if abs(norm - 1.0) > 1e-9:
         raise NotNormalized(f"state norm {norm!r} deviates from 1 beyond 1e-9")
-    a_regs = state.registers_on("A")
-    b_regs = state.registers_on("B")
-    if not a_regs or not b_regs:
-        raise InvalidInput("state must have registers on both sides")
-    n = state.dims[a_regs[0]]
-    m = state.dims[b_regs[0]]
-    ka = state.side_dim("A") // n
-    kb = state.side_dim("B") // m
-
+    n, m, ka, kb = comp_aux_dims(state)
     left, right = absorbed_schmidt_vectors(state)
     r = left.shape[1]
     vl = left.reshape(n, ka, r)
@@ -619,9 +613,7 @@ def gram_extract(state: RegisterState) -> PsdFactorization:
     cs = tuple(hermitize(vl[x].conj().T @ vl[x]) for x in range(n))
     ds = tuple(hermitize((wr[y].conj().T @ wr[y]).T) for y in range(m))
 
-    tensor = state.amps.reshape(state.dims)
-    order = a_regs + b_regs
-    probs = np.abs(np.transpose(tensor, order).reshape(n, ka, m, kb)) ** 2
+    probs = np.abs(schmidt_matrix(state).reshape(n, ka, m, kb)) ** 2
     measured = probs.sum(axis=(1, 3))
     t = _trace_form(np.stack(cs), np.stack(ds))
     residual = float(np.linalg.norm(t - measured))

@@ -26,6 +26,7 @@ from .linalg import (
     absorbed_schmidt_vectors,
     as_complex_array,
     ceil_log2,
+    comp_aux_dims,
     eigh,
     partial_trace,
     rank_from_singulars,
@@ -137,19 +138,18 @@ class Purification:
     state: RegisterState
 
     def __post_init__(self):
-        if not self.state.registers_on("A") or not self.state.registers_on("B"):
-            raise InvalidInput("purification needs registers on both sides")
+        comp_aux_dims(self.state)  # raises unless both sides hold registers
         norm = self.state.norm()
         if abs(norm - 1.0) > 1e-10:
             raise NotNormalized(f"purification norm {norm!r} deviates from 1")
 
     @property
     def dim_a(self) -> int:
-        return self.state.dims[self.state.registers_on("A")[0]]
+        return comp_aux_dims(self.state)[0]
 
     @property
     def dim_b(self) -> int:
-        return self.state.dims[self.state.registers_on("B")[0]]
+        return comp_aux_dims(self.state)[1]
 
     def reduction(self) -> DensityMatrix:
         keep = [self.state.registers_on("A")[0], self.state.registers_on("B")[0]]
@@ -192,14 +192,8 @@ def factor_from_purification(p: Purification) -> GeneralFactorization:
     ``reconstruct_from_factors`` of the result equals the purification's
     reduction.
     """
-    state = p.state
-    a_regs = state.registers_on("A")
-    b_regs = state.registers_on("B")
-    n = state.dims[a_regs[0]]
-    m = state.dims[b_regs[0]]
-    ka = state.side_dim("A") // n
-    kb = state.side_dim("B") // m
-    left, right = absorbed_schmidt_vectors(state)
+    n, m, ka, kb = comp_aux_dims(p.state)
+    left, right = absorbed_schmidt_vectors(p.state)
     r = left.shape[1]
     vl = left.reshape(n, ka, r)
     wr = right.reshape(m, kb, r)

@@ -277,7 +277,8 @@ _FROM_OBJ = {
 
 
 def load(path: str):
-    """Parse a file by its kind (or CSV extension) into a domain object."""
+    """Parse a file by its kind (or CSV extension) into a domain object;
+    :func:`save` then :func:`load` reproduces every value bit-exactly."""
     if path.lower().endswith(".csv"):
         return load_dist(path)
     obj = _load_json(path)
@@ -288,12 +289,6 @@ def load(path: str):
     if decode is None:
         raise ParseError(f"{path}: unknown kind {kind!r}")
     return decode(obj, kind)
-
-
-def io_roundtrip(path: str):
-    """Parse ``path`` into a domain object; write-then-read through
-    :func:`save`/:func:`load` reproduces every value bit-exactly."""
-    return load(path)
 
 
 def load_dist(path: str, renormalize: bool = False) -> DistMatrix:

@@ -254,14 +254,50 @@ def schmidt_matrix(state: RegisterState) -> np.ndarray:
     return tensor.reshape(state.side_dim("A"), state.side_dim("B"))
 
 
-def schmidt_singulars(state: RegisterState) -> np.ndarray:
-    """Singular values of the cut matrix, descending."""
-    return np.linalg.svd(schmidt_matrix(state), compute_uv=False)
+def comp_aux_dims(state: RegisterState) -> tuple[int, int, int, int]:
+    """``(n, m, ka, kb)`` of a purification layout.
+
+    The first register on each side is the computational one (dims n and
+    m); the rest of that side is its aux block (total dims ka and kb), so
+    each side's space factors as comp (x) aux with comp major.
+    """
+    a_regs = state.registers_on("A")
+    b_regs = state.registers_on("B")
+    if not a_regs or not b_regs:
+        raise InvalidInput("state needs registers on both sides of the cut")
+    n = state.dims[a_regs[0]]
+    m = state.dims[b_regs[0]]
+    return n, m, state.side_dim("A") // n, state.side_dim("B") // m
+
+
+def cut_svd(state: RegisterState) -> SvdResult:
+    """Thin SVD of the Alice|Bob cut matrix, computed on its support.
+
+    Zero rows and columns of the cut matrix carry no singular value, so
+    the SVD runs on the submatrix of nonzero rows and columns and the
+    singular vectors are put back to full length with zeros elsewhere.
+    This is exact for any state, and cheap for purifications whose
+    amplitudes vanish off a small support. A zero state gives zero
+    singular vectors and rank 0.
+    """
+    mat = schmidt_matrix(state)
+    nonzero = mat != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    k = min(rows.size, cols.size)
+    left = np.zeros((mat.shape[0], k), dtype=np.complex128)
+    right = np.zeros((mat.shape[1], k), dtype=np.complex128)
+    if k == 0:
+        return SvdResult(left=left, singulars=np.zeros(0), right=right)
+    sub = svd(mat[np.ix_(rows, cols)])
+    left[rows] = sub.left
+    right[cols] = sub.right
+    return SvdResult(left=left, singulars=sub.singulars, right=right)
 
 
 def schmidt_rank(state: RegisterState) -> int:
     """Schmidt rank across the declared Alice|Bob cut."""
-    return rank_from_singulars(schmidt_singulars(state))
+    return cut_svd(state).rank
 
 
 def absorbed_schmidt_vectors(state: RegisterState) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +307,7 @@ def absorbed_schmidt_vectors(state: RegisterState) -> tuple[np.ndarray, np.ndarr
     and ``right[:, i] = sqrt(s_i) conj(v_i)`` so that the state equals
     ``sum_i left_i (x) right_i``.
     """
-    res = svd(schmidt_matrix(state))
+    res = cut_svd(state)
     r = res.rank
     if r == 0:
         raise InvalidInput("zero state has no Schmidt vectors")
@@ -396,12 +432,19 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Symmetric in its arguments; reduces to sqrt(<psi|rho|psi>) when sigma
     is the pure state |psi><psi|.
+
+    Evaluated on the support of sigma: with sigma = V diag(lam) V^dag and
+    W the columns sqrt(lam_k) V_k for lam_k > 0, sigma^1/2 rho sigma^1/2
+    and W^dag rho W share their nonzero eigenvalues, so the sum of square
+    roots runs over the small matrix W^dag rho W.
     """
     if not isinstance(rho, DensityMatrix) or not isinstance(sigma, DensityMatrix):
         raise InvalidInput("fidelity expects two DensityMatrix inputs")
     if rho.mat.shape != sigma.mat.shape:
         raise InvalidInput("fidelity requires states of equal dimension")
-    root = psd_sqrt(sigma.mat)
-    inner = hermitize(root @ rho.mat @ root)
+    lam, vecs = np.linalg.eigh(sigma.mat)
+    keep = lam > 0.0
+    w = vecs[:, keep] * np.sqrt(lam[keep])
+    inner = hermitize(w.conj().T @ rho.mat @ w)
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     return float(np.sqrt(vals).sum())

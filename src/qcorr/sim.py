@@ -6,7 +6,10 @@ at the declared fidelity slack verifies a protocol end to end; a
 single-qubit register transfer models communication, which can at most
 double the Schmidt rank per qubit moved. All simulation is dense and
 exact: "the distribution produced" always means the exact Born-rule
-diagonal, so acceptance checks carry no statistical noise.
+diagonal, so acceptance checks carry no statistical noise. A channel
+acts through its transfer matrix sum_k K_k (x) conj(K_k), formed once
+per side, so a protocol costs |K_A| + |K_B| Kraus operators, not their
+product; protocol construction SVDs only the support of the Schmidt cut.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from .linalg import (
     RegisterState,
     as_complex_array,
     ceil_log2,
+    comp_aux_dims,
+    cut_svd,
     fidelity,
     hermitize,
     partial_trace,
     rank_from_singulars,
-    schmidt_matrix,
-    svd,
 )
 from .pure import PureState, require_eps, schmidt_decompose, srank_eps
 
@@ -154,22 +157,33 @@ class ProtocolSpec:
             raise InvalidInput("declared seed size cannot hold the seed marginals")
 
 
+def _transfer(channel: LocalChannel) -> np.ndarray:
+    """Transfer matrix T[(x, X), (i, I)] = sum_k K_k[x, i] conj(K_k[X, I])
+    of a channel, from one product of its stacked Kraus operators."""
+    ops = np.stack(channel.kraus)
+    t = np.tensordot(ops, ops.conj(), axes=(0, 0))  # t[x, i, X, I]
+    o, i = channel.out_dim, channel.in_dim
+    return t.transpose(0, 2, 1, 3).reshape(o * o, i * i)
+
+
 def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
-    """Run the protocol: (Phi_A (x) Phi_B)(seed) on the target's space."""
-    sigma, _, _ = _seed_density(spec.seed)
-    if (spec.alice.out_dim != spec.target.dim_a
-            or spec.bob.out_dim != spec.target.dim_b):
+    """Run the protocol: (Phi_A (x) Phi_B)(seed) on the target's space.
+
+    The seed sigma[(i, j), (I, J)] is contracted with Alice's transfer
+    matrix over (i, I), then with Bob's over (j, J): the cost grows with
+    |K_A| + |K_B|, not with the number of Kraus pairs.
+    """
+    sigma, da, db = _seed_density(spec.seed)
+    oa, ob = spec.target.dim_a, spec.target.dim_b
+    if spec.alice.out_dim != oa or spec.bob.out_dim != ob:
         raise InvalidInput("channel output dims do not match the target")
-    out = np.zeros((spec.target.dim, spec.target.dim), dtype=np.complex128)
-    for ka in spec.alice.kraus:
-        for kb in spec.bob.kraus:
-            op = np.kron(ka, kb)
-            out += op @ sigma @ op.conj().T
+    s = sigma.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    out = (_transfer(spec.alice) @ s) @ _transfer(spec.bob).T
+    out = out.reshape(oa, oa, ob, ob).transpose(0, 2, 1, 3).reshape(oa * ob, oa * ob)
     trace = float(np.trace(out).real)
     if abs(trace - 1.0) > 1e-9:
         raise InvalidInput(f"protocol output trace {trace!r} deviates beyond 1e-9")
-    return DensityMatrix(spec.target.dim_a, spec.target.dim_b,
-                         hermitize(out) / trace)
+    return DensityMatrix(oa, ob, hermitize(out) / trace)
 
 
 def measure_computational(rho: DensityMatrix) -> DistMatrix:
@@ -261,24 +275,16 @@ def protocol_from_purification(
     register (the first register on its side). The declared seed size is
     ceil(log2) of the purification's Schmidt rank.
     """
-    a_regs = state.registers_on("A")
-    b_regs = state.registers_on("B")
-    if not a_regs or not b_regs:
-        raise InvalidInput("purification needs registers on both sides")
-    res = svd(schmidt_matrix(state))
+    n, m, ka, kb = comp_aux_dims(state)
+    res = cut_svd(state)
     t = res.rank
     if t == 0:
         raise InvalidInput("zero state cannot seed a protocol")
     coeffs = res.singulars[:t]
     left = res.left[:, :t]
     right = res.right[:, :t].conj()
-
-    n = state.dims[a_regs[0]]
-    m = state.dims[b_regs[0]]
-    ka = state.side_dim("A") // n
-    kb = state.side_dim("B") // m
     if target is None:
-        target = partial_trace(state, [a_regs[0], b_regs[0]])
+        target = partial_trace(state, [state.registers_on(s)[0] for s in "AB"])
 
     d = 2 ** ceil_log2(t)
     seed_amps = np.zeros((d, d), dtype=np.complex128)
@@ -299,14 +305,7 @@ def _rotate_and_discard(columns: np.ndarray, in_dim: int, comp: int, aux: int) -
     out_dim, t = columns.shape
     if out_dim != comp * aux:
         raise InvalidInput("column length does not factor as comp x aux")
-    ops = []
-    blocks = columns.reshape(comp, aux, t)
-    for alpha in range(aux):
-        k = np.zeros((comp, in_dim), dtype=np.complex128)
-        k[:, :t] = blocks[:, alpha, :]
-        ops.append(k)
-    for i in range(t, in_dim):
-        pad = np.zeros((comp, in_dim), dtype=np.complex128)
-        pad[0, i] = 1.0
-        ops.append(pad)
+    ops = np.zeros((aux + in_dim - t, comp, in_dim), dtype=np.complex128)
+    ops[:aux, :, :t] = columns.reshape(comp, aux, t).transpose(1, 0, 2)
+    ops[np.arange(aux, aux + in_dim - t), 0, np.arange(t, in_dim)] = 1.0
     return LocalChannel(tuple(ops))

@@ -28,7 +28,7 @@ def test_state_roundtrip_bit_exact(tmp_path):
     psi = random_pure_state(rng, 3, 4)
     path = tmp_path / "state.json"
     qio.save(str(path), psi)
-    back = qio.io_roundtrip(str(path))
+    back = qio.load(str(path))
     assert isinstance(back, PureState)
     np.testing.assert_array_equal(back.amps, psi.amps)
     assert (back.dim_a, back.dim_b) == (psi.dim_a, psi.dim_b)

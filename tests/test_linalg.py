@@ -7,16 +7,21 @@ from qcorr.errors import InvalidInput, NotPsd
 from qcorr.linalg import (
     DensityMatrix,
     RegisterState,
+    absorbed_schmidt_vectors,
     ceil_log2,
+    comp_aux_dims,
+    cut_svd,
     density_from_pure,
     eigh,
     fidelity,
+    hermitize,
     matrix_rank,
     partial_trace,
     psd_sqrt,
     schmidt_rank,
     svd,
 )
+from qcorr.rand import random_density_matrix
 
 
 def test_svd_permutation_matrix():
@@ -188,6 +193,20 @@ def test_fidelity_symmetry_and_range():
         assert -1e-9 <= f1 <= 1 + 1e-9
 
 
+def test_fidelity_matches_dense_formula():
+    # Reference: tr sqrt(sigma^1/2 rho sigma^1/2) with the full square root.
+    rng = np.random.default_rng(29)
+    for rank in (1, 2, 3, 6):
+        rho = random_density_matrix(rng, 2, 3)
+        sigma = random_density_matrix(rng, 2, 3, rank)
+        root = psd_sqrt(sigma.mat)
+        inner = hermitize(root @ rho.mat @ root)
+        dense = float(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum())
+        # Eigenvalues at rounding level (~1e-16) enter both through square
+        # roots, so the two evaluations may differ by ~1e-8 each.
+        assert abs(fidelity(rho, sigma) - dense) <= 1e-7
+
+
 def test_fidelity_dimension_mismatch():
     with pytest.raises(InvalidInput):
         fidelity(DensityMatrix(2, 1, np.eye(2) / 2),
@@ -205,6 +224,44 @@ def test_matrix_rank_threshold():
 
 def test_schmidt_rank_epr():
     assert schmidt_rank(_epr_registers()) == 2
+
+
+def test_cut_svd_matches_dense_svd_on_planted_zeros():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        # Cut matrix of a state on registers (A1 | B | A2): rows (a1, a2).
+        a1, b, a2 = (int(d) for d in rng.integers(1, 5, size=3))
+        mat = rng.standard_normal((a1 * a2, b)) + 1j * rng.standard_normal((a1 * a2, b))
+        mat[rng.random(a1 * a2) < 0.4] = 0.0
+        mat[:, rng.random(b) < 0.4] = 0.0
+        if not mat.any():
+            continue
+        amps = mat.reshape(a1, a2, b).transpose(0, 2, 1)
+        state = RegisterState(amps.reshape(-1), (a1, b, a2), ("A", "B", "A"))
+        res = cut_svd(state)
+        dense = np.linalg.svd(mat, compute_uv=False)
+        k = res.singulars.size
+        np.testing.assert_allclose(res.singulars, dense[:k], atol=1e-12)
+        np.testing.assert_allclose(dense[k:], 0.0, atol=1e-12)
+        np.testing.assert_allclose(res.reconstruct(), mat, atol=1e-12)
+        for vecs in (res.left, res.right):
+            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(k), atol=1e-12)
+        assert schmidt_rank(state) == matrix_rank(mat)
+
+
+def test_cut_svd_zero_state():
+    state = RegisterState(np.zeros(6), (2, 3), ("A", "B"))
+    assert cut_svd(state).rank == 0
+    assert schmidt_rank(state) == 0
+    with pytest.raises(InvalidInput):
+        absorbed_schmidt_vectors(state)
+
+
+def test_comp_aux_dims():
+    state = RegisterState(np.ones(120), (3, 2, 4, 5), ("A", "B", "A", "B"))
+    assert comp_aux_dims(state) == (3, 2, 4, 5)
+    with pytest.raises(InvalidInput, match="both sides"):
+        comp_aux_dims(RegisterState(np.ones(6), (2, 3), ("A", "A")))
 
 
 def test_density_matrix_validation():

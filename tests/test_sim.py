@@ -2,19 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcorr.classical import PsdFactorization, synth_from_psd, validate_dist
+from qcorr.classical import PsdFactorization, gram_extract, synth_from_psd, validate_dist
 from qcorr.errors import InvalidInput
 from qcorr.linalg import (
     DensityMatrix,
     RegisterState,
-
+    ceil_log2,
     fidelity,
     partial_trace,
     schmidt_rank,
 )
 from qcorr.pure import PureState, q_eps
-from qcorr.rand import random_pure_state, random_register_state
+from qcorr.rand import (
+    random_density_matrix,
+    random_psd_factorization,
+    random_pure_state,
+    random_register_state,
+)
 from qcorr.sim import (
     LocalChannel,
     ProtocolSpec,
@@ -87,6 +94,60 @@ def test_depolarizing_channel_preserves_maximally_mixed_reductions():
     red_b = partial_trace(out, keep=[1])
     np.testing.assert_allclose(red_a.mat, np.eye(2) / 2, atol=1e-10)
     np.testing.assert_allclose(red_b.mat, np.eye(2) / 2, atol=1e-10)
+
+
+def kraus_pair_sum(spec: ProtocolSpec) -> np.ndarray:
+    """Reference: sum over all Kraus pairs of (K_a (x) K_b) sigma (K_a (x) K_b)^dag."""
+    seed = spec.seed
+    sigma = seed.to_density().mat if isinstance(seed, PureState) else seed.mat
+    out = np.zeros((spec.target.dim, spec.target.dim), dtype=np.complex128)
+    for ka in spec.alice.kraus:
+        for kb in spec.bob.kraus:
+            op = np.kron(ka, kb)
+            out += op @ sigma @ op.conj().T
+    return out
+
+
+def random_channel(rng, in_dim: int, out_dim: int, n_kraus: int, pad: int) -> LocalChannel:
+    """n_kraus random Kraus operators on the first inputs, plus one padding
+    operator (|0><i|) for each of the last ``pad`` inputs."""
+    t = min(in_dim - pad, n_kraus * out_dim)
+    pad = in_dim - t
+    shape = (n_kraus * out_dim, t)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ops = np.zeros((n_kraus + pad, out_dim, in_dim), dtype=np.complex128)
+    ops[:n_kraus, :, :t] = np.linalg.qr(g)[0].reshape(n_kraus, out_dim, t)
+    ops[np.arange(n_kraus, n_kraus + pad), 0, np.arange(t, in_dim)] = 1.0
+    return LocalChannel(tuple(ops))
+
+
+#: (in_dim, out_dim, Kraus operators, padding operators) of one side.
+channel_shape = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+                          st.integers(0, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(alice=channel_shape, bob=channel_shape, mixed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_protocol_matches_kraus_pair_sum(alice, bob, mixed, seed):
+    rng = np.random.default_rng(seed)
+    (da, oa, na, pa), (db, ob, nb, pb) = alice, bob
+    if mixed:
+        sigma = random_density_matrix(rng, da, db, int(rng.integers(1, da * db + 1)))
+        size = ceil_log2(max(da, db))
+    else:
+        sigma = random_pure_state(rng, da, db)
+        size = ceil_log2(min(da, db))
+    spec = ProtocolSpec(
+        seed=sigma,
+        seed_size_qubits=size,
+        alice=random_channel(rng, da, oa, na, min(pa, da - 1)),
+        bob=random_channel(rng, db, ob, nb, min(pb, db - 1)),
+        target=DensityMatrix(oa, ob, np.eye(oa * ob) / (oa * ob)),
+        eps=1.0,
+    )
+    np.testing.assert_allclose(apply_protocol(spec).mat, kraus_pair_sum(spec),
+                               rtol=0, atol=1e-12)
 
 
 def test_measure_computational_diagonal():
@@ -214,6 +275,21 @@ def test_protocol_from_purification_half_i2():
     assert report.passed
     out = apply_protocol(spec)
     np.testing.assert_allclose(out.mat, np.diag([0.5, 0, 0, 0.5]), atol=1e-8)
+
+
+def test_planted_protocol_rung_20_5():
+    dist, fact = random_psd_factorization(np.random.default_rng(20), 20, 20, 5)
+    state = synth_from_psd(dist, fact)
+    assert gram_extract(state).r == 5
+    spec = protocol_from_purification(state)
+    out = apply_protocol(spec)
+    assert fidelity(out, spec.target) >= 1 - 1e-12
+    np.testing.assert_allclose(measure_computational(out).p, dist.p, rtol=0, atol=1e-8)
+
+
+def test_protocol_from_purification_rejects_zero_state():
+    with pytest.raises(InvalidInput, match="zero state"):
+        protocol_from_purification(RegisterState(np.zeros(4), (2, 2), ("A", "B")))
 
 
 def test_protocol_spec_validates_seed_size():
