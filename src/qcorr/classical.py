@@ -4,18 +4,20 @@ A classical bipartite state is a probability matrix P. The number of
 seed qubits needed to generate it is ceil(log2) of the psd-rank of P,
 the smallest r admitting r x r Hermitian psd families {C_x}, {D_y} with
 tr(C_x D_y) = P(x, y). Exact psd-rank is intractable in general, so this
-module provides a certified lower bound, a multi-start local solver that
-searches for witnesses, a synthesis step that turns a witness into an
-explicit generating purification, and the reverse Gram extraction that
-reads a witness back off any purification. Nonnegative-rank heuristics
-cover the randomized (classical-seed) complexity for comparison.
+module provides a certified lower bound, a multi-start Levenberg-Marquardt
+solver that searches for witnesses, a synthesis step that turns a witness
+into an explicit generating purification, and the reverse Gram extraction
+that reads a witness back off any purification. The nonnegative rank, which
+sets the randomized (classical-seed) complexity, is bracketed by the same
+solver and the same bracketing loop: a nonnegative factorization is a psd
+factorization with diagonal factors, and real diagonal starts stay diagonal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -125,11 +127,12 @@ VALUE_FLOOR = 1e-28
 class SolverConfig:
     """Knobs for the factorization searches; one seed drives all randomness.
 
-    ``starts`` is the number of seeded random starts of ``psd_fit`` (and
-    of the nonnegative fits); ``max_iters`` caps the Levenberg-Marquardt
-    trial steps, accepted or rejected, of one start; ``tol`` is the
-    Frobenius residual below which a fit counts as a witness. Invalid
-    values raise InvalidInput naming the field.
+    ``starts`` is the number of seeded random Levenberg-Marquardt starts
+    per size, for the psd fits of ``psd_fit`` and the nonnegative fits of
+    ``nonneg_rank_bounds`` alike; ``max_iters`` caps the trial steps,
+    accepted or rejected, of one start; ``tol`` is the Frobenius residual
+    below which a fit counts as a witness. Invalid values raise
+    InvalidInput naming the field.
     """
 
     starts: int = 16
@@ -194,15 +197,14 @@ class PsdFactorization:
 
     def trace_products(self) -> np.ndarray:
         """The bilinear form t[x, y] = tr(C_x D_y), real nonnegative."""
-        c = np.stack(self.cs)
-        d = np.stack(self.ds)
-        return np.einsum("xab,yba->xy", c, d).real
+        return _trace_form(np.stack(self.cs), np.stack(self.ds))
 
 
 @dataclass(frozen=True)
 class RankReport:
     """Bracketing [lower, upper] for a rank quantity; ``certified`` only
-    when the bracket is tight. ``witness`` realizes the upper bound.
+    when the bracket is tight. ``witness`` is the fit of size ``upper``; it
+    realizes the upper bound when its residual is below the solver's tol.
     """
 
     lower: int
@@ -253,7 +255,11 @@ def _descend(
 
     The step is delta = -J^T (J J^T + lam I)^-1 res. A step is accepted
     when it lowers the squared residual; lam is divided by LM_DOWN after an
-    accepted step and multiplied by LM_UP after a rejected one. The start
+    accepted step and multiplied by LM_UP after a rejected one, or when
+    J J^T + lam I is singular in floating point. Real diagonal E and F give
+    real diagonal J, so every step keeps them real diagonal: from such a
+    start this is Levenberg-Marquardt on the nonnegative factorization
+    P ~ W H with W[x, i] = E_x[i, i]^2 and H[i, y] = F_y[i, i]^2. The start
     stops when the squared residual is below VALUE_FLOOR, when it stalls
     (lam passes LM_LAMBDA_CAP times its first value, or STALL_WINDOW
     accepted steps lower it by less than the fraction STALL_DROP), or after
@@ -289,12 +295,19 @@ def _descend(
                     break
                 lam = LM_LAMBDA0 * scale
                 floor, cap = LM_LAMBDA_FLOOR * lam, LM_LAMBDA_CAP * lam
-        w = np.linalg.solve(jjt + lam * eye, resid.reshape(-1)).reshape(n, m)
-        e_try = e - np.einsum("xy,xyab->xab", w, je)
-        f_try = f - np.einsum("xy,xyab->yab", w, jf)
-        c_try, d_try = _grams(e_try), _grams(f_try)
-        r_try = _trace_form(c_try, d_try) - P
-        value = float((r_try * r_try).sum())
+        try:
+            w = np.linalg.solve(jjt + lam * eye, resid.reshape(-1)).reshape(n, m)
+        except np.linalg.LinAlgError:
+            # J J^T can be singular (diagonal starts have at most r(n+m-1)
+            # independent columns), and lam near its floor is lost in
+            # rounding: reject the step so that lam grows.
+            value = math.inf
+        else:
+            e_try = e - np.einsum("xy,xyab->xab", w, je)
+            f_try = f - np.einsum("xy,xyab->yab", w, jf)
+            c_try, d_try = _grams(e_try), _grams(f_try)
+            r_try = _trace_form(c_try, d_try) - P
+            value = float((r_try * r_try).sum())
         accepted = value < history[-1]
         if accepted:
             e, f, c, d, resid = e_try, f_try, c_try, d_try, r_try
@@ -310,6 +323,15 @@ def _descend(
     return e, f, history
 
 
+def _witness(e: np.ndarray, f: np.ndarray, P: np.ndarray) -> PsdFactorization:
+    """The factorization C_x = E_x^dag E_x, D_y = F_y^dag F_y, with its
+    Frobenius residual against P. E_x and F_y may be k x r."""
+    cs = tuple(hermitize(ex.conj().T @ ex) for ex in e)
+    ds = tuple(hermitize(fy.conj().T @ fy) for fy in f)
+    residual = float(np.linalg.norm(_trace_form(np.stack(cs), np.stack(ds)) - P))
+    return PsdFactorization(r=e.shape[-1], cs=cs, ds=ds, residual=residual)
+
+
 def _random_start(
     rng: np.random.Generator, n: int, m: int, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -319,44 +341,83 @@ def _random_start(
     return e, f
 
 
+def _random_diagonal_start(
+    rng: np.random.Generator, n: int, m: int, r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # Real diagonal factors: the nonnegative factorization W H with
+    # W[x, i] = E_x[i, i]^2 and H[i, y] = F_y[i, i]^2.
+    scale = (1.0 / (n * m * r)) ** 0.25
+    diag = np.arange(r)
+    e = np.zeros((n, r, r))
+    f = np.zeros((m, r, r))
+    e[:, diag, diag] = scale * rng.uniform(0.0, 1.0, (n, r))
+    f[:, diag, diag] = scale * rng.uniform(0.0, 1.0, (m, r))
+    return e, f
+
+
 def _diagonal_exact_start(P: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Exact factorization available whenever r >= min(n, m): one side gets
-    basis projectors, the other diagonal probability rows/columns.
+    """Exact factorization available whenever r >= min(n, m): the smaller
+    side gets basis projectors, the other diagonal square roots of its
+    rows/columns of P.
     """
     n, m = P.shape
-    if m <= n and r >= m:
-        e = np.zeros((n, r, r), dtype=np.complex128)
-        f = np.zeros((m, r, r), dtype=np.complex128)
-        for x in range(n):
-            e[x, :m, :m] = np.diag(np.sqrt(P[x, :]))
-        for y in range(m):
-            f[y, y, y] = 1.0
-        return e, f
-    if n < m and r >= n:
-        e = np.zeros((n, r, r), dtype=np.complex128)
-        f = np.zeros((m, r, r), dtype=np.complex128)
-        for x in range(n):
-            e[x, x, x] = 1.0
-        for y in range(m):
-            f[y, :n, :n] = np.diag(np.sqrt(P[:, y]))
-        return e, f
-    return None
-
-
-def _diag_start_from_nonneg(
-    w: np.ndarray, h: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Turn a nonnegative factorization P ~ W H into diagonal psd factors."""
-    n = w.shape[0]
-    m = h.shape[1]
+    if r < min(n, m):
+        return None
     e = np.zeros((n, r, r), dtype=np.complex128)
     f = np.zeros((m, r, r), dtype=np.complex128)
-    k = min(r, w.shape[1])
-    for x in range(n):
-        e[x, :k, :k] = np.diag(np.sqrt(w[x, :k]))
-    for y in range(m):
-        f[y, :k, :k] = np.diag(np.sqrt(h[:k, y]))
+    if m <= n:
+        diag = np.arange(m)
+        e[:, diag, diag] = np.sqrt(P)
+        f[diag, diag, diag] = 1.0
+    else:
+        diag = np.arange(n)
+        e[diag, diag, diag] = 1.0
+        f[:, diag, diag] = np.sqrt(P.T)
     return e, f
+
+
+def _multistart(
+    P: np.ndarray,
+    r: int,
+    cfg: SolverConfig,
+    inits: Iterable[tuple[np.ndarray, np.ndarray]],
+    random_start,
+) -> PsdFactorization:
+    """Best size-r factorization over ``inits``, the exact diagonal start
+    (when r >= min(n, m)) and ``cfg.starts`` draws of ``random_start``, in
+    that order. Stops at the first start whose residual is below
+    ``cfg.tol``; otherwise the best start wins, ties going to the lowest
+    start index. With no start to run it returns the zero factors, whose
+    residual is the norm of P.
+    """
+    n, m = P.shape
+    zero_rows = P.sum(axis=1) <= 0.0
+    zero_cols = P.sum(axis=0) <= 0.0
+
+    def starts():
+        # Built lazily: the search often stops before the later starts.
+        for e0, f0 in inits:
+            yield np.array(e0, dtype=np.complex128), np.array(f0, dtype=np.complex128)
+        exact = _diagonal_exact_start(P, r)
+        if exact is not None:
+            yield exact
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.starts):
+            yield random_start(rng, n, m, r)
+
+    best_val = math.inf
+    best_e, best_f = np.zeros((n, r, r)), np.zeros((m, r, r))
+    for e0, f0 in starts():
+        # Zero rows/columns impose no constraint; pin their factors to zero.
+        e0[zero_rows] = 0.0
+        f0[zero_cols] = 0.0
+        e, f, history = _descend(P, e0, f0, cfg)
+        if history[-1] < best_val:
+            best_val = history[-1]
+            best_e, best_f = e, f
+        if best_val < cfg.tol * cfg.tol:
+            break
+    return _witness(best_e, best_f, P)
 
 
 def psd_fit(
@@ -372,186 +433,76 @@ def psd_fit(
     factors psd without any projection; each start runs a
     Levenberg-Marquardt least-squares solve on the n*m residuals
     tr(C_x D_y) - P(x, y) until its squared residual is below 1e-28, it
-    stalls, or it has taken ``cfg.max_iters`` trial steps. Two
-    deterministic warm starts precede the ``cfg.starts`` random ones: the
-    exact diagonal construction (available whenever r >= min(n, m)) and a
-    diagonal lift of a nonnegative factorization. ``inits`` supplies extra
-    starting points, tried first. The search stops at the first start whose
+    stalls, or it has taken ``cfg.max_iters`` trial steps. ``inits``
+    supplies starting points, tried first; the exact diagonal construction
+    (available whenever r >= min(n, m)) comes next, then ``cfg.starts``
+    random complex starts. The search stops at the first start whose
     residual is below ``cfg.tol``; otherwise the best start wins, ties
-    going to the lowest start index. Deterministic given ``cfg.seed``.
+    going to the lowest start index. With no start to run (no ``inits``,
+    ``cfg.starts == 0`` and r < min(n, m)) the zero factors are returned.
+    Deterministic given ``cfg.seed``.
     """
     if not isinstance(p, DistMatrix):
         raise InvalidInput("expected a DistMatrix")
     if r < 1:
         raise InvalidInput("factorization size r must be positive")
-    cfg = cfg or DEFAULT_CONFIG
-    P = p.p
-    n, m = P.shape
-    zero_rows = np.where(P.sum(axis=1) <= 0.0)[0]
-    zero_cols = np.where(P.sum(axis=0) <= 0.0)[0]
+    return _multistart(p.p, r, cfg or DEFAULT_CONFIG, inits, _random_start)
 
-    def starts():
-        # Built lazily: the search often stops before the later starts.
-        for e0, f0 in inits:
-            yield np.array(e0, dtype=np.complex128), np.array(f0, dtype=np.complex128)
-        exact = _diagonal_exact_start(P, r)
-        if exact is not None:
-            yield exact
-        w, h, _ = _nonneg_fit(
-            P, r, rng=np.random.default_rng(cfg.seed ^ 0x9E3779B9),
-            starts=2, iters=400, tol=cfg.tol,
-        )
-        yield _diag_start_from_nonneg(w, h, r)
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(cfg.starts):
-            yield _random_start(rng, n, m, r)
 
-    best_val = math.inf
-    best_e = best_f = None
-    for e0, f0 in starts():
-        # Zero rows/columns impose no constraint; pin their factors to zero.
-        e0 = e0.copy()
-        f0 = f0.copy()
-        e0[zero_rows] = 0.0
-        f0[zero_cols] = 0.0
-        e, f, history = _descend(P, e0, f0, cfg)
-        if history[-1] < best_val:
-            best_val = history[-1]
-            best_e, best_f = e, f
-        if best_val < cfg.tol * cfg.tol:
+def _bracket(lower: int, rmax: int, fit, tol: float) -> RankReport:
+    """Try sizes lower..rmax upward; the first fit with residual below
+    ``tol`` sets the upper bound and is the witness. Certified iff that
+    size is ``lower``.
+    """
+    for r in range(lower, rmax + 1):
+        fact = fit(r)
+        if fact.residual < tol:
             break
-
-    cs = tuple(hermitize(best_e[x].conj().T @ best_e[x]) for x in range(n))
-    ds = tuple(hermitize(best_f[y].conj().T @ best_f[y]) for y in range(m))
-    t = _trace_form(np.stack(cs), np.stack(ds))
-    residual = float(np.linalg.norm(t - P))
-    return PsdFactorization(r=r, cs=cs, ds=ds, residual=residual)
+    # Falls through with r = rmax only when no fit reaches tol: when tol is
+    # below roundoff (the exact diagonal start at min(n, m) leaves only
+    # rounding), or when rmax is a proved value (nonnegative rank <= 2).
+    # The last fit is reported as the witness.
+    status = "certified" if r == lower else "heuristic"
+    return RankReport(lower=lower, upper=r, status=status, witness=fact)
 
 
 def psd_rank_search(p: DistMatrix, cfg: SolverConfig | None = None) -> RankReport:
     """Bracket the psd-rank of P between the certified lower bound and the
-    smallest size at which the solver finds a witness.
+    smallest size at which ``psd_fit`` finds a witness.
 
     Sizes are tried upward from the lower bound; a size succeeds when the
-    residual drops below ``cfg.tol``. Warm starts derived from a
-    nonnegative factorization are added at every size, and the exact
-    diagonal construction guarantees success at r = min(n, m). The report
-    is certified only when the first success equals the lower bound; the
-    generation complexity in seed qubits is ceil(log2(upper)).
+    residual drops below ``cfg.tol``. The exact diagonal construction
+    guarantees success at r = min(n, m). The report is certified only when
+    the first success equals the lower bound; the generation complexity in
+    seed qubits is ceil(log2(upper)).
     """
     cfg = cfg or DEFAULT_CONFIG
-    lower = psd_rank_lower_bound(p)
-    rmax = min(p.n, p.m)
-    fact = None
-    for r in range(lower, rmax + 1):
-        fact = psd_fit(p, r, cfg)
-        if fact.residual < cfg.tol:
-            status = "certified" if r == lower else "heuristic"
-            return RankReport(lower=lower, upper=r, status=status, witness=fact)
-    # Only reachable when cfg.tol is below roundoff: the diagonal witness at
-    # min(n, m) is exact up to machine precision, so report it as the upper.
-    status = "certified" if rmax == lower else "heuristic"
-    return RankReport(lower=lower, upper=rmax, status=status, witness=fact)
-
-
-def _nonneg_fit(
-    P: np.ndarray,
-    r: int,
-    rng: np.random.Generator,
-    starts: int,
-    iters: int,
-    tol: float,
-    inits: Sequence[tuple[np.ndarray, np.ndarray]] = (),
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Multiplicative-update nonnegative factorization P ~ W H.
-
-    Lee-Seung updates for the Frobenius objective; monotone, so the best
-    start wins. Returns (W, H, Frobenius residual).
-    """
-    n, m = P.shape
-    eps = 1e-12
-    best = (None, None, math.inf)
-    trials = list(inits)
-    mean = max(float(P.mean()), eps)
-    for _ in range(starts):
-        w0 = rng.uniform(0.1, 1.0, size=(n, r)) * math.sqrt(mean / r)
-        h0 = rng.uniform(0.1, 1.0, size=(r, m)) * math.sqrt(mean / r)
-        trials.append((w0, h0))
-    for w0, h0 in trials:
-        w = np.asarray(w0, dtype=float).copy()
-        h = np.asarray(h0, dtype=float).copy()
-        resid = float(np.linalg.norm(P - w @ h))
-        for _ in range(iters):
-            w *= (P @ h.T) / (w @ (h @ h.T) + eps)
-            h *= (w.T @ P) / ((w.T @ w) @ h + eps)
-            new_resid = float(np.linalg.norm(P - w @ h))
-            if new_resid < tol * 0.1 or resid - new_resid < 1e-15:
-                resid = new_resid
-                break
-            resid = new_resid
-        if resid < best[2]:
-            best = (w, h, resid)
-        if best[2] < tol * 0.1:
-            break
-    return best  # type: ignore[return-value]
+    return _bracket(psd_rank_lower_bound(p), min(p.n, p.m),
+                    lambda r: psd_fit(p, r, cfg), cfg.tol)
 
 
 def nonneg_rank_bounds(p: DistMatrix, cfg: SolverConfig | None = None) -> RankReport:
     """Bracket the nonnegative rank of P.
 
-    The lower bound is rank(P). The upper bound is the smallest size at
-    which multiplicative updates reach the tolerance, capped at min(n, m)
-    where the trivial factorization is exact. Matrices of rank <= 2 have
-    nonnegative rank equal to rank, so those reports are certified
-    outright. The randomized generation complexity in seed bits is
+    A nonnegative factorization is a psd factorization with diagonal
+    factors, so the fits are the Levenberg-Marquardt starts of ``psd_fit``
+    from ``cfg.starts`` random real diagonal starts, which stay diagonal
+    (see ``_descend``); ``max_iters`` and ``tol`` apply as there. The lower
+    bound is rank(P); sizes are tried upward from it, and the exact
+    diagonal construction guarantees success at min(n, m). Matrices of
+    rank <= 2 have nonnegative rank equal to rank, so only that size is
+    tried and the report is certified outright. The witness has diagonal
+    C_x and D_y. The randomized generation complexity in seed bits is
     ceil(log2(upper)).
     """
     if not isinstance(p, DistMatrix):
         raise InvalidInput("expected a DistMatrix")
     cfg = cfg or DEFAULT_CONFIG
-    P = p.p
-    n, m = P.shape
-    lower = matrix_rank(P)
-    rmax = min(n, m)
-    rng = np.random.default_rng(cfg.seed)
-
-    def witness_from(w: np.ndarray, h: np.ndarray, r: int) -> PsdFactorization:
-        e, f = _diag_start_from_nonneg(w, h, r)
-        cs = tuple(hermitize(e[x].conj().T @ e[x]) for x in range(n))
-        ds = tuple(hermitize(f[y].conj().T @ f[y]) for y in range(m))
-        t = _trace_form(np.stack(cs), np.stack(ds))
-        return PsdFactorization(r=r, cs=cs, ds=ds,
-                                residual=float(np.linalg.norm(t - P)))
-
-    upper = None
-    witness = None
-    for r in range(max(lower, 1), rmax + 1):
-        inits: list[tuple[np.ndarray, np.ndarray]] = []
-        if r == 1:
-            # Exact for genuinely rank-1 nonnegative matrices.
-            rows = P.sum(axis=1, keepdims=True)
-            cols = P.sum(axis=0, keepdims=True)
-            inits.append((rows, cols / max(float(P.sum()), 1e-300)))
-        if r >= rmax:
-            # P = P @ I (or I @ P) is always an exact witness at min(n, m).
-            inits.append((P.copy(), np.eye(m)) if m <= n else (np.eye(n), P.copy()))
-        w, h, resid = _nonneg_fit(P, r, rng=rng, starts=cfg.starts,
-                                  iters=2000, tol=cfg.tol, inits=inits)
-        if resid < cfg.tol:
-            upper = r
-            witness = witness_from(w, h, r)
-            break
-        if lower <= 2:
-            # rank <= 2 nonnegative matrices have nonnegative rank == rank;
-            # certification does not depend on the heuristic succeeding.
-            break
-    if lower <= 2:
-        return RankReport(lower=lower, upper=lower, status="certified",
-                          witness=witness)
-    if upper is None:  # unreachable: the trivial witness is exact at rmax
-        upper = rmax
-    status = "certified" if upper == lower else "heuristic"
-    return RankReport(lower=lower, upper=upper, status=status, witness=witness)
+    rank = matrix_rank(p.p)
+    rmax = rank if rank <= 2 else min(p.n, p.m)
+    return _bracket(rank, rmax,
+                    lambda r: _multistart(p.p, r, cfg, (), _random_diagonal_start),
+                    cfg.tol)
 
 
 def synth_from_psd(p: DistMatrix, f: PsdFactorization) -> RegisterState:
@@ -608,13 +559,7 @@ def gram_extract(state: RegisterState) -> PsdFactorization:
     n, m, ka, kb = comp_aux_dims(state)
     left, right = absorbed_schmidt_vectors(state)
     r = left.shape[1]
-    vl = left.reshape(n, ka, r)
-    wr = right.reshape(m, kb, r)
-    cs = tuple(hermitize(vl[x].conj().T @ vl[x]) for x in range(n))
-    ds = tuple(hermitize((wr[y].conj().T @ wr[y]).T) for y in range(m))
-
     probs = np.abs(schmidt_matrix(state).reshape(n, ka, m, kb)) ** 2
-    measured = probs.sum(axis=(1, 3))
-    t = _trace_form(np.stack(cs), np.stack(ds))
-    residual = float(np.linalg.norm(t - measured))
-    return PsdFactorization(r=r, cs=cs, ds=ds, residual=residual)
+    # D_y(i, j) = <w_y^j|w_y^i> is the Gram matrix of conj(w_y).
+    return _witness(left.reshape(n, ka, r), right.reshape(m, kb, r).conj(),
+                    probs.sum(axis=(1, 3)))

@@ -3,7 +3,7 @@ Gram extraction."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcorr.classical import (
@@ -104,6 +104,31 @@ def test_descent_objective_non_increasing():
         assert np.all(np.diff(history) <= 0.0)
         diff = _trace_form(_grams(e), _grams(f)) - P
         assert float((diff * diff).sum()) == history[-1]
+
+
+#: A 4 x 3 distribution on which J J^T + lam I became singular in floating
+#: point along a diagonal start, so the solve raised LinAlgError.
+SINGULAR_SOLVE = np.array([
+    [0.18221535964798136, 0.06808598638220775, 0.23791208179456846],
+    [0.06843326807985785, 0.041309010459165296, 0.06983601493241658],
+    [0.10275583814303764, 0.0, 0.18177288633010022],
+    [0.017615682119370514, 0.004575571398577121, 0.02548830071271718],
+])
+
+
+def test_descend_rejects_singular_solve_and_converges():
+    rng = np.random.default_rng(107)
+    w = 0.5 * rng.uniform(0.0, 1.0, (4, 2))
+    h = 0.5 * rng.uniform(0.0, 1.0, (3, 2))
+    e0 = np.stack([np.diag(row) for row in w])
+    f0 = np.stack([np.diag(row) for row in h])
+    e, f, history = _descend(SINGULAR_SOLVE, e0, f0, SolverConfig())
+    assert history[-1] < 1e-28
+    assert np.all(np.diff(history) <= 0.0)
+    # Real diagonal starts stay real diagonal.
+    for fam in (e, f):
+        assert not np.any(fam.imag)
+        assert not np.any(fam - np.einsum("kii->ki", fam)[:, :, None] * np.eye(2))
 
 
 def test_psd_fit_uniform_product_rank1():
@@ -308,8 +333,9 @@ def test_rank_chain_invariant():
         n, m = rng.integers(2, 5, size=2)
         raw = rng.uniform(0.0, 1.0, size=(n, m))
         cases.append(validate_dist(raw / raw.sum(), renormalize=True))
-    # Reduced budget: the ordering is guaranteed by the shared warm starts,
-    # not by how hard the random instances are polished.
+    # Reduced budget. The two searches share no start: psd fits start from
+    # random complex factors, nonnegative fits from random real diagonal
+    # ones, and both reach min(n, m) through the exact diagonal start.
     cfg = SolverConfig(starts=6, max_iters=1200)
     for dist in cases:
         lower = psd_rank_lower_bound(dist)
@@ -317,3 +343,41 @@ def test_rank_chain_invariant():
         nn = nonneg_rank_bounds(dist, cfg)
         assert lower <= psd.upper <= nn.upper <= min(dist.n, dist.m)
         assert ceil_log2(psd.upper) <= ceil_log2(nn.upper)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 5), r=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_planted_nonneg_rank_bounds_psd_rank(n, m, r, seed):
+    # P = W H with about 30% of the entries of W and H zeroed.
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 1.0, (n, r)) * (rng.uniform(0.0, 1.0, (n, r)) >= 0.3)
+    h = rng.uniform(0.0, 1.0, (r, m)) * (rng.uniform(0.0, 1.0, (r, m)) >= 0.3)
+    p = w @ h
+    assume(p.sum() > 0.0)
+    dist = validate_dist(p / p.sum(), renormalize=True)
+    nn = nonneg_rank_bounds(dist)
+    assert nn.upper <= r
+    assert nn.witness.residual < SolverConfig().tol
+    for mat in nn.witness.cs + nn.witness.ds:
+        assert np.array_equal(mat, np.diag(np.diag(mat)))
+    assert psd_rank_search(dist).upper <= nn.upper
+
+
+def test_psd_fit_without_starts_returns_zero_factors():
+    # No inits, no random starts and r < min(n, m): nothing to run.
+    fact = psd_fit(THIRD_I3, 2, SolverConfig(starts=0))
+    assert not any(mat.any() for mat in fact.cs + fact.ds)
+    assert fact.residual == np.linalg.norm(THIRD_I3.p)
+    report = psd_rank_search(THIRD_I3, SolverConfig(starts=0))
+    assert (report.lower, report.upper, report.status) == (2, 3, "heuristic")
+
+
+def test_rank_searches_fall_through_to_min_dim_below_roundoff():
+    dist = _uniform_draw(np.random.default_rng(0), 3)
+    cfg = SolverConfig(starts=2, tol=1e-300)
+    psd = psd_rank_search(dist, cfg)
+    nn = nonneg_rank_bounds(dist, cfg)
+    assert (psd.lower, psd.upper, psd.status) == (2, 3, "heuristic")
+    assert (nn.lower, nn.upper, nn.status) == (3, 3, "certified")
+    assert psd.witness.r == nn.witness.r == 3

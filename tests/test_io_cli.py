@@ -1,24 +1,30 @@
 """Tests for file formats and the command-line interface."""
 
+import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import io as qio
 from qcorr.classical import PsdFactorization, validate_dist
 from qcorr.cli import main
 from qcorr.errors import ParseError
 from qcorr.general import GeneralFactorization
-from qcorr.linalg import DensityMatrix, RegisterState
+from qcorr.linalg import DensityMatrix, RegisterState, ceil_log2
 from qcorr.pure import PureState
 from qcorr.rand import (
+    random_density_matrix,
     random_general_factorization,
     random_psd_factorization,
     random_pure_state,
     random_register_state,
 )
-from qcorr.sim import synth_pure_protocol
+from qcorr.sim import ProtocolSpec, protocol_from_purification, synth_pure_protocol
 
 EPR = PureState(2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -90,6 +96,48 @@ def test_protocol_roundtrip(tmp_path):
     for a, b in zip(back.alice.kraus, spec.alice.kraus):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(back.target.mat, spec.target.mat)
+
+
+def _assert_bit_identical(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, (PureState, RegisterState)):
+        np.testing.assert_array_equal(a.amps, b.amps)
+    elif isinstance(a, DensityMatrix):
+        np.testing.assert_array_equal(a.mat, b.mat)
+        assert (a.dim_a, a.dim_b) == (b.dim_a, b.dim_b)
+    elif isinstance(a, PsdFactorization):
+        assert (a.r, a.residual) == (b.r, b.residual)
+        assert len(a.cs) == len(b.cs) and len(a.ds) == len(b.ds)
+        for x, y in zip(a.cs + a.ds, b.cs + b.ds):
+            np.testing.assert_array_equal(x, y)
+    else:
+        assert isinstance(a, ProtocolSpec)
+        assert (a.seed_size_qubits, a.eps) == (b.seed_size_qubits, b.eps)
+        _assert_bit_identical(a.seed, b.seed)
+        _assert_bit_identical(a.target, b.target)
+        for ca, cb in ((a.alice, b.alice), (a.bob, b.bob)):
+            assert len(ca.kraus) == len(cb.kraus)
+            for x, y in zip(ca.kraus, cb.kraus):
+                np.testing.assert_array_equal(x, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 3)] * 4), mixed=st.booleans(),
+       eps=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_qcorr1_roundtrip_bit_exact(dims, mixed, eps, seed):
+    rng = np.random.default_rng(seed)
+    _, fact = random_psd_factorization(rng, dims[0], dims[2], dims[1])
+    state = random_register_state(rng, dims, ("A", "A", "B", "B"))
+    spec = protocol_from_purification(state, eps=eps)
+    if mixed:
+        da, db = spec.alice.in_dim, spec.bob.in_dim
+        spec = dataclasses.replace(spec, seed=random_density_matrix(rng, da, db),
+                                   seed_size_qubits=ceil_log2(max(da, db)))
+    with tempfile.TemporaryDirectory() as tmp:
+        for obj in (fact, spec):
+            path = os.path.join(tmp, "obj.json")
+            qio.save(path, obj)
+            _assert_bit_identical(obj, qio.load(path))
 
 
 def test_dist_csv_roundtrip(tmp_path):
@@ -179,6 +227,45 @@ def test_cli_reports_are_byte_identical(tmp_path, capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+#: A 4 x 3 distribution on which the solve inside the fit once raised
+#: LinAlgError, so psdrank and synth exited 1.
+SINGULAR_SOLVE_CSV = """0.18221535964798136,0.06808598638220775,0.23791208179456846
+0.06843326807985785,0.041309010459165296,0.06983601493241658
+0.10275583814303764,0.0,0.18177288633010022
+0.017615682119370514,0.004575571398577121,0.02548830071271718
+"""
+
+
+@pytest.mark.parametrize("command", ["psdrank", "nnrank", "synth"])
+def test_cli_survives_singular_solve(tmp_path, capsys, command):
+    path = tmp_path / "singular.csv"
+    path.write_text(SINGULAR_SOLVE_CSV)
+    args = ["--json", command, "--dist", str(path)]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
+    report = json.loads(first)
+    if command == "synth":
+        assert report["r"] == 2 and report["residual"] < 1e-7
+    else:
+        assert (report["lower"], report["upper"], report["status"]) == (2, 2, "certified")
+
+
+@pytest.mark.parametrize("command, expected", [
+    # r = 2 has no start to run and counts as not found; the exact diagonal
+    # start settles r = 3.
+    ("psdrank", (2, 3, "heuristic")),
+    ("nnrank", (3, 3, "certified")),
+])
+def test_cli_zero_starts(tmp_path, capsys, command, expected):
+    path = tmp_path / "third.csv"
+    qio.save_dist(str(path), validate_dist(np.eye(3) / 3))
+    assert main(["--json", command, "--dist", str(path), "--starts", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["lower"], report["upper"], report["status"]) == expected
 
 
 def test_cli_full_pipeline(tmp_path, capsys):

@@ -20,7 +20,6 @@ from qcorr.rand import (
     random_density_matrix,
     random_psd_factorization,
     random_pure_state,
-    random_register_state,
 )
 from qcorr.sim import (
     LocalChannel,
@@ -189,17 +188,37 @@ def test_transfer_epr_half_collapses_cut():
     np.testing.assert_array_equal(moved.amps, state.amps)
 
 
-def test_transfer_rank_at_most_doubles():
-    rng = np.random.default_rng(131)
-    for _ in range(25):
-        state = random_register_state(rng, (2,) * 6, ("A",) * 3 + ("B",) * 3)
-        src = "A" if rng.integers(2) else "B"
-        dst = "B" if src == "A" else "A"
-        candidates = [i for i, s in enumerate(state.sides) if s == src]
-        which = int(rng.choice(candidates))
-        before = schmidt_rank(state)
-        after = schmidt_rank(transfer_qubit(state, which, src, dst))
-        assert after <= 2 * before
+def register_state_of_rank(rng, dims, sides, k: int) -> RegisterState:
+    """Random state whose Alice|Bob Schmidt rank is at most k (generically
+    min(k, dim_a, dim_b)); the registers of the two sides may interleave."""
+    a_regs = [i for i, s in enumerate(sides) if s == "A"]
+    b_regs = [i for i, s in enumerate(sides) if s == "B"]
+    da = int(np.prod([dims[i] for i in a_regs]))
+    db = int(np.prod([dims[i] for i in b_regs]))
+    left = rng.standard_normal((da, k)) + 1j * rng.standard_normal((da, k))
+    right = rng.standard_normal((k, db)) + 1j * rng.standard_normal((k, db))
+    amps = (left @ right).reshape([dims[i] for i in a_regs + b_regs])
+    amps = amps.transpose(np.argsort(a_regs + b_regs)).reshape(-1)
+    return RegisterState(amps / np.linalg.norm(amps), tuple(dims), tuple(sides))
+
+
+@settings(max_examples=60, deadline=None)
+@given(regs=st.lists(st.tuples(st.integers(1, 3), st.sampled_from("AB")),
+                     min_size=1, max_size=5),
+       k=st.integers(1, 9), which=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_transfer_rank_at_most_doubles(regs, k, which, seed):
+    # Moving one qubit across the cut changes the Schmidt rank by a factor
+    # of at most 2 either way.
+    dims = [d for d, _ in regs] + [2]
+    sides = [s for _, s in regs] + ["A"]
+    which = which % len(dims)
+    dims[which] = 2
+    state = register_state_of_rank(np.random.default_rng(seed), dims, sides, k)
+    src = sides[which]
+    moved = transfer_qubit(state, which, src, "B" if src == "A" else "A")
+    before, after = schmidt_rank(state), schmidt_rank(moved)
+    assert after <= 2 * before
+    assert before <= 2 * after
 
 
 def test_transfer_validates_register():
