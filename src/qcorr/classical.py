@@ -36,6 +36,11 @@ from .linalg import (
 #: Entries of a distribution below this are clamped to exact zeros.
 ZERO_CLAMP = 1e-14
 
+#: Largest Frobenius residual a factorization may have and still count as
+#: a witness: the default and the upper limit of ``SolverConfig.tol``, and
+#: the residual above which ``synth_from_psd`` refuses a factorization.
+WITNESS_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class DistMatrix:
@@ -131,13 +136,14 @@ class SolverConfig:
     per size, for the psd fits of ``psd_fit`` and the nonnegative fits of
     ``nonneg_rank_bounds`` alike; ``max_iters`` caps the trial steps,
     accepted or rejected, of one start; ``tol`` is the Frobenius residual
-    below which a fit counts as a witness. Invalid values raise
-    InvalidInput naming the field.
+    below which a fit counts as a witness, at most WITNESS_TOL, so that
+    every witness can be synthesized. Invalid values raise InvalidInput
+    naming the field.
     """
 
     starts: int = 16
     max_iters: int = 5000
-    tol: float = 1e-7
+    tol: float = WITNESS_TOL
     seed: int = 0
 
     def __post_init__(self):
@@ -146,9 +152,9 @@ class SolverConfig:
         if self.max_iters < 1:
             raise InvalidInput(
                 f"SolverConfig.max_iters must be >= 1, got {self.max_iters!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
+        if not 0.0 < self.tol <= WITNESS_TOL:
             raise InvalidInput(
-                f"SolverConfig.tol must be finite and > 0, got {self.tol!r}")
+                f"SolverConfig.tol must be in (0, {WITNESS_TOL:g}], got {self.tol!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -519,9 +525,9 @@ def synth_from_psd(p: DistMatrix, f: PsdFactorization) -> RegisterState:
     if f.n != p.n or f.m != p.m:
         raise InvalidInput(f"factorization is {f.n} x {f.m}, distribution "
                            f"is {p.n} x {p.m}")
-    if f.residual > 1e-7:
+    if f.residual > WITNESS_TOL:
         raise FactorizationMismatch(
-            f"residual {f.residual:.3e} exceeds 1e-7; refusing to synthesize"
+            f"residual {f.residual:.3e} exceeds {WITNESS_TOL:g}; refusing to synthesize"
         )
     n, m, r = p.n, p.m, f.r
     v = np.stack([psd_sqrt(c.T) for c in f.cs])  # v[x, :, i] = i-th column
@@ -557,9 +563,7 @@ def gram_extract(state: RegisterState) -> PsdFactorization:
     if abs(norm - 1.0) > 1e-9:
         raise NotNormalized(f"state norm {norm!r} deviates from 1 beyond 1e-9")
     n, m, ka, kb = comp_aux_dims(state)
-    left, right = absorbed_schmidt_vectors(state)
-    r = left.shape[1]
+    v, w = absorbed_schmidt_vectors(state)
     probs = np.abs(schmidt_matrix(state).reshape(n, ka, m, kb)) ** 2
     # D_y(i, j) = <w_y^j|w_y^i> is the Gram matrix of conj(w_y).
-    return _witness(left.reshape(n, ka, r), right.reshape(m, kb, r).conj(),
-                    probs.sum(axis=(1, 3)))
+    return _witness(v, w.conj(), probs.sum(axis=(1, 3)))

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import io
 from .classical import (
+    DEFAULT_CONFIG,
     SolverConfig,
     gram_extract,
     nonneg_rank_bounds,
@@ -225,11 +226,11 @@ def cmd_verify(args) -> dict:
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--tol", type=float, default=1e-7,
+    sub.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tol,
                      help="solver success tolerance on the Frobenius residual")
-    sub.add_argument("--starts", type=int, default=16,
+    sub.add_argument("--starts", type=int, default=DEFAULT_CONFIG.starts,
                      help="number of random multi-starts")
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed,
                      help="seed driving all solver randomness")
     sub.add_argument("--renormalize", action="store_true",
                      help="rescale a distribution that does not sum to 1")

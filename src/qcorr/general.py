@@ -27,8 +27,8 @@ from .linalg import (
     as_complex_array,
     ceil_log2,
     comp_aux_dims,
+    comp_reduction,
     eigh,
-    partial_trace,
     rank_from_singulars,
     schmidt_rank,
 )
@@ -111,13 +111,7 @@ def reconstruct_from_factors(f: GeneralFactorization) -> DensityMatrix:
     factorization norm. The output is rescaled to unit trace, with a
     warning when the input deviates from normalization beyond 1e-8.
     """
-    a = np.stack(f.a_mats)
-    b = np.stack(f.b_mats)
-    ga = np.einsum("paj,xai->pxji", a.conj(), a)  # (A_x'^dag A_x)[j, i]
-    gb = np.einsum("qbj,ybi->qyji", b.conj(), b)
-    coeff = np.einsum("pxji,qyji->xypq", ga, gb)
-    d = f.dim_a * f.dim_b
-    mat = coeff.reshape(d, d)
+    mat = comp_reduction(np.stack(f.a_mats), np.stack(f.b_mats))
     trace = float(np.trace(mat).real)
     if trace <= 0.0:
         raise InvalidInput("factorization encodes a non-positive trace")
@@ -152,8 +146,10 @@ class Purification:
         return comp_aux_dims(self.state)[1]
 
     def reduction(self) -> DensityMatrix:
-        keep = [self.state.registers_on("A")[0], self.state.registers_on("B")[0]]
-        return partial_trace(self.state, keep)
+        """The purified state on (computational A) (x) (computational B),
+        read off the Schmidt factors of the cut."""
+        return DensityMatrix(self.dim_a, self.dim_b,
+                             comp_reduction(*absorbed_schmidt_vectors(self.state)))
 
     def srank(self) -> int:
         return schmidt_rank(self.state)
@@ -192,16 +188,8 @@ def factor_from_purification(p: Purification) -> GeneralFactorization:
     ``reconstruct_from_factors`` of the result equals the purification's
     reduction.
     """
-    n, m, ka, kb = comp_aux_dims(p.state)
-    left, right = absorbed_schmidt_vectors(p.state)
-    r = left.shape[1]
-    vl = left.reshape(n, ka, r)
-    wr = right.reshape(m, kb, r)
-    return GeneralFactorization(
-        r=r,
-        a_mats=tuple(vl[x] for x in range(n)),
-        b_mats=tuple(wr[y] for y in range(m)),
-    )
+    a, b = absorbed_schmidt_vectors(p.state)
+    return GeneralFactorization(r=a.shape[2], a_mats=tuple(a), b_mats=tuple(b))
 
 
 def _is_classical(rho: DensityMatrix) -> bool:

@@ -2,9 +2,9 @@
 
 Singular value decomposition, Hermitian eigendecomposition, positive
 semi-definite square roots, partial traces over declared registers,
-Schmidt cuts, and Uhlmann fidelity. Everything here is a pure function of
-plain numpy arrays plus a few small frozen dataclasses; all other modules
-build on this layer.
+Schmidt cuts and the reductions their factors encode, and Uhlmann
+fidelity. Everything here is a pure function of plain numpy arrays plus a
+few small frozen dataclasses; all other modules build on this layer.
 
 Conventions
 -----------
@@ -301,20 +301,41 @@ def schmidt_rank(state: RegisterState) -> int:
 
 
 def absorbed_schmidt_vectors(state: RegisterState) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient-absorbed Schmidt vectors of the declared cut.
+    """Coefficient-absorbed Schmidt vectors of the declared cut, read as
+    comp-major factor families.
 
-    Returns ``(left, right)`` with columns ``left[:, i] = sqrt(s_i) u_i``
-    and ``right[:, i] = sqrt(s_i) conj(v_i)`` so that the state equals
-    ``sum_i left_i (x) right_i``.
+    Returns ``(a, b)`` of shapes (n, ka, r) and (m, kb, r) (see
+    ``comp_aux_dims``): ``a[x, :, i]`` is the aux block at computational
+    index x of sqrt(s_i) u_i, and ``b[y, :, i]`` that of
+    sqrt(s_i) conj(v_i), so that the state equals
+    sum_i a[:, :, i] (x) b[:, :, i].
     """
+    n, m, ka, kb = comp_aux_dims(state)
     res = cut_svd(state)
     r = res.rank
     if r == 0:
         raise InvalidInput("zero state has no Schmidt vectors")
     root = np.sqrt(res.singulars[:r])
-    left = res.left[:, :r] * root
-    right = res.right[:, :r].conj() * root
-    return left, right
+    a = (res.left[:, :r] * root).reshape(n, ka, r)
+    b = (res.right[:, :r].conj() * root).reshape(m, kb, r)
+    return a, b
+
+
+def comp_reduction(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reduction to the computational registers of sum_i a[:, :, i] (x)
+    b[:, :, i], without forming that state.
+
+    ``a`` is (n, ka, r) and ``b`` is (m, kb, r), as from
+    ``absorbed_schmidt_vectors``. Returns the (n m) x (n m) matrix
+    rho[(x, y), (x', y')] = sum_ij (a_x'^dag a_x)[j, i] (b_y'^dag b_y)[j, i]
+    in the basis index ``x * m + y``; its trace is the squared norm of the
+    state.
+    """
+    ga = np.einsum("paj,xai->pxji", a.conj(), a)  # (a_x'^dag a_x)[j, i]
+    gb = np.einsum("qbj,ybi->qyji", b.conj(), b)
+    coeff = np.einsum("pxji,qyji->xypq", ga, gb)
+    d = a.shape[0] * b.shape[0]
+    return coeff.reshape(d, d)
 
 
 StateLike = Union[DensityMatrix, RegisterState, np.ndarray]

@@ -9,7 +9,14 @@ exact: "the distribution produced" always means the exact Born-rule
 diagonal, so acceptance checks carry no statistical noise. A channel
 acts through its transfer matrix sum_k K_k (x) conj(K_k), formed once
 per side, so a protocol costs |K_A| + |K_B| Kraus operators, not their
-product; protocol construction SVDs only the support of the Schmidt cut.
+product.
+
+Every protocol is built by one function, ``protocol_from_purification``,
+from the Schmidt decomposition of a purification across the Alice|Bob
+cut, computed on the support of the cut matrix. A pure target is
+generated through its truncated Schmidt sum (``synth_pure_protocol``);
+a mixed or classical target is the reduction that the Schmidt factors
+encode, read off them without forming the state's density matrix.
 """
 
 from __future__ import annotations
@@ -27,13 +34,15 @@ from .linalg import (
     as_complex_array,
     ceil_log2,
     comp_aux_dims,
+    comp_reduction,
     cut_svd,
     fidelity,
     hermitize,
-    partial_trace,
     rank_from_singulars,
 )
-from .pure import PureState, require_eps, schmidt_decompose, srank_eps
+# srank_eps is not used here, but stays importable from this module:
+# benchmarks/tracing.py wraps the name on this module too.
+from .pure import PureState, build_approximant, require_eps, srank_eps  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -72,27 +81,6 @@ class LocalChannel:
     @classmethod
     def identity(cls, dim: int) -> "LocalChannel":
         return cls((np.eye(dim, dtype=np.complex128),))
-
-    @classmethod
-    def embed_columns(cls, columns: np.ndarray, in_dim: int) -> "LocalChannel":
-        """Channel sending |i> to the i-th column for i < t, with padding
-        inputs i >= t routed to the first output basis state.
-
-        Columns must be orthonormal; the result is trace preserving for
-        any in_dim >= t.
-        """
-        cols = as_complex_array(columns, "isometry columns")
-        out_dim, t = cols.shape
-        if in_dim < t:
-            raise InvalidInput("in_dim smaller than the number of columns")
-        main = np.zeros((out_dim, in_dim), dtype=np.complex128)
-        main[:, :t] = cols
-        ops = [main]
-        for i in range(t, in_dim):
-            pad = np.zeros((out_dim, in_dim), dtype=np.complex128)
-            pad[0, i] = 1.0
-            ops.append(pad)
-        return cls(tuple(ops))
 
 
 Seed = Union[PureState, DensityMatrix]
@@ -236,32 +224,16 @@ def synth_pure_protocol(psi: PureState, eps: float) -> ProtocolSpec:
     """Protocol generating ``psi`` within fidelity 1 - eps from the
     smallest possible seed.
 
-    The seed is the Schmidt-diagonal state of the truncated approximant,
-    padded to full qubits per side; the local channels rotate the seed
-    basis onto the approximant's Schmidt vectors. The declared seed size
-    is exactly the generation complexity of ``psi`` at accuracy eps.
+    The protocol of the purification ``build_approximant(psi, eps)``, with
+    ``psi`` as its target: the seed is the Schmidt-diagonal state of the
+    truncated approximant, padded to full qubits per side, and the local
+    channels rotate the seed basis onto the approximant's Schmidt vectors.
+    The declared seed size is exactly the generation complexity of ``psi``
+    at accuracy eps. For eps >= 1 the approximant is the leading Schmidt
+    term, generated from no seed qubits.
     """
-    form = schmidt_decompose(psi)
-    r = srank_eps(psi, eps)
-    if r == 0:
-        # Fidelity target is vacuous; the empty protocol emits a basis state.
-        seed = PureState(1, 1, np.ones(1))
-        alice = LocalChannel.embed_columns(
-            np.eye(psi.dim_a, 1, dtype=np.complex128), 1
-        )
-        bob = LocalChannel.embed_columns(
-            np.eye(psi.dim_b, 1, dtype=np.complex128), 1
-        )
-        return ProtocolSpec(seed, 0, alice, bob, psi.to_density(), eps)
-    d = 2 ** ceil_log2(r)
-    kept = form.coeffs[:r]
-    weights = np.sqrt(kept / float(kept.sum()))
-    seed_amps = np.zeros((d, d), dtype=np.complex128)
-    seed_amps[np.arange(r), np.arange(r)] = weights
-    seed = PureState(d, d, seed_amps.reshape(-1))
-    alice = LocalChannel.embed_columns(form.left[:, :r], d)
-    bob = LocalChannel.embed_columns(form.right[:, :r], d)
-    return ProtocolSpec(seed, ceil_log2(r), alice, bob, psi.to_density(), eps)
+    phi, _ = build_approximant(psi, eps)
+    return protocol_from_purification(phi.to_registers(), psi.to_density(), eps)
 
 
 def protocol_from_purification(
@@ -273,7 +245,9 @@ def protocol_from_purification(
     Alice|Bob cut; each party's channel rotates its seed register onto its
     Schmidt vectors and then traces out everything but the computational
     register (the first register on its side). The declared seed size is
-    ceil(log2) of the purification's Schmidt rank.
+    ceil(log2) of the purification's Schmidt rank. The default target is
+    the reduction to the computational registers, (x, y) ordered, read off
+    the same Schmidt vectors.
     """
     n, m, ka, kb = comp_aux_dims(state)
     res = cut_svd(state)
@@ -284,7 +258,8 @@ def protocol_from_purification(
     left = res.left[:, :t]
     right = res.right[:, :t].conj()
     if target is None:
-        target = partial_trace(state, [state.registers_on(s)[0] for s in "AB"])
+        target = DensityMatrix(n, m, comp_reduction((left * coeffs).reshape(n, ka, t),
+                                                    right.reshape(m, kb, t)))
 
     d = 2 ** ceil_log2(t)
     seed_amps = np.zeros((d, d), dtype=np.complex128)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcorr.classical import (
+    WITNESS_TOL,
     DistMatrix,
     PsdFactorization,
     SolverConfig,
@@ -220,10 +221,11 @@ def test_psd_rank_search_upper_at_most_planted_size(n, m, r, seed):
 def test_solver_config_rejects_out_of_domain_values():
     for field, value in (("starts", -5), ("max_iters", 0), ("max_iters", -2),
                          ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")),
-                         ("tol", float("inf"))):
+                         ("tol", float("inf")), ("tol", 0.5), ("tol", 2 * WITNESS_TOL)):
         with pytest.raises(InvalidInput, match=field):
             SolverConfig(**{field: value})
     SolverConfig(starts=0, max_iters=1, tol=1e-12)
+    SolverConfig(tol=WITNESS_TOL)
 
 
 def test_synth_trivial_point_mass():

@@ -22,7 +22,9 @@ from qcorr.rand import (
     random_density_matrix,
     random_general_factorization,
     random_pure_state,
+    random_register_state,
 )
+from qcorr.sim import protocol_from_purification, verify_generation
 
 EPR = PureState(2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -183,3 +185,15 @@ def test_extraction_paths_agree_on_classical_inputs():
         np.testing.assert_allclose(
             diag, np.real(np.diag(rho.mat)), atol=1e-8
         )
+
+
+def test_bob_first_layout_reduces_in_alice_bob_order():
+    # Bob's computational register (dim 3) is declared before Alice's
+    # (dim 2); the reduction is still the 2 x 3 state in (x, y) order.
+    state = random_register_state(np.random.default_rng(3), (3, 2, 2, 2),
+                                  ("B", "A", "A", "B"))
+    red = Purification(state).reduction()
+    assert (red.dim_a, red.dim_b) == (2, 3)
+    expected = reconstruct_from_factors(factor_from_purification(Purification(state)))
+    np.testing.assert_allclose(red.mat, expected.mat, rtol=0, atol=1e-12)
+    assert verify_generation(protocol_from_purification(state)).passed

@@ -343,6 +343,7 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     ("--starts", "-5", "starts"),
     ("--tol", "-1", "tol"),
     ("--tol", "nan", "tol"),
+    ("--tol", "0.5", "tol"),
 ])
 def test_cli_rejects_out_of_domain_solver_settings(tmp_path, capsys, flag, value, field):
     rc = main(["--json", "psdrank", "--dist", _write_half_csv(tmp_path), flag, value])

@@ -15,11 +15,13 @@ from qcorr.linalg import (
     partial_trace,
     schmidt_rank,
 )
-from qcorr.pure import PureState, q_eps
+from qcorr.general import Purification
+from qcorr.pure import PureState, build_approximant, q_eps
 from qcorr.rand import (
     random_density_matrix,
     random_psd_factorization,
     random_pure_state,
+    random_register_state,
 )
 from qcorr.sim import (
     LocalChannel,
@@ -268,10 +270,13 @@ def test_synth_pure_protocol_seed_size_matches_q_eps():
     rng = np.random.default_rng(137)
     for _ in range(5):
         psi = random_pure_state(rng, 5, 3)
-        for eps in (0.0, 0.05, 0.2):
+        for eps in (0.0, 0.05, 0.2, 1.0):
             spec = synth_pure_protocol(psi, eps)
             assert spec.seed_size_qubits == q_eps(psi, eps)
             assert verify_generation(spec).passed
+            np.testing.assert_allclose(apply_protocol(spec).mat,
+                                       build_approximant(psi, eps)[0].to_density().mat,
+                                       rtol=0, atol=1e-10)
 
 
 def test_synth_pure_protocol_vacuous_target():
@@ -301,9 +306,55 @@ def test_planted_protocol_rung_20_5():
     state = synth_from_psd(dist, fact)
     assert gram_extract(state).r == 5
     spec = protocol_from_purification(state)
+    np.testing.assert_allclose(spec.target.mat, partial_trace(state, [0, 3]).mat,
+                               rtol=0, atol=1e-12)
     out = apply_protocol(spec)
     assert fidelity(out, spec.target) >= 1 - 1e-12
     np.testing.assert_allclose(measure_computational(out).p, dist.p, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 5), r=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_synthesis_extraction_round_trip(n, m, r, seed):
+    # synth_from_psd followed by gram_extract gives back a witness of P of
+    # size at most r, and the protocol of the purification generates its
+    # reduction.
+    dist, fact = random_psd_factorization(np.random.default_rng(seed), n, m, r)
+    state = synth_from_psd(dist, fact)
+    back = gram_extract(state)
+    assert back.r <= r
+    np.testing.assert_allclose(back.trace_products(), dist.p, rtol=0, atol=1e-8)
+    spec = protocol_from_purification(state)
+    np.testing.assert_allclose(spec.target.mat, partial_trace(state, [0, 3]).mat,
+                               rtol=0, atol=1e-12)
+    assert verify_generation(spec).passed
+
+
+#: Register dims of one side: the computational register, then the aux ones.
+side_dims = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a_dims=side_dims, b_dims=side_dims, seed=st.integers(0, 2**32 - 1))
+def test_purification_reduction_matches_aux_contraction(a_dims, b_dims, seed):
+    # Registers of the two sides interleave in a random order; the first
+    # register on each side is its computational one.
+    rng = np.random.default_rng(seed)
+    sides = rng.permutation(["A"] * len(a_dims) + ["B"] * len(b_dims)).tolist()
+    fill = {"A": iter(a_dims), "B": iter(b_dims)}
+    dims = tuple(next(fill[side]) for side in sides)
+    state = random_register_state(rng, dims, tuple(sides))
+    ia, ib = sides.index("A"), sides.index("B")
+    aux = [i for i in range(len(dims)) if i not in (ia, ib)]
+    tensor = state.amps.reshape(dims)
+    ref = np.tensordot(tensor, tensor.conj(), axes=(aux, aux))  # kept axes in declared order
+    if ib < ia:
+        ref = ref.transpose(1, 0, 3, 2)
+    d = a_dims[0] * b_dims[0]
+    red = Purification(state).reduction()
+    assert (red.dim_a, red.dim_b) == (a_dims[0], b_dims[0])
+    np.testing.assert_allclose(red.mat, ref.reshape(d, d), rtol=0, atol=1e-12)
 
 
 def test_protocol_from_purification_rejects_zero_state():
