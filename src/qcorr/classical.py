@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FactorizationMismatch, InvalidInput, NotNormalized, NotPsd
+from .errors import FactorizationMismatch, InvalidInput, NotNormalized
 from .linalg import (
     RegisterState,
     absorbed_schmidt_vectors,
@@ -29,7 +29,7 @@ from .linalg import (
     hermitize,
     matrix_rank,
     psd_sqrt,
-    require_hermitian,
+    require_psd,
     schmidt_matrix,
 )
 
@@ -174,20 +174,13 @@ class PsdFactorization:
     def __post_init__(self):
         if self.r < 1:
             raise InvalidInput("factorization size r must be positive")
-        cs = tuple(
-            require_hermitian(c, name=f"C[{x}]") for x, c in enumerate(self.cs)
-        )
-        ds = tuple(
-            require_hermitian(d, name=f"D[{y}]") for y, d in enumerate(self.ds)
-        )
+        cs = tuple(require_psd(c, name=f"C[{x}]") for x, c in enumerate(self.cs))
+        ds = tuple(require_psd(d, name=f"D[{y}]") for y, d in enumerate(self.ds))
         for fam, tag in ((cs, "C"), (ds, "D")):
             for idx, mat in enumerate(fam):
                 if mat.shape != (self.r, self.r):
                     raise InvalidInput(f"{tag}[{idx}] has shape {mat.shape}, "
                                        f"expected {(self.r, self.r)}")
-                low = float(np.linalg.eigvalsh(mat)[0])
-                if low < -1e-10:
-                    raise NotPsd(f"{tag}[{idx}] has eigenvalue {low:.3e}")
         if self.residual < 0.0 or not math.isfinite(self.residual):
             raise InvalidInput("residual must be finite and nonnegative")
         object.__setattr__(self, "cs", cs)

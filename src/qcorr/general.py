@@ -28,8 +28,6 @@ from .linalg import (
     ceil_log2,
     comp_aux_dims,
     comp_reduction,
-    eigh,
-    rank_from_singulars,
     schmidt_rank,
 )
 
@@ -147,9 +145,10 @@ class Purification:
 
     def reduction(self) -> DensityMatrix:
         """The purified state on (computational A) (x) (computational B),
-        read off the Schmidt factors of the cut."""
-        return DensityMatrix(self.dim_a, self.dim_b,
-                             comp_reduction(*absorbed_schmidt_vectors(self.state)))
+        read off the Schmidt factors of the cut and divided by the squared
+        norm, so its trace is 1 to rounding."""
+        mat = comp_reduction(*absorbed_schmidt_vectors(self.state))
+        return DensityMatrix(self.dim_a, self.dim_b, mat / self.state.norm() ** 2)
 
     def srank(self) -> int:
         return schmidt_rank(self.state)
@@ -160,19 +159,14 @@ def canonical_purification(rho: DensityMatrix) -> Purification:
 
     |psi> = sum_k sqrt(lambda_k) |e_k>_(AB) (x) |k>_aux on registers
     (A, A1, B, B1) where A1 is the aux register of dimension rank(rho) and
-    B1 is trivial. Tracing out the aux registers reproduces rho.
+    B1 is trivial: the amplitudes are those of ``rho.factor``. Tracing out
+    the aux registers reproduces rho.
     """
     if not isinstance(rho, DensityMatrix):
         raise InvalidInput("expected a DensityMatrix")
-    vals, vecs = eigh(rho.mat)
-    vals = np.clip(vals, 0.0, None)
-    k = max(rank_from_singulars(vals), 1)
-    da, db = rho.dim_a, rho.dim_b
-    basis = vecs[:, :k].reshape(da, db, k)
-    amps = np.transpose(basis * np.sqrt(vals[:k]), (0, 2, 1))  # (x, aux, y)
-    amps = amps.reshape(da, k, db, 1)
-    flat = amps.reshape(-1)
-    flat = flat / float(np.linalg.norm(flat))
+    da, db, k = rho.dim_a, rho.dim_b, rho.factor.shape[1]
+    amps = np.transpose(rho.factor.reshape(da, db, k), (0, 2, 1))  # (x, aux, y)
+    flat = amps.reshape(-1) / float(np.linalg.norm(amps))
     state = RegisterState(
         flat, dims=(da, k, db, 1), sides=("A", "A", "B", "B"),
         names=("A", "A1", "B", "B1"),

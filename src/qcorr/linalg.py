@@ -14,11 +14,16 @@ Conventions
   for ``|x>|y>``.
 * A singular value counts as nonzero iff it exceeds ``REL_RANK_TOL``
   times the largest one (scale-free rank decisions).
+* One psd check: ``require_psd`` accepts a least eigenvalue down to
+  ``-EIG_CLAMP_TOL``, decided by a Cholesky factorization. One factor:
+  ``DensityMatrix.factor`` keeps the eigenvalues the rank rule above
+  counts. Fidelity, purification and seed ranks read that factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -61,6 +66,21 @@ def require_hermitian(h, tol: float = 1e-10, name: str = "matrix") -> np.ndarray
         scale = max(1.0, float(np.abs(arr).max()))
         if float(np.abs(arr - arr.conj().T).max()) > tol * scale:
             raise InvalidInput(f"{name} is not Hermitian within {tol:g}")
+    return arr
+
+
+def require_psd(h, name: str = "matrix") -> np.ndarray:
+    """Validate that ``h`` is Hermitian with least eigenvalue at least
+    ``-EIG_CLAMP_TOL``: h + EIG_CLAMP_TOL I must have a Cholesky factor.
+    An eigensolver runs only to word the error.
+    """
+    arr = require_hermitian(h, name=name)
+    try:
+        np.linalg.cholesky(arr + EIG_CLAMP_TOL * np.eye(arr.shape[0]))
+    except np.linalg.LinAlgError:
+        low = float(np.linalg.eigvalsh(arr)[0])
+        raise NotPsd(f"{name} has minimum eigenvalue {low:.3e} below "
+                     f"-{EIG_CLAMP_TOL:g}") from None
     return arr
 
 
@@ -140,12 +160,9 @@ def psd_sqrt(h) -> np.ndarray:
     """Hermitian psd square root S with S @ S = h.
 
     Eigenvalues in [-EIG_CLAMP_TOL, 0) are clamped to zero; anything more
-    negative raises NotPsd.
+    negative raises NotPsd (``require_psd``).
     """
-    arr = require_hermitian(h, name="psd_sqrt input")
-    vals, vecs = np.linalg.eigh(arr)
-    if vals.size and float(vals[0]) < -EIG_CLAMP_TOL:
-        raise NotPsd(f"minimum eigenvalue {vals[0]:.3e} below -{EIG_CLAMP_TOL:g}")
+    vals, vecs = np.linalg.eigh(require_psd(h, name="psd_sqrt input"))
     vals = np.clip(vals, 0.0, None)
     return hermitize((vecs * np.sqrt(vals)) @ vecs.conj().T)
 
@@ -165,16 +182,13 @@ class DensityMatrix:
     def __post_init__(self):
         if self.dim_a < 1 or self.dim_b < 1:
             raise InvalidInput("density matrix dimensions must be positive")
-        arr = require_hermitian(self.mat, name="density matrix")
+        arr = require_psd(self.mat, name="density matrix")
         d = self.dim_a * self.dim_b
         if arr.shape != (d, d):
             raise InvalidInput(
                 f"density matrix shape {arr.shape} does not match dims "
                 f"{self.dim_a} x {self.dim_b}"
             )
-        vals = np.linalg.eigvalsh(arr)
-        if float(vals[0]) < -EIG_CLAMP_TOL:
-            raise NotPsd(f"minimum eigenvalue {vals[0]:.3e} below -{EIG_CLAMP_TOL:g}")
         tr = float(np.trace(arr).real)
         if abs(tr - 1.0) > 1e-10:
             raise NotNormalized(f"trace {tr!r} deviates from 1 beyond 1e-10")
@@ -184,13 +198,23 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.dim_a * self.dim_b
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """W = V_k sqrt(lam_k), one column per eigenvalue that
+        ``rank_from_singulars`` counts, so that mat ~ W W^dag."""
+        vals, vecs = eigh(self.mat)
+        k = rank_from_singulars(vals)
+        return vecs[:, :k] * np.sqrt(vals[:k])
+
 
 def density_from_pure(amps, dim_a: int, dim_b: int) -> DensityMatrix:
-    """Rank-one density matrix |psi><psi| from a normalized amplitude vector."""
+    """|psi><psi| from a normalized amplitude vector, with psi as its factor."""
     vec = as_complex_array(amps, "state vector").reshape(-1)
     if vec.size != dim_a * dim_b:
         raise InvalidInput("amplitude length does not match dims")
-    return DensityMatrix(dim_a, dim_b, np.outer(vec, vec.conj()))
+    rho = DensityMatrix(dim_a, dim_b, np.outer(vec, vec.conj()))
+    vars(rho)["factor"] = vec[:, None].copy()
+    return rho
 
 
 @dataclass(frozen=True)
@@ -451,21 +475,19 @@ def partial_trace(
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity tr sqrt(sigma^1/2 rho sigma^1/2), not squared.
 
-    Symmetric in its arguments; reduces to sqrt(<psi|rho|psi>) when sigma
-    is the pure state |psi><psi|.
-
-    Evaluated on the support of sigma: with sigma = V diag(lam) V^dag and
-    W the columns sqrt(lam_k) V_k for lam_k > 0, sigma^1/2 rho sigma^1/2
-    and W^dag rho W share their nonzero eigenvalues, so the sum of square
-    roots runs over the small matrix W^dag rho W.
+    Evaluated as sum sqrt(eig(W^dag rho W)) with W = ``sigma.factor``;
+    W^dag rho W shares its nonzero eigenvalues with s^1/2 rho s^1/2 for
+    s = W W^dag. For a pure target |psi><psi| from
+    ``density_from_pure`` the factor is psi, so the value is exactly
+    sqrt(<psi|rho|psi>). For any other target the factor drops the
+    eigenvalues at most REL_RANK_TOL times the largest; sqrt is operator
+    monotone, so this can only lower the value, by at most the square
+    root of the trace of the dropped part.
     """
     if not isinstance(rho, DensityMatrix) or not isinstance(sigma, DensityMatrix):
         raise InvalidInput("fidelity expects two DensityMatrix inputs")
     if rho.mat.shape != sigma.mat.shape:
         raise InvalidInput("fidelity requires states of equal dimension")
-    lam, vecs = np.linalg.eigh(sigma.mat)
-    keep = lam > 0.0
-    w = vecs[:, keep] * np.sqrt(lam[keep])
-    inner = hermitize(w.conj().T @ rho.mat @ w)
+    inner = hermitize(sigma.factor.conj().T @ rho.mat @ sigma.factor)
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     return float(np.sqrt(vals).sum())

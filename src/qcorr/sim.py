@@ -38,7 +38,8 @@ from .linalg import (
     cut_svd,
     fidelity,
     hermitize,
-    rank_from_singulars,
+    partial_trace,
+    schmidt_rank,
 )
 # srank_eps is not used here, but stays importable from this module:
 # benchmarks/tracing.py wraps the name on this module too.
@@ -86,29 +87,13 @@ class LocalChannel:
 Seed = Union[PureState, DensityMatrix]
 
 
-def _seed_density(seed: Seed) -> tuple[np.ndarray, int, int]:
-    if isinstance(seed, PureState):
-        return np.outer(seed.amps, seed.amps.conj()), seed.dim_a, seed.dim_b
-    if isinstance(seed, DensityMatrix):
-        return seed.mat, seed.dim_a, seed.dim_b
-    raise InvalidInput("seed must be a PureState or a DensityMatrix")
-
-
 def _seed_marginal_ranks(seed: Seed) -> tuple[int, int]:
+    """Schmidt rank of a pure seed; column counts of a mixed seed's
+    marginal factors."""
     if isinstance(seed, PureState):
-        s = np.linalg.svd(seed.amps.reshape(seed.dim_a, seed.dim_b),
-                          compute_uv=False)
-        r = rank_from_singulars(s)
+        r = schmidt_rank(seed.to_registers())
         return r, r
-    mat, da, db = _seed_density(seed)
-    tensor = mat.reshape(da, db, da, db)
-    ra = rank_from_singulars(
-        np.sqrt(np.clip(np.linalg.eigvalsh(np.einsum("xyzy->xz", tensor)), 0, None))
-    )
-    rb = rank_from_singulars(
-        np.sqrt(np.clip(np.linalg.eigvalsh(np.einsum("xyxz->yz", tensor)), 0, None))
-    )
-    return ra, rb
+    return tuple(partial_trace(seed, [side]).factor.shape[1] for side in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -128,7 +113,9 @@ class ProtocolSpec:
         require_eps(self.eps)
         if self.seed_size_qubits < 0:
             raise InvalidInput("seed size must be nonnegative")
-        _, da, db = _seed_density(self.seed)
+        if not isinstance(self.seed, (PureState, DensityMatrix)):
+            raise InvalidInput("seed must be a PureState or a DensityMatrix")
+        da, db = self.seed.dim_a, self.seed.dim_b
         if self.alice.in_dim != da or self.bob.in_dim != db:
             raise InvalidInput(
                 f"channel input dims ({self.alice.in_dim}, {self.bob.in_dim}) "
@@ -161,7 +148,10 @@ def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
     matrix over (i, I), then with Bob's over (j, J): the cost grows with
     |K_A| + |K_B|, not with the number of Kraus pairs.
     """
-    sigma, da, db = _seed_density(spec.seed)
+    seed = spec.seed
+    sigma = (seed.mat if isinstance(seed, DensityMatrix)
+             else np.outer(seed.amps, seed.amps.conj()))
+    da, db = seed.dim_a, seed.dim_b
     oa, ob = spec.target.dim_a, spec.target.dim_b
     if spec.alice.out_dim != oa or spec.bob.out_dim != ob:
         raise InvalidInput("channel output dims do not match the target")
@@ -247,14 +237,15 @@ def protocol_from_purification(
     register (the first register on its side). The declared seed size is
     ceil(log2) of the purification's Schmidt rank. The default target is
     the reduction to the computational registers, (x, y) ordered, read off
-    the same Schmidt vectors.
+    the same Schmidt vectors. Seed and target both use the Schmidt
+    coefficients divided by their norm, the norm of the state.
     """
     n, m, ka, kb = comp_aux_dims(state)
     res = cut_svd(state)
     t = res.rank
     if t == 0:
         raise InvalidInput("zero state cannot seed a protocol")
-    coeffs = res.singulars[:t]
+    coeffs = res.singulars[:t] / float(np.linalg.norm(res.singulars[:t]))
     left = res.left[:, :t]
     right = res.right[:, :t].conj()
     if target is None:
@@ -263,7 +254,7 @@ def protocol_from_purification(
 
     d = 2 ** ceil_log2(t)
     seed_amps = np.zeros((d, d), dtype=np.complex128)
-    seed_amps[np.arange(t), np.arange(t)] = coeffs / float(np.linalg.norm(coeffs))
+    seed_amps[np.arange(t), np.arange(t)] = coeffs
     seed = PureState(d, d, seed_amps.reshape(-1))
 
     alice = _rotate_and_discard(left, d, n, ka)

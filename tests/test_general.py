@@ -15,7 +15,7 @@ from qcorr.general import (
     q_upper_bound,
     reconstruct_from_factors,
 )
-from qcorr.linalg import DensityMatrix, ceil_log2, partial_trace, schmidt_rank
+from qcorr.linalg import DensityMatrix, RegisterState, ceil_log2, partial_trace, schmidt_rank
 from qcorr.pure import PureState, schmidt_decompose
 from qcorr.rand import (
     random_classical_density,
@@ -197,3 +197,15 @@ def test_bob_first_layout_reduces_in_alice_bob_order():
     expected = reconstruct_from_factors(factor_from_purification(Purification(state)))
     np.testing.assert_allclose(red.mat, expected.mat, rtol=0, atol=1e-12)
     assert verify_generation(protocol_from_purification(state)).passed
+
+
+@pytest.mark.parametrize("scale", [1 + 0.9e-10, 1 + 0.4e-10])
+def test_purification_within_norm_check_reduces_to_unit_trace(scale):
+    # The norm check admits |norm - 1| <= 1e-10, so the squared norm may be
+    # off by 2e-10: the reduction and the protocol target divide it out.
+    state = RegisterState(EPR.amps * scale, (2, 2), ("A", "B"))
+    assert abs(np.trace(Purification(state).reduction().mat).real - 1.0) <= 1e-15
+    spec = protocol_from_purification(state)
+    assert abs(np.trace(spec.target.mat).real - 1.0) <= 1e-15
+    report = verify_generation(spec)
+    assert report.passed and report.fidelity <= 1 + 1e-12

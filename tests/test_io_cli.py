@@ -219,14 +219,23 @@ def test_cli_psdrank_half_i2(tmp_path, capsys):
     assert report["qubits"] == 1
 
 
-def test_cli_reports_are_byte_identical(tmp_path, capsys):
-    args = ["--json", "psdrank", "--dist", _write_half_csv(tmp_path),
-            "--seed", "7"]
-    assert main(args) == 0
-    first = capsys.readouterr().out
-    assert main(args) == 0
-    second = capsys.readouterr().out
-    assert first == second
+@pytest.mark.parametrize("commands", [
+    [["psdrank", "--dist", "{csv}", "--seed", "7"]],
+    [["synth", "--dist", "{csv}", "--out-protocol", "{protocol}"],
+     ["verify", "--protocol", "{protocol}"]],
+], ids=["psdrank", "synth-verify"])
+def test_cli_reports_are_byte_identical(tmp_path, capsys, commands):
+    paths = {"csv": _write_half_csv(tmp_path), "protocol": str(tmp_path / "p.json")}
+
+    def run() -> str:
+        for command in commands:
+            assert main(["--json"] + [arg.format(**paths) for arg in command]) == 0
+        return capsys.readouterr().out
+
+    first = run()
+    assert first == run()
+    if commands[-1][0] == "verify":
+        assert '"pass": true' in first
 
 
 #: A 4 x 3 distribution on which the solve inside the fit once raised

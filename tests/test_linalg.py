@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcorr.classical import PsdFactorization
 from qcorr.errors import InvalidInput, NotPsd
 from qcorr.linalg import (
     DensityMatrix,
@@ -21,7 +24,7 @@ from qcorr.linalg import (
     schmidt_rank,
     svd,
 )
-from qcorr.rand import random_density_matrix
+from qcorr.rand import random_density_matrix, random_pure_state
 
 
 def test_svd_permutation_matrix():
@@ -193,18 +196,45 @@ def test_fidelity_symmetry_and_range():
         assert -1e-9 <= f1 <= 1 + 1e-9
 
 
+def _dense_fidelity(rho, sigma) -> float:
+    # tr sqrt(sigma^1/2 rho sigma^1/2) with the full square root, which
+    # keeps every eigenvalue lam > 0 of sigma.
+    root = psd_sqrt(sigma.mat)
+    inner = hermitize(root @ rho.mat @ root)
+    return float(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum())
+
+
 def test_fidelity_matches_dense_formula():
-    # Reference: tr sqrt(sigma^1/2 rho sigma^1/2) with the full square root.
     rng = np.random.default_rng(29)
     for rank in (1, 2, 3, 6):
         rho = random_density_matrix(rng, 2, 3)
         sigma = random_density_matrix(rng, 2, 3, rank)
-        root = psd_sqrt(sigma.mat)
-        inner = hermitize(root @ rho.mat @ root)
-        dense = float(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum())
-        # Eigenvalues at rounding level (~1e-16) enter both through square
-        # roots, so the two evaluations may differ by ~1e-8 each.
-        assert abs(fidelity(rho, sigma) - dense) <= 1e-7
+        # Eigenvalues at rounding level (~1e-16) enter the reference through
+        # square roots, so the two evaluations may differ by ~1e-8 each.
+        assert abs(fidelity(rho, sigma) - _dense_fidelity(rho, sigma)) <= 1e-7
+
+
+@settings(max_examples=30, deadline=None)
+@given(da=st.integers(1, 6), db=st.integers(1, 6), rank=st.integers(1, 36),
+       sigma_rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_fidelity_exact_for_pure_targets_and_one_sided_for_dense(
+    da, db, rank, sigma_rank, seed
+):
+    rng = np.random.default_rng(seed)
+    d = da * db
+    psi = random_pure_state(rng, da, db)
+    rho = random_density_matrix(rng, da, db, min(rank, d))
+    exact = np.sqrt(np.vdot(psi.amps, rho.mat @ psi.amps).real)
+    fid = fidelity(rho, psi.to_density())
+    assert abs(fid - exact) <= 1e-12
+    assert fid <= 1 + 1e-12
+    # A dense target drops only eigenvalues at rounding level, which can
+    # only lower the fidelity. The comparison takes a full-rank rho: against
+    # a rank-deficient one, both evaluations take square roots of inner
+    # eigenvalues that are zero up to rounding, and each can read ~1e-8 high.
+    full = random_density_matrix(rng, da, db)
+    sigma = random_density_matrix(rng, da, db, min(sigma_rank, d))
+    assert fidelity(full, sigma) <= _dense_fidelity(full, sigma) + 1e-12
 
 
 def test_fidelity_dimension_mismatch():
@@ -267,3 +297,16 @@ def test_comp_aux_dims():
 def test_density_matrix_validation():
     with pytest.raises(NotPsd):
         DensityMatrix(2, 1, np.diag([1.5, -0.5]))
+    # The psd check accepts a least eigenvalue down to -1e-10, in any basis.
+    rng = np.random.default_rng(31)
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+
+    def rotated(low):
+        return hermitize((u * [0.6 - low, 0.4, 0.0, low]) @ u.conj().T)
+
+    with pytest.raises(NotPsd, match="-2.000e-10"):
+        DensityMatrix(2, 2, rotated(-2e-10))
+    DensityMatrix(2, 2, rotated(-0.5e-10))
+    with pytest.raises(NotPsd, match=r"C\[1\]"):
+        PsdFactorization(r=2, cs=(np.eye(2), np.diag([1.0, -1e-9])),
+                         ds=(np.eye(2),), residual=0.0)

@@ -420,3 +420,21 @@ def test_mixed_seed_protocol():
     report = verify_generation(spec)
     assert report.passed
     assert report.fidelity >= 1 - 1e-9
+
+
+def test_mixed_seed_ranks_ignore_rounding_eigenvalues():
+    # Each marginal of this rank-2 seed has two eigenvalues of 1/2 and two at
+    # rounding level (~5e-17): one qubit per side holds it, none does not.
+    rng = np.random.default_rng(5)
+
+    def haar(d):
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    ua, ub = haar(4), haar(4)
+    terms = [np.kron(ua[:, i], ub[:, i]) for i in range(2)]
+    seed = DensityMatrix(4, 4, sum(0.5 * np.outer(t, t.conj()) for t in terms))
+    ident = LocalChannel.identity(4)
+    assert verify_generation(ProtocolSpec(seed, 1, ident, ident, seed, 0.0)).passed
+    with pytest.raises(InvalidInput, match="cannot hold"):
+        ProtocolSpec(seed, 0, ident, ident, seed, 0.0)
