@@ -11,6 +11,14 @@ that reads a witness back off any purification. The nonnegative rank, which
 sets the randomized (classical-seed) complexity, is bracketed by the same
 solver and the same bracketing loop: a nonnegative factorization is a psd
 factorization with diagonal factors, and real diagonal starts stay diagonal.
+
+Every bracket [lower, upper] is a bracket on the rank at tolerance ``tol``
+(the solver's Frobenius residual, at most WITNESS_TOL): ``upper`` comes
+with a witness whose trace products lie within ``tol`` of P, and every P'
+within Frobenius distance ``tol`` of P has rank at least ``lower``. A
+bracket is certified when the two meet. The one exception is a ``tol``
+below roundoff, which no fit reaches: ``upper`` is then min(n, m), proved
+by the exact diagonal construction, and its witness is off by rounding.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ import numpy as np
 
 from .errors import FactorizationMismatch, InvalidInput, NotNormalized
 from .linalg import (
+    REL_RANK_TOL,
     RegisterState,
     absorbed_schmidt_vectors,
     comp_aux_dims,
     hermitize,
-    matrix_rank,
     psd_sqrt,
     require_psd,
     schmidt_matrix,
@@ -95,18 +103,114 @@ def validate_dist(p, renormalize: bool = False) -> DistMatrix:
     return DistMatrix(arr.shape[0], arr.shape[1], arr)
 
 
-def psd_rank_lower_bound(p: DistMatrix) -> int:
-    """Certified lower bound ceil(sqrt(rank(P))) on the psd-rank.
+#: Added to every off-diagonal term of the fidelity Gram matrix, so that
+#: rounding in the Bhattacharyya sums can only loosen the fidelity bound.
+FIDELITY_ROUNDOFF = 1e-12
 
-    tr(C_x D_y) is bilinear in the r^2-dimensional vectorizations of the
-    factors, so rank(P) <= r^2 for any size-r psd factorization.
+
+def rank_at_tol(p: DistMatrix, tol: float = WITNESS_TOL) -> int:
+    """Number of singular values of P above ``tol``, and above REL_RANK_TOL
+    times the largest one (the rounding floor of ``matrix_rank``).
+
+    By Weyl's inequality sigma_i(P') >= sigma_i(P) - ||P' - P||_F, so every
+    P' within Frobenius distance ``tol`` of P has at least this rank.
     """
     if not isinstance(p, DistMatrix):
         raise InvalidInput("expected a DistMatrix")
-    if float(p.p.sum()) <= 0.0:
-        raise InvalidInput("distribution is identically zero")
-    r = matrix_rank(p.p)
-    return math.isqrt(r - 1) + 1 if r >= 1 else 1
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidInput(f"tol must be finite and >= 0, got {tol!r}")
+    s = np.linalg.svd(p.p, compute_uv=False)
+    return int(np.count_nonzero(s > max(tol, REL_RANK_TOL * float(s[0]))))
+
+
+def _fidelity_gram(P: np.ndarray, tol: float) -> np.ndarray:
+    """Upper bounds g[i, j] >= F_B(p'_i, p'_j)^2 over every P' within
+    Frobenius distance ``tol`` of P, for the rows i of P with sum above
+    2 sqrt(m) tol; see ``psd_rank_lower_bound``.
+    """
+    m = P.shape[1]
+    sums = P.sum(axis=1)
+    keep = sums > 2.0 * math.sqrt(m) * tol
+    u = np.sqrt(P[keep] / sums[keep, None])
+    delta = np.sqrt(2.0 * math.sqrt(m) * tol / sums[keep])
+    fid = u @ u.T
+    grow = 2.0 * (delta[:, None] + delta[None, :] + np.outer(delta, delta))
+    g = np.minimum(fid * fid + grow + FIDELITY_ROUNDOFF, 1.0)
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
+def _best_subset_ratio(g: np.ndarray) -> float:
+    """Largest k^2 / sum(g[S, S]) over the row subsets S of size k grown
+    greedily from each row: each step adds, to every subset at once, the
+    row that raises its sum least. At least 1, the value of one row.
+    """
+    k = g.shape[0]
+    seeds = np.arange(k)
+    chosen = np.eye(k, dtype=bool)
+    load = g.copy()  # load[s] = sum of the rows of g in the subset grown from s
+    totals = np.ones(k)
+    best = 1.0
+    for size in range(2, k + 1):
+        cost = np.where(chosen, np.inf, 2.0 * load + 1.0)
+        add = cost.argmin(axis=1)
+        totals += cost[seeds, add]
+        chosen[seeds, add] = True
+        load += g[add]
+        best = max(best, size * size / float(totals.min()))
+    return best
+
+
+def _lower_bounds(p: DistMatrix, tol: float) -> tuple[int, int, str]:
+    """The rank of P at ``tol``, the psd-rank lower bound at ``tol`` and the
+    bound that set it ("rank" or "fidelity"); see ``psd_rank_lower_bound``.
+    """
+    rank = rank_at_tol(p, tol)
+    weyl = math.isqrt(rank - 1) + 1 if rank >= 1 else 1
+    fidelity = math.ceil(max(_best_subset_ratio(_fidelity_gram(p.p, tol)),
+                             _best_subset_ratio(_fidelity_gram(p.p.T, tol))))
+    if weyl >= fidelity:
+        return rank, weyl, "rank"
+    return rank, fidelity, "fidelity"
+
+
+def psd_rank_lower_bound(p: DistMatrix, tol: float = WITNESS_TOL) -> int:
+    """Lower bound on the psd-rank of every P' within Frobenius distance
+    ``tol`` of P: the larger of a rank bound and a fidelity bound.
+
+    Rank (Weyl). tr(C_x D_y) is bilinear in the r^2-dimensional
+    vectorizations of the factors, so rank(P') <= r^2 for any size-r psd
+    factorization of P'. Since rank(P') >= ``rank_at_tol(p, tol)``, the
+    psd-rank is at least ceil(sqrt(rank_at_tol(p, tol))).
+
+    Fidelity (Bhattacharyya). Take a size-r factorization of P', the
+    normalized rows p'_x = P'(x, .) / P'_x with P'_x = sum_y P'(x, y), and
+    D = sum_y D_y. Then sigma_x = D^1/2 C_x D^1/2 / P'_x is a density
+    matrix of rank <= r, and E_y = D^-1/2 D_y D^-1/2 (on the support of D)
+    is a POVM with tr(sigma_x E_y) = p'_x(y). Measuring cannot lower the
+    fidelity, and F(sigma, tau)^2 >= tr(sigma tau), so for any k rows S
+
+        sum_{i,j in S} F_B(p'_i, p'_j)^2 >= tr((sum_i sigma_i)^2) >= k^2 / r,
+
+    with F_B(p, q) = sum_y sqrt(p(y) q(y)) the Bhattacharyya coefficient:
+    r >= k^2 / sum_{i,j in S} F_B(p'_i, p'_j)^2. The same holds for P'^T.
+
+    Margin. P' is only known to lie within ``tol`` of P, and is nonnegative
+    (its entries are traces of products of psd matrices). Let u_i =
+    sqrt(p_i) entrywise and R_i the i-th row sum of P. Since
+    (sqrt a - sqrt b)^2 <= |a - b|, and |R'_i - R_i| <= ||P'_i - P_i||_1,
+    ||u'_i - u_i||^2 <= ||p'_i - p_i||_1 <= 2 ||P'_i - P_i||_1 / R_i
+    <= 2 sqrt(m) tol / R_i =: delta_i^2. As F_B(p_i, p_j) = <u_i, u_j> with
+    unit vectors, F_B moves by at most delta_i + delta_j + delta_i delta_j,
+    and its square (at most 1) by at most twice that. So each off-diagonal
+    term is bounded by min(F_B^2 + 2 (delta_i + delta_j + delta_i delta_j)
+    + FIDELITY_ROUNDOFF, 1); diagonal terms are exactly 1. Only rows with
+    R_i > 2 sqrt(m) tol enter, so that the row of P' cannot vanish.
+
+    Subsets. Any S gives a valid bound. The subsets tried are those grown
+    greedily from each row of P and of P^T; each ends at the full row set.
+    """
+    return _lower_bounds(p, tol)[1]
 
 
 #: Levenberg-Marquardt damping in ``_descend``: the first lam is LM_LAMBDA0
@@ -202,13 +306,17 @@ class PsdFactorization:
 @dataclass(frozen=True)
 class RankReport:
     """Bracketing [lower, upper] for a rank quantity; ``certified`` only
-    when the bracket is tight. ``witness`` is the fit of size ``upper``; it
-    realizes the upper bound when its residual is below the solver's tol.
+    when the bracket is tight. ``lower_by`` names the bound that set
+    ``lower``: "rank" (the rank of P at the solver's tol) or "fidelity"
+    (the Bhattacharyya bound of ``psd_rank_lower_bound``). ``witness`` is
+    the fit of size ``upper``; it realizes the upper bound when its
+    residual is below the solver's tol.
     """
 
     lower: int
     upper: int
     status: str
+    lower_by: str
     witness: PsdFactorization | None = None
 
     def __post_init__(self):
@@ -216,6 +324,8 @@ class RankReport:
             raise InvalidInput("rank bracket must satisfy 1 <= lower <= upper")
         if self.status not in ("certified", "heuristic"):
             raise InvalidInput(f"unknown status {self.status!r}")
+        if self.lower_by not in ("rank", "fidelity"):
+            raise InvalidInput(f"unknown lower bound {self.lower_by!r}")
         if self.status == "certified" and self.lower != self.upper:
             raise InvalidInput("certified reports require lower == upper")
 
@@ -448,7 +558,7 @@ def psd_fit(
     return _multistart(p.p, r, cfg or DEFAULT_CONFIG, inits, _random_start)
 
 
-def _bracket(lower: int, rmax: int, fit, tol: float) -> RankReport:
+def _bracket(lower: int, lower_by: str, rmax: int, fit, tol: float) -> RankReport:
     """Try sizes lower..rmax upward; the first fit with residual below
     ``tol`` sets the upper bound and is the witness. Certified iff that
     size is ``lower``.
@@ -457,17 +567,19 @@ def _bracket(lower: int, rmax: int, fit, tol: float) -> RankReport:
         fact = fit(r)
         if fact.residual < tol:
             break
-    # Falls through with r = rmax only when no fit reaches tol: when tol is
-    # below roundoff (the exact diagonal start at min(n, m) leaves only
-    # rounding), or when rmax is a proved value (nonnegative rank <= 2).
-    # The last fit is reported as the witness.
+    # Falls through with r = rmax = min(n, m) only when no fit reaches tol,
+    # that is when tol is below roundoff: the exact diagonal start at
+    # min(n, m) leaves only rounding, and that size is proved. The last fit
+    # is reported as the witness.
     status = "certified" if r == lower else "heuristic"
-    return RankReport(lower=lower, upper=r, status=status, witness=fact)
+    return RankReport(lower=lower, upper=r, status=status, lower_by=lower_by,
+                      witness=fact)
 
 
 def psd_rank_search(p: DistMatrix, cfg: SolverConfig | None = None) -> RankReport:
-    """Bracket the psd-rank of P between the certified lower bound and the
-    smallest size at which ``psd_fit`` finds a witness.
+    """Bracket the psd-rank of P at ``cfg.tol`` between
+    ``psd_rank_lower_bound(p, cfg.tol)`` and the smallest size at which
+    ``psd_fit`` finds a witness.
 
     Sizes are tried upward from the lower bound; a size succeeds when the
     residual drops below ``cfg.tol``. The exact diagonal construction
@@ -476,7 +588,8 @@ def psd_rank_search(p: DistMatrix, cfg: SolverConfig | None = None) -> RankRepor
     seed qubits is ceil(log2(upper)).
     """
     cfg = cfg or DEFAULT_CONFIG
-    return _bracket(psd_rank_lower_bound(p), min(p.n, p.m),
+    _, lower, lower_by = _lower_bounds(p, cfg.tol)
+    return _bracket(lower, lower_by, min(p.n, p.m),
                     lambda r: psd_fit(p, r, cfg), cfg.tol)
 
 
@@ -487,19 +600,17 @@ def nonneg_rank_bounds(p: DistMatrix, cfg: SolverConfig | None = None) -> RankRe
     factors, so the fits are the Levenberg-Marquardt starts of ``psd_fit``
     from ``cfg.starts`` random real diagonal starts, which stay diagonal
     (see ``_descend``); ``max_iters`` and ``tol`` apply as there. The lower
-    bound is rank(P); sizes are tried upward from it, and the exact
-    diagonal construction guarantees success at min(n, m). Matrices of
-    rank <= 2 have nonnegative rank equal to rank, so only that size is
-    tried and the report is certified outright. The witness has diagonal
-    C_x and D_y. The randomized generation complexity in seed bits is
-    ceil(log2(upper)).
+    bound holds at ``cfg.tol``: the larger of ``rank_at_tol(p, cfg.tol)``
+    and ``psd_rank_lower_bound(p, cfg.tol)``, since the nonnegative rank is
+    at least the psd-rank. Sizes are tried upward from it, and the exact
+    diagonal construction guarantees success at min(n, m). The witness has
+    diagonal C_x and D_y. The randomized generation complexity in seed bits
+    is ceil(log2(upper)).
     """
-    if not isinstance(p, DistMatrix):
-        raise InvalidInput("expected a DistMatrix")
     cfg = cfg or DEFAULT_CONFIG
-    rank = matrix_rank(p.p)
-    rmax = rank if rank <= 2 else min(p.n, p.m)
-    return _bracket(rank, rmax,
+    rank, psd_lower, _ = _lower_bounds(p, cfg.tol)
+    lower, lower_by = (rank, "rank") if rank >= psd_lower else (psd_lower, "fidelity")
+    return _bracket(lower, lower_by, min(p.n, p.m),
                     lambda r: _multistart(p.p, r, cfg, (), _random_diagonal_start),
                     cfg.tol)
 

@@ -25,6 +25,7 @@ from .classical import (
     gram_extract,
     nonneg_rank_bounds,
     psd_rank_search,
+    rank_at_tol,
     synth_from_psd,
 )
 from .errors import InvalidInput, QcorrError
@@ -33,7 +34,7 @@ from .general import (
     factor_from_purification,
     reconstruct_from_factors,
 )
-from .linalg import RegisterState, ceil_log2, matrix_rank
+from .linalg import RegisterState, ceil_log2
 from .pure import PureState, build_approximant, schmidt_decompose, srank_eps
 from .sim import (
     apply_protocol,
@@ -113,7 +114,8 @@ def cmd_approx(args) -> dict:
 
 def cmd_psdrank(args) -> dict:
     dist = io.load_dist(args.dist, renormalize=args.renormalize)
-    report = psd_rank_search(dist, _solver_config(args))
+    cfg = _solver_config(args)
+    report = psd_rank_search(dist, cfg)
     if args.witness_out and report.witness is not None:
         io.save(args.witness_out, report.witness)
     return {
@@ -121,9 +123,11 @@ def cmd_psdrank(args) -> dict:
         "lower": report.lower,
         "upper": report.upper,
         "status": report.status,
+        "lower_by": report.lower_by,
         "qubits": ceil_log2(report.upper),
-        # Informational alternative seed-qubit lower bound via rank(P).
-        "quarter_log2_rank": 0.25 * float(np.log2(matrix_rank(dist.p))),
+        # Informational alternative seed-qubit lower bound via the rank of P
+        # at tol.
+        "quarter_log2_rank": 0.25 * float(np.log2(max(rank_at_tol(dist, cfg.tol), 1))),
         "residual": report.witness.residual if report.witness else None,
         "witness_out": args.witness_out,
     }
@@ -137,6 +141,7 @@ def cmd_nnrank(args) -> dict:
         "lower": report.lower,
         "upper": report.upper,
         "status": report.status,
+        "lower_by": report.lower_by,
         "bits": ceil_log2(report.upper),
     }
 

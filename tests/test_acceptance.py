@@ -140,7 +140,7 @@ def test_criterion_4_psd_rank_landmarks():
     floor = psd_fit(third, 2, SolverConfig(starts=64))
     ok &= floor.residual >= 1e-3
     rep = psd_rank_search(third)
-    ok &= (rep.lower, rep.upper, rep.status) == (2, 3, "heuristic")
+    ok &= (rep.lower, rep.upper, rep.status) == (3, 3, "certified")
     ok &= ceil_log2(rep.upper) == 2
 
     _report(4, "psd-rank landmark instances", bool(ok), time.time() - t0, 60)

@@ -63,7 +63,106 @@ def test_psd_rank_lower_bound_examples():
     product = validate_dist(np.outer([0.3, 0.7], [0.5, 0.5]))
     assert psd_rank_lower_bound(product) == 1
     assert psd_rank_lower_bound(HALF_I2) == 2  # ceil(sqrt(2))
-    assert psd_rank_lower_bound(THIRD_I3) == 2  # ceil(sqrt(3))
+    assert psd_rank_lower_bound(THIRD_I3) == 3  # fidelity bound: 9 / 3
+    with pytest.raises(InvalidInput, match="tol"):
+        psd_rank_lower_bound(THIRD_I3, float("nan"))
+
+
+def _noisy(p: np.ndarray, size: float, seed: int) -> DistMatrix:
+    """P plus uniform noise in [0, size), renormalized."""
+    noise = size * np.random.default_rng(seed).uniform(0.0, 1.0, p.shape)
+    return validate_dist(p + noise, renormalize=True)
+
+
+def test_perturbed_planted_rank2_brackets_at_its_witness_size():
+    # Four singular values above tol, five below it: the rank at tol is 4,
+    # and a size-2 witness within tol exists, so the bracket is [2, 2].
+    planted, _ = random_psd_factorization(np.random.default_rng(3), 9, 9, 2)
+    dist = _noisy(planted.p, 1e-9, 0)
+    report = psd_rank_search(dist)
+    assert (report.lower, report.upper, report.status) == (2, 2, "certified")
+    assert report.lower_by == "rank"
+    assert report.witness.residual < WITNESS_TOL
+    nn = nonneg_rank_bounds(dist)
+    assert nn.lower <= nn.upper <= 9
+
+
+def test_third_i3_with_noise_keeps_fidelity_bound():
+    dist = _noisy(THIRD_I3.p, 3e-8, 1)
+    report = psd_rank_search(dist)
+    assert (report.lower, report.upper, report.status) == (3, 3, "certified")
+    assert report.lower_by == "fidelity"
+    nn = nonneg_rank_bounds(dist)
+    assert (nn.lower, nn.upper, nn.status) == (3, 3, "certified")
+
+
+def test_mass_below_relative_rank_floor_counts_at_small_tol():
+    # sigma_3 = 4e-11 is below the relative rank floor (1e-10 sigma_1), so
+    # matrix_rank says 2; at tol 1e-14 the orthogonal third row still forces
+    # rank 3, and no size-2 fit comes within tol.
+    dist = validate_dist(np.diag([0.5, 0.5 - 4e-11, 4e-11]))
+    cfg = SolverConfig(tol=1e-14)
+    for report in (psd_rank_search(dist, cfg), nonneg_rank_bounds(dist, cfg)):
+        assert (report.lower, report.upper, report.status) == (3, 3, "certified")
+        assert report.lower_by == "fidelity"
+        assert report.witness.residual < cfg.tol
+
+
+def test_rank_two_fit_outside_tol_is_not_certified():
+    # matrix_rank says 2 (sigma_3 = 1e-11 is below the relative rank floor),
+    # and neither bound sees the third row at tol 1e-12; but no size-2 fit
+    # comes within tol, so the searches go on to the exact size-3 witness.
+    dist = validate_dist(np.diag([0.5, 0.5 - 1e-11, 1e-11]))
+    cfg = SolverConfig(tol=1e-12)
+    for report in (psd_rank_search(dist, cfg), nonneg_rank_bounds(dist, cfg)):
+        assert (report.lower, report.upper, report.status) == (2, 3, "heuristic")
+        assert report.witness.residual < cfg.tol
+
+
+@pytest.mark.parametrize("n, m, seed", [(3, 3, 0), (5, 4, 1), (14, 5, 2), (13, 13, 3)])
+def test_psd_rank_lower_bound_symmetries(n, m, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.0, 1.0, (n, m)) * (rng.uniform(0.0, 1.0, (n, m)) >= 0.6)
+    raw[np.arange(min(n, m)), np.arange(min(n, m))] += 1.0
+    dist = validate_dist(raw, renormalize=True)
+    lower = psd_rank_lower_bound(dist)
+    for _ in range(3):
+        permuted = dist.p[rng.permutation(n)][:, rng.permutation(m)]
+        assert psd_rank_lower_bound(validate_dist(permuted)) == lower
+        assert psd_rank_lower_bound(validate_dist(permuted.T)) == lower
+
+
+def _sparse_nonneg(rng, n, m, r):
+    # P = W H with about 30% of the entries of W and H zeroed.
+    w = rng.uniform(0.0, 1.0, (n, r)) * (rng.uniform(0.0, 1.0, (n, r)) >= 0.3)
+    h = rng.uniform(0.0, 1.0, (r, m)) * (rng.uniform(0.0, 1.0, (r, m)) >= 0.3)
+    return w @ h
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["psd", "nonneg"]), n=st.integers(1, 14),
+       m=st.integers(1, 9), r=st.integers(1, 4), noisy=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_psd_rank_lower_bound_at_most_planted_size(kind, n, m, r, noisy, seed):
+    # P' has a size-r factorization; P lies within Frobenius distance
+    # 0.9 tol of P' / total, which has the same psd-rank.
+    rng = np.random.default_rng(seed)
+    if kind == "psd":
+        planted = random_psd_factorization(rng, n, m, r)[0].p
+    else:
+        planted = _sparse_nonneg(rng, n, m, r)
+        assume(planted.sum() > 0.0)
+        planted = planted / planted.sum()
+    # Noise on the zeros of a sparse P', where sqrt moves fastest.
+    support = planted == 0.0 if kind == "nonneg" else np.ones((n, m), dtype=bool)
+    noise = rng.uniform(0.0, 1.0, (n, m)) * (support & noisy)
+    if noise.any():
+        noise *= 0.9 * WITNESS_TOL / np.linalg.norm(noise)
+    dist = validate_dist(planted + noise, renormalize=True)
+    assert psd_rank_lower_bound(dist) <= r
+    if kind == "nonneg":
+        cfg = SolverConfig(starts=0, max_iters=1)
+        assert nonneg_rank_bounds(dist, cfg).lower <= r
 
 
 def test_jacobian_matches_central_differences():
@@ -183,7 +282,8 @@ def test_psd_rank_search_half_i2():
 
 def test_psd_rank_search_third_i3():
     report = psd_rank_search(THIRD_I3)
-    assert (report.lower, report.upper, report.status) == (2, 3, "heuristic")
+    assert (report.lower, report.upper, report.status) == (3, 3, "certified")
+    assert report.lower_by == "fidelity"
     assert ceil_log2(report.upper) == 2
 
 
@@ -351,11 +451,7 @@ def test_rank_chain_invariant():
 @given(n=st.integers(1, 5), m=st.integers(1, 5), r=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_planted_nonneg_rank_bounds_psd_rank(n, m, r, seed):
-    # P = W H with about 30% of the entries of W and H zeroed.
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.0, 1.0, (n, r)) * (rng.uniform(0.0, 1.0, (n, r)) >= 0.3)
-    h = rng.uniform(0.0, 1.0, (r, m)) * (rng.uniform(0.0, 1.0, (r, m)) >= 0.3)
-    p = w @ h
+    p = _sparse_nonneg(np.random.default_rng(seed), n, m, r)
     assume(p.sum() > 0.0)
     dist = validate_dist(p / p.sum(), renormalize=True)
     nn = nonneg_rank_bounds(dist)
@@ -372,7 +468,7 @@ def test_psd_fit_without_starts_returns_zero_factors():
     assert not any(mat.any() for mat in fact.cs + fact.ds)
     assert fact.residual == np.linalg.norm(THIRD_I3.p)
     report = psd_rank_search(THIRD_I3, SolverConfig(starts=0))
-    assert (report.lower, report.upper, report.status) == (2, 3, "heuristic")
+    assert (report.lower, report.upper, report.status) == (3, 3, "certified")
 
 
 def test_rank_searches_fall_through_to_min_dim_below_roundoff():

@@ -264,17 +264,18 @@ def test_cli_survives_singular_solve(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command, expected", [
-    # r = 2 has no start to run and counts as not found; the exact diagonal
-    # start settles r = 3.
-    ("psdrank", (2, 3, "heuristic")),
-    ("nnrank", (3, 3, "certified")),
+    # The fidelity bound proves r >= 3, and the exact diagonal start
+    # settles r = 3 with no random start.
+    ("psdrank", (3, 3, "certified", "fidelity")),
+    ("nnrank", (3, 3, "certified", "rank")),
 ])
 def test_cli_zero_starts(tmp_path, capsys, command, expected):
     path = tmp_path / "third.csv"
     qio.save_dist(str(path), validate_dist(np.eye(3) / 3))
     assert main(["--json", command, "--dist", str(path), "--starts", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert (report["lower"], report["upper"], report["status"]) == expected
+    assert (report["lower"], report["upper"], report["status"],
+            report["lower_by"]) == expected
 
 
 def test_cli_full_pipeline(tmp_path, capsys):
