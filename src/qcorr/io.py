@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .classical import DistMatrix, PsdFactorization, validate_dist
-from .errors import ParseError
+from .errors import InvalidInput, NotNormalized, NotPsd, ParseError
 from .general import GeneralFactorization
 from .linalg import DensityMatrix, RegisterState
 from .pure import PureState
@@ -122,7 +122,10 @@ def density_from_obj(obj: dict, where: str = "density") -> DensityMatrix:
     db = int(_require(obj, "dim_b", where))
     d = da * db
     flat = _from_pairs(_require(obj, "data", where), d * d, where)
-    return DensityMatrix(da, db, flat.reshape(d, d))
+    try:
+        return DensityMatrix(da, db, flat.reshape(d, d))
+    except (InvalidInput, NotNormalized, NotPsd) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def psd_factorization_to_obj(f: PsdFactorization) -> dict:

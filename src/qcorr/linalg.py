@@ -15,9 +15,14 @@ Conventions
 * A singular value counts as nonzero iff it exceeds ``REL_RANK_TOL``
   times the largest one (scale-free rank decisions).
 * One psd check: ``require_psd`` accepts a least eigenvalue down to
-  ``-EIG_CLAMP_TOL``, decided by a Cholesky factorization. One factor:
-  ``DensityMatrix.factor`` keeps the eigenvalues the rank rule above
-  counts. Fidelity, purification and seed ranks read that factor.
+  ``-EIG_CLAMP_TOL``, decided by a Cholesky factorization. It runs where
+  a matrix enters from outside the library: ``DensityMatrix(...)``
+  checks every file, random draw, partial trace and user matrix. A
+  matrix the library builds psd by construction (W W^dag, or a pure
+  state pushed through CPTP maps) skips it through the private
+  ``DensityMatrix._built``. One factor: ``DensityMatrix.factor`` keeps
+  the eigenvalues the rank rule above counts. Fidelity, purification and
+  seed ranks read that factor.
 """
 
 from __future__ import annotations
@@ -180,9 +185,34 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
+        self._settle(psd=True)
+
+    @classmethod
+    def _built(cls, dim_a: int, dim_b: int, mat: np.ndarray,
+               factor: np.ndarray | None = None) -> "DensityMatrix":
+        """A density matrix the library built psd, without the psd check.
+
+        Every caller must pass a ``mat`` that is W W^dag, or the image of
+        a pure state under CPTP maps, computed in floating point: its
+        least eigenvalue is then within roundoff of zero, far inside
+        -EIG_CLAMP_TOL. The dimension, shape, finiteness and trace checks
+        still run. ``factor``, when given, seeds ``DensityMatrix.factor``
+        and must satisfy mat ~ factor factor^dag.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "dim_a", dim_a)
+        object.__setattr__(rho, "dim_b", dim_b)
+        object.__setattr__(rho, "mat", mat)
+        rho._settle(psd=False)
+        if factor is not None:
+            vars(rho)["factor"] = factor
+        return rho
+
+    def _settle(self, psd: bool) -> None:
         if self.dim_a < 1 or self.dim_b < 1:
             raise InvalidInput("density matrix dimensions must be positive")
-        arr = require_psd(self.mat, name="density matrix")
+        arr = (require_psd(self.mat, name="density matrix") if psd
+               else as_complex_array(self.mat, "density matrix"))
         d = self.dim_a * self.dim_b
         if arr.shape != (d, d):
             raise InvalidInput(
@@ -212,9 +242,8 @@ def density_from_pure(amps, dim_a: int, dim_b: int) -> DensityMatrix:
     vec = as_complex_array(amps, "state vector").reshape(-1)
     if vec.size != dim_a * dim_b:
         raise InvalidInput("amplitude length does not match dims")
-    rho = DensityMatrix(dim_a, dim_b, np.outer(vec, vec.conj()))
-    vars(rho)["factor"] = vec[:, None].copy()
-    return rho
+    return DensityMatrix._built(dim_a, dim_b, np.outer(vec, vec.conj()),
+                                factor=vec[:, None].copy())
 
 
 @dataclass(frozen=True)

@@ -146,11 +146,14 @@ def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
 
     The seed sigma[(i, j), (I, J)] is contracted with Alice's transfer
     matrix over (i, I), then with Bob's over (j, J): the cost grows with
-    |K_A| + |K_B|, not with the number of Kraus pairs.
+    |K_A| + |K_B|, not with the number of Kraus pairs. The output of a
+    pure seed is psd by construction and skips the psd check; that of a
+    mixed seed is checked, since a seed accepted at a least eigenvalue
+    just above -EIG_CLAMP_TOL can map below it.
     """
     seed = spec.seed
-    sigma = (seed.mat if isinstance(seed, DensityMatrix)
-             else np.outer(seed.amps, seed.amps.conj()))
+    pure_seed = isinstance(seed, PureState)
+    sigma = np.outer(seed.amps, seed.amps.conj()) if pure_seed else seed.mat
     da, db = seed.dim_a, seed.dim_b
     oa, ob = spec.target.dim_a, spec.target.dim_b
     if spec.alice.out_dim != oa or spec.bob.out_dim != ob:
@@ -161,7 +164,8 @@ def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
     trace = float(np.trace(out).real)
     if abs(trace - 1.0) > 1e-9:
         raise InvalidInput(f"protocol output trace {trace!r} deviates beyond 1e-9")
-    return DensityMatrix(oa, ob, hermitize(out) / trace)
+    build = DensityMatrix._built if pure_seed else DensityMatrix
+    return build(oa, ob, hermitize(out) / trace)
 
 
 def measure_computational(rho: DensityMatrix) -> DistMatrix:

@@ -374,6 +374,22 @@ def test_cli_rejects_out_of_domain_eps(tmp_path, capsys, command, value):
     assert "eps" in captured.err
 
 
+def test_cli_non_psd_target_names_the_object(tmp_path, capsys):
+    proto = tmp_path / "p.json"
+    assert main(["--json", "synth", "--dist", _write_half_csv(tmp_path),
+                 "--out-protocol", str(proto)]) == 0
+    obj = json.loads(proto.read_text())
+    # A 0.6 coherence between |00> and |11> on diag(0.5, 0, 0, 0.5).
+    obj["target"]["data"][3] = obj["target"]["data"][12] = [0.6, 0.0]
+    proto.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["--json", "verify", "--protocol", str(proto)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "protocol.target" in captured.err
+    assert "minimum eigenvalue" in captured.err
+
+
 def test_cli_missing_file_exit_code(tmp_path, capsys):
     rc = main(["schmidt", "--state", str(tmp_path / "nope.json")])
     assert rc == 2

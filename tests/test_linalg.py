@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorr.classical import PsdFactorization
-from qcorr.errors import InvalidInput, NotPsd
+from qcorr.errors import InvalidInput, NotNormalized, NotPsd
 from qcorr.linalg import (
     DensityMatrix,
     RegisterState,
@@ -310,3 +310,17 @@ def test_density_matrix_validation():
     with pytest.raises(NotPsd, match=r"C\[1\]"):
         PsdFactorization(r=2, cs=(np.eye(2), np.diag([1.0, -1e-9])),
                          ds=(np.eye(2),), residual=0.0)
+
+
+def test_density_from_pure_input_contract():
+    # density_from_pure skips the psd check, not the input checks.
+    psi = np.array([0.6, 0.8j, 0.0, 0.0])
+    rho = density_from_pure(psi, 2, 2)
+    np.testing.assert_array_equal(rho.mat, np.outer(psi, psi.conj()))
+    np.testing.assert_array_equal(rho.factor, psi[:, None])
+    with pytest.raises(NotNormalized):
+        density_from_pure(1.1 * psi, 2, 2)
+    with pytest.raises(InvalidInput, match="non-finite"):
+        density_from_pure([np.nan, 1.0, 0.0, 0.0], 2, 2)
+    with pytest.raises(InvalidInput, match="length"):
+        density_from_pure(psi[:3], 2, 2)

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorr.classical import PsdFactorization, gram_extract, synth_from_psd, validate_dist
-from qcorr.errors import InvalidInput
+from qcorr.errors import InvalidInput, NotPsd
 from qcorr.linalg import (
     DensityMatrix,
     RegisterState,
     ceil_log2,
     fidelity,
     partial_trace,
+    require_psd,
     schmidt_rank,
 )
 from qcorr.general import Purification
@@ -357,6 +358,34 @@ def test_purification_reduction_matches_aux_contraction(a_dims, b_dims, seed):
     np.testing.assert_allclose(red.mat, ref.reshape(d, d), rtol=0, atol=1e-12)
 
 
+def assert_built_psd(spec: ProtocolSpec) -> None:
+    """The output of a pure-seeded protocol, which skips the psd check, is
+    psd far inside its tolerance and is stored as the checked constructor
+    stores it."""
+    out = apply_protocol(spec)
+    require_psd(out.mat)
+    assert np.linalg.eigvalsh(out.mat)[0] >= -1e-12
+    np.testing.assert_array_equal(DensityMatrix(out.dim_a, out.dim_b, out.mat).mat,
+                                  out.mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 4), ka=st.integers(1, 3),
+       kb=st.integers(1, 3), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_purification_protocol_output_is_psd(n, m, ka, kb, k, seed):
+    state = register_state_of_rank(np.random.default_rng(seed), (n, ka, m, kb),
+                                   ("A", "A", "B", "B"), k)
+    assert_built_psd(protocol_from_purification(state))
+
+
+@settings(max_examples=40, deadline=None)
+@given(da=st.integers(1, 6), db=st.integers(1, 6), eps=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_pure_protocol_output_is_psd(da, db, eps, seed):
+    psi = random_pure_state(np.random.default_rng(seed), da, db)
+    assert_built_psd(synth_pure_protocol(psi, eps))
+
+
 def test_protocol_from_purification_rejects_zero_state():
     with pytest.raises(InvalidInput, match="zero state"):
         protocol_from_purification(RegisterState(np.zeros(4), (2, 2), ("A", "B")))
@@ -420,6 +449,19 @@ def test_mixed_seed_protocol():
     report = verify_generation(spec)
     assert report.passed
     assert report.fidelity >= 1 - 1e-9
+
+
+def test_mixed_seed_output_keeps_the_psd_check():
+    # Each negative eigenvalue of the seed is within tolerance, but the
+    # channel pours both into one output state, which is not.
+    seed = DensityMatrix(3, 1, np.diag([1 + 1.8e-10, -0.9e-10, -0.9e-10]))
+    alice = LocalChannel((np.array([[0, 0, 0], [1, 0, 0]]),
+                          np.array([[0, 1, 0], [0, 0, 0]]),
+                          np.array([[0, 0, 1], [0, 0, 0]])))
+    target = DensityMatrix(2, 1, np.diag([0.0, 1.0]))
+    spec = ProtocolSpec(seed, 0, alice, LocalChannel.identity(1), target, 0.0)
+    with pytest.raises(NotPsd, match="-1.800e-10"):
+        apply_protocol(spec)
 
 
 def test_mixed_seed_ranks_ignore_rounding_eigenvalues():
