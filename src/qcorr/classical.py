@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -259,6 +258,8 @@ class SolverConfig:
         if not 0.0 < self.tol <= WITNESS_TOL:
             raise InvalidInput(
                 f"SolverConfig.tol must be in (0, {WITNESS_TOL:g}], got {self.tol!r}")
+        if self.seed < 0:
+            raise InvalidInput(f"SolverConfig.seed must be >= 0, got {self.seed!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -489,15 +490,14 @@ def _multistart(
     P: np.ndarray,
     r: int,
     cfg: SolverConfig,
-    inits: Iterable[tuple[np.ndarray, np.ndarray]],
     random_start,
 ) -> PsdFactorization:
-    """Best size-r factorization over ``inits``, the exact diagonal start
-    (when r >= min(n, m)) and ``cfg.starts`` draws of ``random_start``, in
-    that order. Stops at the first start whose residual is below
-    ``cfg.tol``; otherwise the best start wins, ties going to the lowest
-    start index. With no start to run it returns the zero factors, whose
-    residual is the norm of P.
+    """Best size-r factorization over the exact diagonal start (when
+    r >= min(n, m)) and ``cfg.starts`` draws of ``random_start``, in that
+    order. Stops at the first start whose residual is below ``cfg.tol``;
+    otherwise the best start wins, ties going to the lowest start index.
+    With no start to run it returns the zero factors, whose residual is
+    the norm of P.
     """
     n, m = P.shape
     zero_rows = P.sum(axis=1) <= 0.0
@@ -505,8 +505,6 @@ def _multistart(
 
     def starts():
         # Built lazily: the search often stops before the later starts.
-        for e0, f0 in inits:
-            yield np.array(e0, dtype=np.complex128), np.array(f0, dtype=np.complex128)
         exact = _diagonal_exact_start(P, r)
         if exact is not None:
             yield exact
@@ -533,7 +531,6 @@ def psd_fit(
     p: DistMatrix,
     r: int,
     cfg: SolverConfig | None = None,
-    inits: Iterable[tuple[np.ndarray, np.ndarray]] = (),
 ) -> PsdFactorization:
     """Best size-r psd factorization found by seeded multi-start
     Levenberg-Marquardt.
@@ -542,20 +539,19 @@ def psd_fit(
     factors psd without any projection; each start runs a
     Levenberg-Marquardt least-squares solve on the n*m residuals
     tr(C_x D_y) - P(x, y) until its squared residual is below 1e-28, it
-    stalls, or it has taken ``cfg.max_iters`` trial steps. ``inits``
-    supplies starting points, tried first; the exact diagonal construction
-    (available whenever r >= min(n, m)) comes next, then ``cfg.starts``
-    random complex starts. The search stops at the first start whose
-    residual is below ``cfg.tol``; otherwise the best start wins, ties
-    going to the lowest start index. With no start to run (no ``inits``,
-    ``cfg.starts == 0`` and r < min(n, m)) the zero factors are returned.
-    Deterministic given ``cfg.seed``.
+    stalls, or it has taken ``cfg.max_iters`` trial steps. The exact
+    diagonal construction (available whenever r >= min(n, m)) is tried
+    first, then ``cfg.starts`` random complex starts. The search stops at
+    the first start whose residual is below ``cfg.tol``; otherwise the
+    best start wins, ties going to the lowest start index. With no start
+    to run (``cfg.starts == 0`` and r < min(n, m)) the zero factors are
+    returned. Deterministic given ``cfg.seed``.
     """
     if not isinstance(p, DistMatrix):
         raise InvalidInput("expected a DistMatrix")
     if r < 1:
         raise InvalidInput("factorization size r must be positive")
-    return _multistart(p.p, r, cfg or DEFAULT_CONFIG, inits, _random_start)
+    return _multistart(p.p, r, cfg or DEFAULT_CONFIG, _random_start)
 
 
 def _bracket(lower: int, lower_by: str, rmax: int, fit, tol: float) -> RankReport:
@@ -611,7 +607,7 @@ def nonneg_rank_bounds(p: DistMatrix, cfg: SolverConfig | None = None) -> RankRe
     rank, psd_lower, _ = _lower_bounds(p, cfg.tol)
     lower, lower_by = (rank, "rank") if rank >= psd_lower else (psd_lower, "fidelity")
     return _bracket(lower, lower_by, min(p.n, p.m),
-                    lambda r: _multistart(p.p, r, cfg, (), _random_diagonal_start),
+                    lambda r: _multistart(p.p, r, cfg, _random_diagonal_start),
                     cfg.tol)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from . import io
 from .classical import (
     DEFAULT_CONFIG,
+    PsdFactorization,
     SolverConfig,
     gram_extract,
     nonneg_rank_bounds,
@@ -30,6 +31,7 @@ from .classical import (
 )
 from .errors import InvalidInput, QcorrError
 from .general import (
+    GeneralFactorization,
     Purification,
     factor_from_purification,
     reconstruct_from_factors,
@@ -37,6 +39,7 @@ from .general import (
 from .linalg import RegisterState, ceil_log2
 from .pure import PureState, build_approximant, schmidt_decompose, srank_eps
 from .sim import (
+    ProtocolSpec,
     apply_protocol,
     measure_computational,
     protocol_from_purification,
@@ -53,20 +56,16 @@ def _config_block(args, keys) -> dict:
     return block
 
 
-def _load_state(path: str) -> PureState:
+def _load(path: str, kind: type | tuple[type, ...], what: str):
     obj = io.load(path)
-    if not isinstance(obj, PureState):
-        raise InvalidInput(f"{path} does not contain a bipartite pure state")
+    if not isinstance(obj, kind):
+        raise InvalidInput(f"{path} does not contain {what}")
     return obj
 
 
 def _load_register_state(path: str) -> RegisterState:
-    obj = io.load(path)
-    if isinstance(obj, RegisterState):
-        return obj
-    if isinstance(obj, PureState):
-        return obj.to_registers()
-    raise InvalidInput(f"{path} does not contain a pure state with registers")
+    obj = _load(path, (RegisterState, PureState), "a pure state with registers")
+    return obj.to_registers() if isinstance(obj, PureState) else obj
 
 
 def _solver_config(args) -> SolverConfig:
@@ -74,7 +73,7 @@ def _solver_config(args) -> SolverConfig:
 
 
 def cmd_schmidt(args) -> dict:
-    psi = _load_state(args.state)
+    psi = _load(args.state, PureState, "a bipartite pure state")
     form = schmidt_decompose(psi)
     return {
         "config": _config_block(args, []),
@@ -86,7 +85,7 @@ def cmd_schmidt(args) -> dict:
 
 
 def cmd_qeps(args) -> dict:
-    psi = _load_state(args.state)
+    psi = _load(args.state, PureState, "a bipartite pure state")
     r = srank_eps(psi, args.eps)
     form = schmidt_decompose(psi)
     achievable = float(np.sqrt(np.cumsum(form.coeffs)[r - 1])) if r >= 1 else 0.0
@@ -99,7 +98,7 @@ def cmd_qeps(args) -> dict:
 
 
 def cmd_approx(args) -> dict:
-    psi = _load_state(args.state)
+    psi = _load(args.state, PureState, "a bipartite pure state")
     phi, fid = build_approximant(psi, args.eps)
     if args.out:
         io.save(args.out, phi)
@@ -148,11 +147,9 @@ def cmd_nnrank(args) -> dict:
 
 def cmd_synth(args) -> dict:
     dist = io.load_dist(args.dist, renormalize=args.renormalize)
-    if args.factors:
-        factors = io.load(args.factors)
-    else:
-        report = psd_rank_search(dist, _solver_config(args))
-        factors = report.witness
+    cfg = _solver_config(args)  # checked even when --factors skips the search
+    factors = (_load(args.factors, PsdFactorization, "a psd factorization") if args.factors
+               else psd_rank_search(dist, cfg).witness)
     psi = synth_from_psd(dist, factors)
     spec = protocol_from_purification(psi, eps=args.eps)
     if args.out_state:
@@ -189,7 +186,7 @@ def cmd_extract(args) -> dict:
 
 
 def cmd_reconstruct(args) -> dict:
-    fact = io.load(args.factors)
+    fact = _load(args.factors, GeneralFactorization, "a general factorization")
     rho = reconstruct_from_factors(fact)
     if args.out:
         io.save(args.out, rho)
@@ -204,7 +201,7 @@ def cmd_reconstruct(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
-    spec = io.load(args.protocol)
+    spec = _load(args.protocol, ProtocolSpec, "a protocol")
     rho = apply_protocol(spec)
     dist = measure_computational(rho)
     if args.out:
@@ -219,7 +216,7 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    spec = io.load(args.protocol)
+    spec = _load(args.protocol, ProtocolSpec, "a protocol")
     report = verify_generation(spec)
     return {
         "config": _config_block(args, []),

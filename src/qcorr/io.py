@@ -30,22 +30,46 @@ def _pairs(arr: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _from_pairs(data: Any, count: int, where: str) -> np.ndarray:
+def _from_pairs(obj: Any, key: str, count: int, where: str) -> np.ndarray:
+    data = _require(obj, key, where)
     if not isinstance(data, list) or len(data) != count:
-        raise ParseError(f"{where}: expected {count} [re, im] pairs")
+        raise ParseError(f"{where}.{key}: expected {count} [re, im] pairs")
     out = np.empty(count, dtype=complex)
     for i, item in enumerate(data):
         if (not isinstance(item, list) or len(item) != 2
                 or not all(isinstance(v, (int, float)) for v in item)):
-            raise ParseError(f"{where}: entry {i} is not an [re, im] pair")
+            raise ParseError(f"{where}.{key}: entry {i} is not an [re, im] pair")
         out[i] = complex(item[0], item[1])
     return out
 
 
-def _require(obj: dict, key: str, where: str) -> Any:
+def _require(obj: Any, key: Any, where: str) -> Any:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {obj!r:.40}")
     if key not in obj:
         raise ParseError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _int(obj: Any, key: Any, where: str, least: int = 1) -> int:
+    val = _require(obj, key, where)
+    if isinstance(val, bool) or not isinstance(val, int) or val < least:
+        raise ParseError(f"{where}.{key}: expected an integer >= {least}, got {val!r:.40}")
+    return val
+
+
+def _real(obj: Any, key: str, where: str) -> float:
+    val = _require(obj, key, where)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ParseError(f"{where}.{key}: expected a number, got {val!r:.40}")
+    return float(val)
+
+
+def _list(obj: Any, key: str, where: str) -> list:
+    val = _require(obj, key, where)
+    if not isinstance(val, list):
+        raise ParseError(f"{where}.{key}: expected a list, got {val!r:.40}")
+    return val
 
 
 def _matrix_obj(arr: np.ndarray) -> dict:
@@ -60,11 +84,9 @@ def _matrix_obj(arr: np.ndarray) -> dict:
 
 
 def _matrix_from_obj(obj: dict, where: str = "matrix") -> np.ndarray:
-    rows = int(_require(obj, "rows", where))
-    cols = int(_require(obj, "cols", where))
-    if rows < 1 or cols < 1:
-        raise ParseError(f"{where}: rows and cols must be positive")
-    flat = _from_pairs(_require(obj, "data", where), rows * cols, where)
+    rows = _int(obj, "rows", where)
+    cols = _int(obj, "cols", where)
+    flat = _from_pairs(obj, "data", rows * cols, where)
     return flat.reshape(rows, cols)
 
 
@@ -79,9 +101,9 @@ def state_to_obj(psi: PureState) -> dict:
 
 
 def state_from_obj(obj: dict, where: str = "state") -> PureState:
-    da = int(_require(obj, "dim_a", where))
-    db = int(_require(obj, "dim_b", where))
-    amps = _from_pairs(_require(obj, "amps", where), da * db, where)
+    da = _int(obj, "dim_a", where)
+    db = _int(obj, "dim_b", where)
+    amps = _from_pairs(obj, "amps", da * db, where)
     return PureState(da, db, amps)
 
 
@@ -99,11 +121,12 @@ def register_state_to_obj(state: RegisterState) -> dict:
 
 
 def register_state_from_obj(obj: dict, where: str = "register_state") -> RegisterState:
-    dims = tuple(int(d) for d in _require(obj, "dims", where))
-    sides = tuple(str(s) for s in _require(obj, "sides", where))
+    raw = dict(enumerate(_list(obj, "dims", where)))
+    dims = tuple(_int(raw, i, f"{where}.dims") for i in raw)
+    sides = tuple(str(s) for s in _list(obj, "sides", where))
     total = int(np.prod(dims))
-    amps = _from_pairs(_require(obj, "amps", where), total, where)
-    names = tuple(obj["names"]) if "names" in obj else None
+    amps = _from_pairs(obj, "amps", total, where)
+    names = tuple(_list(obj, "names", where)) if "names" in obj else None
     return RegisterState(amps, dims, sides, names)
 
 
@@ -118,10 +141,10 @@ def density_to_obj(rho: DensityMatrix) -> dict:
 
 
 def density_from_obj(obj: dict, where: str = "density") -> DensityMatrix:
-    da = int(_require(obj, "dim_a", where))
-    db = int(_require(obj, "dim_b", where))
+    da = _int(obj, "dim_a", where)
+    db = _int(obj, "dim_b", where)
     d = da * db
-    flat = _from_pairs(_require(obj, "data", where), d * d, where)
+    flat = _from_pairs(obj, "data", d * d, where)
     try:
         return DensityMatrix(da, db, flat.reshape(d, d))
     except (InvalidInput, NotNormalized, NotPsd) as exc:
@@ -142,12 +165,12 @@ def psd_factorization_to_obj(f: PsdFactorization) -> dict:
 
 
 def psd_factorization_from_obj(obj: dict, where: str = "psd_factorization") -> PsdFactorization:
-    r = int(_require(obj, "r", where))
+    r = _int(obj, "r", where)
     cs = [_matrix_from_obj(c, f"{where}.cs[{i}]")
-          for i, c in enumerate(_require(obj, "cs", where))]
+          for i, c in enumerate(_list(obj, "cs", where))]
     ds = [_matrix_from_obj(d, f"{where}.ds[{i}]")
-          for i, d in enumerate(_require(obj, "ds", where))]
-    residual = float(_require(obj, "residual", where))
+          for i, d in enumerate(_list(obj, "ds", where))]
+    residual = _real(obj, "residual", where)
     return PsdFactorization(r=r, cs=tuple(cs), ds=tuple(ds), residual=residual)
 
 
@@ -166,11 +189,11 @@ def general_factorization_to_obj(f: GeneralFactorization) -> dict:
 def general_factorization_from_obj(
     obj: dict, where: str = "general_factorization"
 ) -> GeneralFactorization:
-    r = int(_require(obj, "r", where))
+    r = _int(obj, "r", where)
     a_mats = [_matrix_from_obj(a, f"{where}.a_mats[{i}]")
-              for i, a in enumerate(_require(obj, "a_mats", where))]
+              for i, a in enumerate(_list(obj, "a_mats", where))]
     b_mats = [_matrix_from_obj(b, f"{where}.b_mats[{i}]")
-              for i, b in enumerate(_require(obj, "b_mats", where))]
+              for i, b in enumerate(_list(obj, "b_mats", where))]
     return GeneralFactorization(r=r, a_mats=tuple(a_mats), b_mats=tuple(b_mats))
 
 
@@ -184,7 +207,7 @@ def channel_to_obj(ch: LocalChannel) -> dict:
 
 def channel_from_obj(obj: dict, where: str = "channel") -> LocalChannel:
     kraus = [_matrix_from_obj(k, f"{where}.kraus[{i}]")
-             for i, k in enumerate(_require(obj, "kraus", where))]
+             for i, k in enumerate(_list(obj, "kraus", where))]
     return LocalChannel(tuple(kraus))
 
 
@@ -211,7 +234,7 @@ def protocol_from_obj(obj: dict, base_dir: str = ".", where: str = "protocol") -
         return val
 
     seed_obj = sub("seed")
-    kind = seed_obj.get("kind")
+    kind = _require(seed_obj, "kind", f"{where}.seed")
     if kind == "state":
         seed: PureState | DensityMatrix = state_from_obj(seed_obj, f"{where}.seed")
     elif kind == "density":
@@ -220,11 +243,11 @@ def protocol_from_obj(obj: dict, base_dir: str = ".", where: str = "protocol") -
         raise ParseError(f"{where}.seed: unknown kind {kind!r}")
     return ProtocolSpec(
         seed=seed,
-        seed_size_qubits=int(_require(obj, "seed_size_qubits", where)),
+        seed_size_qubits=_int(obj, "seed_size_qubits", where, least=0),
         alice=channel_from_obj(sub("alice"), f"{where}.alice"),
         bob=channel_from_obj(sub("bob"), f"{where}.bob"),
         target=density_from_obj(sub("target"), f"{where}.target"),
-        eps=float(_require(obj, "eps", where)),
+        eps=_real(obj, "eps", where),
     )
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -41,8 +41,6 @@ REL_RANK_TOL = 1e-10
 #: Eigenvalues in [-EIG_CLAMP_TOL, 0) are clamped to zero in psd contexts;
 #: anything below -EIG_CLAMP_TOL is rejected as genuinely negative.
 EIG_CLAMP_TOL = 1e-10
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def as_complex_array(a, name: str = "input") -> np.ndarray:
@@ -58,8 +56,8 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def require_hermitian(h, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
-    """Validate that ``h`` is square and Hermitian within ``tol``.
+def require_hermitian(h, name: str = "matrix") -> np.ndarray:
+    """Validate that ``h`` is square and Hermitian within 1e-10.
 
     The tolerance is scaled by ``max(1, max|entry|)`` so that matrices of
     moderate norm are judged consistently.
@@ -69,8 +67,8 @@ def require_hermitian(h, tol: float = 1e-10, name: str = "matrix") -> np.ndarray
         raise InvalidInput(f"{name} must be square, got shape {arr.shape}")
     if arr.size:
         scale = max(1.0, float(np.abs(arr).max()))
-        if float(np.abs(arr - arr.conj().T).max()) > tol * scale:
-            raise InvalidInput(f"{name} is not Hermitian within {tol:g}")
+        if float(np.abs(arr - arr.conj().T).max()) > 1e-10 * scale:
+            raise InvalidInput(f"{name} is not Hermitian within 1e-10")
     return arr
 
 
@@ -96,15 +94,15 @@ def ceil_log2(n: int) -> int:
     return int(n - 1).bit_length()
 
 
-def rank_from_singulars(s, rel_tol: float = REL_RANK_TOL) -> int:
-    """Number of singular values above the relative threshold."""
+def rank_from_singulars(s) -> int:
+    """Number of singular values above ``REL_RANK_TOL`` times the largest."""
     arr = np.asarray(s, dtype=float)
     if arr.size == 0:
         return 0
     top = float(arr.max())
     if top <= 0.0:
         return 0
-    return int(np.count_nonzero(arr > rel_tol * top))
+    return int(np.count_nonzero(arr > REL_RANK_TOL * top))
 
 
 def matrix_rank(a) -> int:
@@ -391,114 +389,40 @@ def comp_reduction(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return coeff.reshape(d, d)
 
 
-StateLike = Union[DensityMatrix, RegisterState, np.ndarray]
-
-
-def partial_trace(
-    state: StateLike,
-    keep: Sequence[int],
-    dims: Sequence[int] | None = None,
-    out_split: tuple[int, int] | None = None,
-) -> DensityMatrix:
+def partial_trace(state: RegisterState | DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out every register not in ``keep`` and return the reduction.
 
-    Parameters
-    ----------
-    state:
-        A DensityMatrix, a RegisterState, a pure-state vector, or a square
-        density operator as an ndarray.
-    keep:
-        Indices of the registers to keep, in any order; the result is laid
-        out with kept registers in their original declared order.
-    dims:
-        Register dimensions. Required for raw ndarrays; inferred for
-        DensityMatrix ``(dim_a, dim_b)`` and RegisterState inputs.
-    out_split:
-        Bipartition ``(dim_a, dim_b)`` of the result. Defaults to the
-        A|B split of the kept registers when the input is a RegisterState
-        whose kept A registers all precede its kept B registers, and to
-        ``(K, 1)`` otherwise.
+    ``state`` is a RegisterState, or a DensityMatrix read as the two
+    registers ``(dim_a, dim_b)``; any other input raises InvalidInput.
+    ``keep`` lists register indices in any order; the result keeps them
+    in declared order. It is split as (kept A dims) x (kept B dims) when
+    every kept A register precedes every kept B register, and as (K, 1)
+    otherwise.
     """
-    sides = None
-    if isinstance(state, DensityMatrix):
-        mat, vec = state.mat, None
-        dims = (state.dim_a, state.dim_b) if dims is None else tuple(dims)
-        sides = ("A", "B") if dims == (state.dim_a, state.dim_b) else None
-    elif isinstance(state, RegisterState):
-        mat, vec = None, state.amps
-        dims = state.dims
-        sides = state.sides
+    if isinstance(state, RegisterState):
+        dims, sides = state.dims, state.sides
+    elif isinstance(state, DensityMatrix):
+        dims, sides = (state.dim_a, state.dim_b), ("A", "B")
     else:
-        arr = as_complex_array(state, "partial_trace input")
-        if dims is None:
-            raise InvalidInput("dims are required for raw array input")
-        dims = tuple(int(d) for d in dims)
-        if arr.ndim == 1:
-            mat, vec = None, arr
-        elif arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-            mat, vec = arr, None
-        else:
-            raise InvalidInput("state must be a vector or a square matrix")
-
+        raise InvalidInput("partial_trace expects a RegisterState or a DensityMatrix")
     n = len(dims)
-    total = int(np.prod(dims))
-    size = vec.size if vec is not None else mat.shape[0]
-    if total != size:
-        raise InvalidInput(f"register dims {dims} do not multiply to {size}")
     keep_list = sorted(set(int(k) for k in keep))
-    if not keep_list:
-        raise InvalidInput("keep must be a nonempty register subset")
-    if keep_list[0] < 0 or keep_list[-1] >= n:
-        raise InvalidInput(f"keep indices out of range for {n} registers")
-    traced = [i for i in range(n) if i not in keep_list]
-
-    if vec is not None:
-        tensor = vec.reshape(dims)
+    if not keep_list or keep_list[0] < 0 or keep_list[-1] >= n:
+        raise InvalidInput(f"keep must be a nonempty subset of the {n} registers")
+    if isinstance(state, RegisterState):
+        traced = [i for i in range(n) if i not in keep_list]
+        tensor = state.amps.reshape(dims)
         red = np.tensordot(tensor, tensor.conj(), axes=(traced, traced))
     else:
-        if 2 * n > len(_LETTERS):
-            raise InvalidInput("too many registers")
-        row, col, out_row, out_col = [], [], [], []
-        fresh = iter(_LETTERS)
-        for i in range(n):
-            if i in keep_list:
-                a, b = next(fresh), next(fresh)
-                row.append(a)
-                col.append(b)
-                out_row.append(a)
-                out_col.append(b)
-            else:
-                a = next(fresh)
-                row.append(a)
-                col.append(a)
-        eq = "".join(row + col) + "->" + "".join(out_row + out_col)
-        red = np.einsum(eq, mat.reshape(dims + dims))
-
+        eq = {(0,): "ijkj->ik", (1,): "ijil->jl", (0, 1): "ijkl->ijkl"}[tuple(keep_list)]
+        red = np.einsum(eq, state.mat.reshape(dims + dims))
     k = int(np.prod([dims[i] for i in keep_list]))
     red = red.reshape(k, k)
-
-    if out_split is None:
-        if sides is not None:
-            kept_sides = [sides[i] for i in keep_list]
-            if "B" not in kept_sides or "A" not in kept_sides:
-                da = k if "A" in kept_sides else 1
-                out_split = (da, k // da)
-            elif kept_sides.index("B") > max(
-                i for i, s in enumerate(kept_sides) if s == "A"
-            ):
-                da = int(
-                    np.prod(
-                        [dims[j] for i, j in enumerate(keep_list) if kept_sides[i] == "A"]
-                    )
-                )
-                out_split = (da, k // da)
-            else:
-                out_split = (k, 1)
-        else:
-            out_split = (k, 1)
-    if out_split[0] * out_split[1] != k:
-        raise InvalidInput(f"out_split {out_split} does not factor dimension {k}")
-    return DensityMatrix(out_split[0], out_split[1], red)
+    kept_sides = [sides[i] for i in keep_list]
+    if "B" in kept_sides and "A" in kept_sides[kept_sides.index("B"):]:
+        return DensityMatrix(k, 1, red)
+    da = int(np.prod([dims[i] for i in keep_list if sides[i] == "A"]))
+    return DensityMatrix(da, k // da, red)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -76,9 +76,6 @@ class LocalChannel:
     def out_dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k @ rho @ k.conj().T for k in self.kraus)
-
     @classmethod
     def identity(cls, dim: int) -> "LocalChannel":
         return cls((np.eye(dim, dtype=np.complex128),))

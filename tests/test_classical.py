@@ -321,7 +321,8 @@ def test_psd_rank_search_upper_at_most_planted_size(n, m, r, seed):
 def test_solver_config_rejects_out_of_domain_values():
     for field, value in (("starts", -5), ("max_iters", 0), ("max_iters", -2),
                          ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")),
-                         ("tol", float("inf")), ("tol", 0.5), ("tol", 2 * WITNESS_TOL)):
+                         ("tol", float("inf")), ("tol", 0.5), ("tol", 2 * WITNESS_TOL),
+                         ("seed", -1)):
         with pytest.raises(InvalidInput, match=field):
             SolverConfig(**{field: value})
     SolverConfig(starts=0, max_iters=1, tol=1e-12)
@@ -463,7 +464,7 @@ def test_planted_nonneg_rank_bounds_psd_rank(n, m, r, seed):
 
 
 def test_psd_fit_without_starts_returns_zero_factors():
-    # No inits, no random starts and r < min(n, m): nothing to run.
+    # No random starts and r < min(n, m): nothing to run.
     fact = psd_fit(THIRD_I3, 2, SolverConfig(starts=0))
     assert not any(mat.any() for mat in fact.cs + fact.ds)
     assert fact.residual == np.linalg.norm(THIRD_I3.p)

@@ -354,6 +354,7 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     ("--tol", "-1", "tol"),
     ("--tol", "nan", "tol"),
     ("--tol", "0.5", "tol"),
+    ("--seed", "-1", "seed"),
 ])
 def test_cli_rejects_out_of_domain_solver_settings(tmp_path, capsys, flag, value, field):
     rc = main(["--json", "psdrank", "--dist", _write_half_csv(tmp_path), flag, value])
@@ -361,6 +362,62 @@ def test_cli_rejects_out_of_domain_solver_settings(tmp_path, capsys, flag, value
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in captured.err
+
+
+def _malformed_protocol(tmp_path) -> dict:
+    path = tmp_path / "p.json"
+    assert main(["--json", "synth", "--dist", _write_half_csv(tmp_path),
+                 "--out-protocol", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["seed"] = [1, 2]
+    return obj
+
+
+@pytest.mark.parametrize("extra", [["nnrank"], ["synth"],
+                                   ["synth", "--factors", "missing.json"]])
+def test_cli_negative_seed_exits_2_on_the_other_solver_commands(tmp_path, capsys, extra):
+    rc = main(["--json", *extra, "--dist", _write_half_csv(tmp_path), "--seed", "-1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed" in captured.err
+
+
+@pytest.mark.parametrize("command, flag, make, field", [
+    ("schmidt", "--state", lambda tmp: {"format": "qcorr/1", "kind": "state",
+                                        "dim_a": "two", "dim_b": 2, "amps": []},
+     "state.dim_a"),
+    ("schmidt", "--state", lambda tmp: {"format": "qcorr/1", "kind": "state",
+                                        "dim_a": 2, "dim_b": -2, "amps": []},
+     "state.dim_b"),
+    ("extract", "--state", lambda tmp: {"format": "qcorr/1", "kind": "register_state",
+                                        "dims": 4, "sides": ["A"], "amps": []},
+     "register_state.dims"),
+    ("verify", "--protocol", _malformed_protocol, "protocol.seed"),
+], ids=["dim_a-string", "dim_b-negative", "dims-int", "seed-list"])
+def test_cli_rejects_malformed_qcorr1_field(tmp_path, capsys, command, flag, make, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(make(tmp_path)))
+    capsys.readouterr()
+    rc = main(["--json", command, flag, str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("reconstruct", "--factors"), ("simulate", "--protocol"), ("verify", "--protocol"),
+    ("synth", "--factors"),
+])
+def test_cli_rejects_a_file_of_the_wrong_kind(tmp_path, capsys, command, flag):
+    epr = _write_epr(tmp_path)
+    extra = ["--dist", _write_half_csv(tmp_path)] if command == "synth" else []
+    rc = main(["--json", command, *extra, flag, epr])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{epr} does not contain" in captured.err
 
 
 @pytest.mark.parametrize("command, value", [

@@ -157,9 +157,33 @@ def test_partial_trace_density_input():
     np.testing.assert_allclose(red.mat, np.eye(2) / 2, atol=1e-12)
 
 
-def test_partial_trace_dimension_mismatch():
+def test_partial_trace_rejects_ndarray():
     with pytest.raises(InvalidInput):
-        partial_trace(np.ones(6) / np.sqrt(6), keep=[0], dims=(2, 2))
+        partial_trace(np.ones(4) / 2, keep=[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(da=st.integers(1, 5), db=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_partial_trace_registers_and_density_agree(da, db, seed):
+    psi = random_pure_state(np.random.default_rng(seed), da, db)
+    for i, split in ((0, (da, 1)), (1, (1, db))):
+        from_regs = partial_trace(psi.to_registers(), [i])
+        from_rho = partial_trace(psi.to_density(), [i])
+        assert (from_regs.dim_a, from_regs.dim_b) == split
+        assert (from_rho.dim_a, from_rho.dim_b) == split
+        np.testing.assert_allclose(from_regs.mat, from_rho.mat, rtol=0, atol=1e-12)
+
+
+def test_partial_trace_splits():
+    rho = random_density_matrix(np.random.default_rng(23), 2, 3)
+    for keep, split in (([0], (2, 1)), ([1], (1, 3)), ([0, 1], (2, 3))):
+        red = partial_trace(rho, keep)
+        assert (red.dim_a, red.dim_b) == split
+    np.testing.assert_array_equal(partial_trace(rho, [0, 1]).mat, rho.mat)
+    amps = np.ones(12) / np.sqrt(12)
+    interleaved = RegisterState(amps, (2, 3, 2), ("A", "B", "A"))
+    red = partial_trace(interleaved, [0, 1, 2])
+    assert (red.dim_a, red.dim_b) == (12, 1)
 
 
 def test_fidelity_self_is_one():

@@ -430,7 +430,15 @@ def test_random_channels_preserve_trace_and_positivity():
         g = rng.standard_normal((d_in, d_in)) + 1j * rng.standard_normal((d_in, d_in))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        out = channel.apply(rho)
+        spec = ProtocolSpec(
+            seed=DensityMatrix(d_in, 1, rho),
+            seed_size_qubits=ceil_log2(d_in),
+            alice=channel,
+            bob=LocalChannel.identity(1),
+            target=DensityMatrix(d_out, 1, np.eye(d_out) / d_out),
+            eps=0.0,
+        )
+        out = apply_protocol(spec).mat
         assert abs(np.trace(out).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] >= -1e-9
 
