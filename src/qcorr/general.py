@@ -160,7 +160,9 @@ def canonical_purification(rho: DensityMatrix) -> Purification:
     |psi> = sum_k sqrt(lambda_k) |e_k>_(AB) (x) |k>_aux on registers
     (A, A1, B, B1) where A1 is the aux register of dimension rank(rho) and
     B1 is trivial: the amplitudes are those of ``rho.factor``. Tracing out
-    the aux registers reproduces rho.
+    the aux registers reproduces rho. A factor seeded by ``_built`` gives
+    one aux dimension per column of it instead, with the same Schmidt
+    coefficients across the cut.
     """
     if not isinstance(rho, DensityMatrix):
         raise InvalidInput("expected a DensityMatrix")

@@ -37,7 +37,8 @@ def _from_pairs(obj: Any, key: str, count: int, where: str) -> np.ndarray:
     out = np.empty(count, dtype=complex)
     for i, item in enumerate(data):
         if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(v, (int, float)) for v in item)):
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                           for v in item)):
             raise ParseError(f"{where}.{key}: entry {i} is not an [re, im] pair")
         out[i] = complex(item[0], item[1])
     return out
@@ -126,7 +127,11 @@ def register_state_from_obj(obj: dict, where: str = "register_state") -> Registe
     sides = tuple(str(s) for s in _list(obj, "sides", where))
     total = int(np.prod(dims))
     amps = _from_pairs(obj, "amps", total, where)
-    names = tuple(_list(obj, "names", where)) if "names" in obj else None
+    names = None
+    if "names" in obj:
+        names = tuple(_list(obj, "names", where))
+        if not all(isinstance(n, str) for n in names):
+            raise ParseError(f"{where}.names: expected strings, got {list(names)!r:.40}")
     return RegisterState(amps, dims, sides, names)
 
 

@@ -229,7 +229,10 @@ class DensityMatrix:
     @cached_property
     def factor(self) -> np.ndarray:
         """W = V_k sqrt(lam_k), one column per eigenvalue that
-        ``rank_from_singulars`` counts, so that mat ~ W W^dag."""
+        ``rank_from_singulars`` counts, so that mat ~ W W^dag. A matrix
+        from ``_built`` may carry the W it was built from instead, which
+        can have more columns than the rank (``apply_protocol`` seeds one
+        per acting Kraus pair)."""
         vals, vecs = eigh(self.mat)
         k = rank_from_singulars(vals)
         return vecs[:, :k] * np.sqrt(vals[:k])

@@ -6,10 +6,12 @@ at the declared fidelity slack verifies a protocol end to end; a
 single-qubit register transfer models communication, which can at most
 double the Schmidt rank per qubit moved. All simulation is dense and
 exact: "the distribution produced" always means the exact Born-rule
-diagonal, so acceptance checks carry no statistical noise. A channel
-acts through its transfer matrix sum_k K_k (x) conj(K_k), formed once
-per side, so a protocol costs |K_A| + |K_B| Kraus operators, not their
-product.
+diagonal, so acceptance checks carry no statistical noise. A pure seed
+psi is simulated through its output's factor W, one column
+(K_a (x) K_b) psi per Kraus pair that acts on it, with the output W W^dag;
+a mixed seed, or a pure one with more acting pairs than output dimensions,
+goes through one transfer matrix sum_k K_k (x) conj(K_k) per side, so it
+costs |K_A| + |K_B| Kraus operators, not their product.
 
 Every protocol is built by one function, ``protocol_from_purification``,
 from the Schmidt decomposition of a purification across the Alice|Bob
@@ -138,23 +140,51 @@ def _transfer(channel: LocalChannel) -> np.ndarray:
     return t.transpose(0, 2, 1, 3).reshape(o * o, i * i)
 
 
+def _pure_output_factor(spec: ProtocolSpec) -> np.ndarray | None:
+    """Factor W[(x, y), (a, b)] = (K_a Psi K_b^T)[x, y] of the output of a
+    pure seed with amplitude matrix Psi, over the Kraus operators that act
+    on it (K_a Psi != 0, K_b Psi^T != 0, tested exactly, so padding
+    operators drop out); None when W would have more columns than rows."""
+    seed = spec.seed
+    psi = seed.amps.reshape(seed.dim_a, seed.dim_b)
+    left = np.stack(spec.alice.kraus) @ psi  # left[a, x, j] = (K_a Psi)[x, j]
+    right = np.stack(spec.bob.kraus)  # right[b, y, j] = K_b[y, j]
+    acting_a = np.any(left, axis=(1, 2))
+    acting_b = np.any(right @ psi.T, axis=(1, 2))
+    rows = spec.alice.out_dim * spec.bob.out_dim
+    if np.count_nonzero(acting_a) * np.count_nonzero(acting_b) > rows:
+        return None
+    return np.einsum("axj,byj->xyab", left[acting_a], right[acting_b]).reshape(rows, -1)
+
+
 def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
     """Run the protocol: (Phi_A (x) Phi_B)(seed) on the target's space.
 
-    The seed sigma[(i, j), (I, J)] is contracted with Alice's transfer
-    matrix over (i, I), then with Bob's over (j, J): the cost grows with
-    |K_A| + |K_B|, not with the number of Kraus pairs. The output of a
-    pure seed is psd by construction and skips the psd check; that of a
-    mixed seed is checked, since a seed accepted at a least eigenvalue
-    just above -EIG_CLAMP_TOL can map below it.
+    A pure seed psi whose acting Kraus pairs are no more than the output
+    dimension gives the output W W^dag, with W the factor of one column
+    (K_a (x) K_b) psi per acting pair, scaled to unit trace; W seeds the
+    output's ``factor``. Any other seed sigma[(i, j), (I, J)] is
+    contracted with Alice's transfer matrix over (i, I), then with Bob's
+    over (j, J): the cost grows with |K_A| + |K_B|, not with the number
+    of Kraus pairs. The output of a pure seed is psd by construction and
+    skips the psd check; that of a mixed seed is checked, since a seed
+    accepted at a least eigenvalue just above -EIG_CLAMP_TOL can map
+    below it.
     """
     seed = spec.seed
     pure_seed = isinstance(seed, PureState)
-    sigma = np.outer(seed.amps, seed.amps.conj()) if pure_seed else seed.mat
     da, db = seed.dim_a, seed.dim_b
     oa, ob = spec.target.dim_a, spec.target.dim_b
     if spec.alice.out_dim != oa or spec.bob.out_dim != ob:
         raise InvalidInput("channel output dims do not match the target")
+    w = _pure_output_factor(spec) if pure_seed else None
+    if w is not None:
+        trace = float(np.vdot(w, w).real)
+        if abs(trace - 1.0) > 1e-9:
+            raise InvalidInput(f"protocol output trace {trace!r} deviates beyond 1e-9")
+        w = w / np.sqrt(trace)
+        return DensityMatrix._built(oa, ob, w @ w.conj().T, factor=w)
+    sigma = np.outer(seed.amps, seed.amps.conj()) if pure_seed else seed.mat
     s = sigma.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     out = (_transfer(spec.alice) @ s) @ _transfer(spec.bob).T
     out = out.reshape(oa, oa, ob, ob).transpose(0, 2, 1, 3).reshape(oa * ob, oa * ob)

@@ -394,7 +394,15 @@ def test_cli_negative_seed_exits_2_on_the_other_solver_commands(tmp_path, capsys
                                         "dims": 4, "sides": ["A"], "amps": []},
      "register_state.dims"),
     ("verify", "--protocol", _malformed_protocol, "protocol.seed"),
-], ids=["dim_a-string", "dim_b-negative", "dims-int", "seed-list"])
+    ("schmidt", "--state", lambda tmp: {"format": "qcorr/1", "kind": "state",
+                                        "dim_a": 1, "dim_b": 1, "amps": [[True, 0]]},
+     "state.amps: entry 0"),
+    ("extract", "--state", lambda tmp: {"format": "qcorr/1", "kind": "register_state",
+                                        "dims": [2, 2], "sides": ["A", "B"],
+                                        "amps": [[0.5, 0.0]] * 4, "names": [1, {"x": 1}]},
+     "register_state.names"),
+], ids=["dim_a-string", "dim_b-negative", "dims-int", "seed-list", "amps-bool",
+        "names-not-strings"])
 def test_cli_rejects_malformed_qcorr1_field(tmp_path, capsys, command, flag, make, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(make(tmp_path)))

@@ -152,6 +152,54 @@ def test_apply_protocol_matches_kraus_pair_sum(alice, bob, mixed, seed):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_pure_seed_output_factor_is_the_approximant(eps):
+    psi = random_pure_state(np.random.default_rng(149), 8, 64)
+    out = apply_protocol(synth_pure_protocol(psi, eps))
+    w = vars(out)["factor"]  # seeded by apply_protocol, not computed on access
+    assert w.shape == (8 * 64, 1)
+    phi = build_approximant(psi, eps)[0].amps
+    assert abs(np.vdot(phi, w[:, 0])) >= 1 - 1e-12
+
+
+def with_padding(channel: LocalChannel, extra: int) -> LocalChannel:
+    """The channel on ``extra`` more inputs, each sent to |0> by its own
+    padding Kraus operator."""
+    out_dim, in_dim = channel.out_dim, channel.in_dim
+    ops = [np.pad(k, ((0, 0), (0, extra))) for k in channel.kraus]
+    for i in range(extra):
+        pad = np.zeros((out_dim, in_dim + extra), dtype=np.complex128)
+        pad[0, in_dim + i] = 1.0
+        ops.append(pad)
+    return LocalChannel(tuple(ops))
+
+
+def test_padding_kraus_operators_leave_a_pure_seed_output_unchanged():
+    psi = random_pure_state(np.random.default_rng(151), 5, 3)
+    spec = synth_pure_protocol(psi, 0.0)
+    d = spec.seed.dim_a
+    amps = np.zeros((d + 2, d + 2), dtype=np.complex128)
+    amps[:d, :d] = spec.seed.amps.reshape(d, d)
+    padded = ProtocolSpec(PureState(d + 2, d + 2, amps.reshape(-1)), spec.seed_size_qubits,
+                          with_padding(spec.alice, 2), with_padding(spec.bob, 2),
+                          spec.target, spec.eps)
+    out, out_padded = apply_protocol(spec), apply_protocol(padded)
+    assert vars(out_padded)["factor"].shape == vars(out)["factor"].shape
+    np.testing.assert_allclose(out_padded.mat, out.mat, rtol=0, atol=1e-15)
+
+
+def test_pure_seed_with_more_acting_pairs_than_outputs_matches_kraus_pair_sum():
+    dist, fact = random_psd_factorization(np.random.default_rng(6), 6, 6, 3)
+    spec = protocol_from_purification(synth_from_psd(dist, fact))
+    psi = spec.seed.amps.reshape(spec.seed.dim_a, spec.seed.dim_b)
+    acting_a = sum(bool(np.any(k @ psi)) for k in spec.alice.kraus)
+    acting_b = sum(bool(np.any(k @ psi.T)) for k in spec.bob.kraus)
+    assert acting_a * acting_b > spec.target.dim
+    out = apply_protocol(spec)
+    assert "factor" not in vars(out)
+    np.testing.assert_allclose(out.mat, kraus_pair_sum(spec), rtol=0, atol=1e-12)
+
+
 def test_measure_computational_diagonal():
     rho = DensityMatrix(2, 2, np.diag([0.5, 0, 0, 0.5]))
     dist = measure_computational(rho)
