@@ -35,7 +35,6 @@ from .errors import (
 from .general import (
     GeneralFactorization,
     Purification,
-    assemble_purification,
     canonical_purification,
     factor_from_purification,
     factorization_norm,
@@ -106,7 +105,6 @@ __all__ = [
     "SolverConfig",
     "SvdResult",
     "apply_protocol",
-    "assemble_purification",
     "build_approximant",
     "canonical_purification",
     "ceil_log2",

@@ -31,13 +31,10 @@ import numpy as np
 from .errors import FactorizationMismatch, InvalidInput, NotNormalized
 from .linalg import (
     REL_RANK_TOL,
+    Purification,
     RegisterState,
-    absorbed_schmidt_vectors,
-    comp_aux_dims,
     hermitize,
-    psd_sqrt,
     require_psd,
-    schmidt_matrix,
 )
 
 #: Entries of a distribution below this are clamped to exact zeros.
@@ -611,14 +608,15 @@ def nonneg_rank_bounds(p: DistMatrix, cfg: SolverConfig | None = None) -> RankRe
                     cfg.tol)
 
 
-def synth_from_psd(p: DistMatrix, f: PsdFactorization) -> RegisterState:
+def synth_from_psd(p: DistMatrix, f: PsdFactorization) -> Purification:
     """Generating purification of the classical state of P from a psd witness.
 
-    Builds the pure state on registers (A, A', A1 | B, B', B1), dims
-    (n, n, r, m, m, r), whose reduction to (A, B) is exactly the classical
-    state with diagonal tr(C_x D_y). Columns of sqrt(C_x^T) feed the
-    Alice aux block and columns of sqrt(D_y) the Bob aux block, so the
-    Schmidt rank across the Alice|Bob cut is at most r.
+    Returns the pair a[x, (x', i), j] = delta_xx' sqrt(C_x^T)[i, j] and
+    b[y, (y', i), j] = delta_yy' sqrt(D_y)[i, j], scaled to unit norm, on
+    registers (A, A', A1 | B, B', B1) of dims (n, n, r, m, m, r). Its
+    reduction to (A, B) is exactly the classical state with diagonal
+    tr(C_x D_y), and its Schmidt rank across the Alice|Bob cut is at most r.
+    The dense state is built only on request (``Purification.to_state``).
     """
     if not isinstance(p, DistMatrix):
         raise InvalidInput("expected a DistMatrix")
@@ -630,40 +628,40 @@ def synth_from_psd(p: DistMatrix, f: PsdFactorization) -> RegisterState:
             f"residual {f.residual:.3e} exceeds {WITNESS_TOL:g}; refusing to synthesize"
         )
     n, m, r = p.n, p.m, f.r
-    v = np.stack([psd_sqrt(c.T) for c in f.cs])  # v[x, :, i] = i-th column
-    w = np.stack([psd_sqrt(d) for d in f.ds])
-    block = np.einsum("xai,ybi->xayb", v, w)
-    amps = np.zeros((n, n, r, m, m, r), dtype=np.complex128)
-    for x in range(n):
-        for y in range(m):
-            amps[x, x, :, y, y, :] = block[x, :, y, :]
-    flat = amps.reshape(-1)
-    norm = float(np.linalg.norm(flat))
+    # One stacked eigh for the square roots of every C_x^T and D_y, each
+    # checked psd when the factorization was built: clamp and take roots.
+    vals, vecs = np.linalg.eigh(np.concatenate([np.stack(f.cs).transpose(0, 2, 1),
+                                                np.stack(f.ds)]))
+    roots = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    v, w = roots[:n], roots[n:]  # v[x, :, i] = i-th column of sqrt(C_x^T)
+    norm = float(np.linalg.norm(np.einsum("xai,ybi->xayb", v, w)))
     if norm <= 0.0:
         raise FactorizationMismatch("factorization synthesizes the zero vector")
-    return RegisterState(
-        flat / norm,
-        dims=(n, n, r, m, m, r),
-        sides=("A", "A", "A", "B", "B", "B"),
+    return Purification(
+        np.einsum("xz,xij->xzij", np.eye(n), v).reshape(n, n * r, r) / norm,
+        np.einsum("yz,yij->yzij", np.eye(m), w).reshape(m, m * r, r),
+        dims_a=(n, n, r), dims_b=(m, m, r),
         names=("A", "A'", "A1", "B", "B'", "B1"),
     )
 
 
-def gram_extract(state: RegisterState) -> PsdFactorization:
+def gram_extract(purif: Purification | RegisterState) -> PsdFactorization:
     """Read a psd factorization off a purification.
 
-    The first register on each side is the computational one; the rest of
-    that side is its aux block. With coefficient-absorbed Schmidt vectors
-    v_x^i (the aux slice of the i-th left vector at computational index x)
-    and w_y^i on the right, the Gram families C_x(j, i) = <v_x^j|v_x^i>
-    and D_y(i, j) = <w_y^j|w_y^i> are psd and reproduce the
-    computational-basis outcome probabilities as tr(C_x D_y).
+    With coefficient-absorbed Schmidt vectors v_x^i (the aux slice of the
+    i-th left vector at computational index x) and w_y^i on the right, the
+    Gram families C_x(j, i) = <v_x^j|v_x^i> and D_y(i, j) = <w_y^j|w_y^i>
+    are psd and reproduce the computational-basis outcome probabilities as
+    tr(C_x D_y). The residual is taken against the distribution of the held
+    pair, P(x, y) = sum_ij (a_x^dag a_x)[j, i] (b_y^dag b_y)[j, i], so it
+    cross-checks the Schmidt form. A RegisterState goes through
+    ``Purification.from_state``: it must have unit norm within 1e-10
+    (NotNormalized otherwise) and be nonzero (InvalidInput).
     """
-    norm = state.norm()
-    if abs(norm - 1.0) > 1e-9:
-        raise NotNormalized(f"state norm {norm!r} deviates from 1 beyond 1e-9")
-    n, m, ka, kb = comp_aux_dims(state)
-    v, w = absorbed_schmidt_vectors(state)
-    probs = np.abs(schmidt_matrix(state).reshape(n, ka, m, kb)) ** 2
+    if isinstance(purif, RegisterState):
+        purif = Purification.from_state(purif)
+    ga = np.einsum("xaj,xai->xji", purif.a.conj(), purif.a)
+    gb = np.einsum("ybj,ybi->yji", purif.b.conj(), purif.b)
+    vw = purif.schmidt_pair()
     # D_y(i, j) = <w_y^j|w_y^i> is the Gram matrix of conj(w_y).
-    return _witness(v, w.conj(), probs.sum(axis=(1, 3)))
+    return _witness(vw.a, vw.b.conj(), np.einsum("xji,yji->xy", ga, gb).real)

@@ -150,10 +150,10 @@ def cmd_synth(args) -> dict:
     cfg = _solver_config(args)  # checked even when --factors skips the search
     factors = (_load(args.factors, PsdFactorization, "a psd factorization") if args.factors
                else psd_rank_search(dist, cfg).witness)
-    psi = synth_from_psd(dist, factors)
-    spec = protocol_from_purification(psi, eps=args.eps)
+    purif = synth_from_psd(dist, factors)
+    spec = protocol_from_purification(purif, eps=args.eps)
     if args.out_state:
-        io.save(args.out_state, psi)
+        io.save(args.out_state, purif.to_state())
     if args.out_protocol:
         io.save(args.out_protocol, spec)
     return {
@@ -175,7 +175,7 @@ def cmd_extract(args) -> dict:
         result: dict = {"r": fact.r, "residual": fact.residual}
         payload = fact
     else:
-        fact = factor_from_purification(Purification(state))
+        fact = factor_from_purification(Purification.from_state(state))
         result = {"r": fact.r}
         payload = fact
     if args.out:

@@ -19,16 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import psd_rank_search, synth_from_psd, validate_dist, SolverConfig
-from .errors import InvalidInput, NotNormalized
+from .errors import InvalidInput
 from .linalg import (
     DensityMatrix,
-    RegisterState,
-    absorbed_schmidt_vectors,
+    Purification,
     as_complex_array,
     ceil_log2,
-    comp_aux_dims,
     comp_reduction,
-    schmidt_rank,
 )
 
 
@@ -86,21 +83,6 @@ def factorization_norm(f: GeneralFactorization) -> float:
     return float(np.trace(sa.T @ sb).real)
 
 
-def assemble_purification(f: GeneralFactorization) -> RegisterState:
-    """Explicit pure state on (A, A1 | B, B1) whose reduction the
-    factorization encodes: amplitudes sum_i A_x[:, i] (x) B_y[:, i] laid
-    out on registers of dims (dim_a, k_a, dim_b, k_b). Not normalized."""
-    a = np.stack(f.a_mats)  # (dim_a, k_a, r)
-    b = np.stack(f.b_mats)
-    amps = np.einsum("xai,ybi->xayb", a, b)
-    return RegisterState(
-        amps.reshape(-1),
-        dims=(f.dim_a, f.rows_a, f.dim_b, f.rows_b),
-        sides=("A", "A", "B", "B"),
-        names=("A", "A1", "B", "B1"),
-    )
-
-
 def reconstruct_from_factors(f: GeneralFactorization) -> DensityMatrix:
     """Density matrix encoded by a factorization.
 
@@ -121,39 +103,6 @@ def reconstruct_from_factors(f: GeneralFactorization) -> DensityMatrix:
     return DensityMatrix(f.dim_a, f.dim_b, mat / trace)
 
 
-@dataclass(frozen=True)
-class Purification:
-    """Normalized pure state with a declared Alice|Bob cut whose reduction
-    to the computational registers (the first register on each side) is
-    the state being purified."""
-
-    state: RegisterState
-
-    def __post_init__(self):
-        comp_aux_dims(self.state)  # raises unless both sides hold registers
-        norm = self.state.norm()
-        if abs(norm - 1.0) > 1e-10:
-            raise NotNormalized(f"purification norm {norm!r} deviates from 1")
-
-    @property
-    def dim_a(self) -> int:
-        return comp_aux_dims(self.state)[0]
-
-    @property
-    def dim_b(self) -> int:
-        return comp_aux_dims(self.state)[1]
-
-    def reduction(self) -> DensityMatrix:
-        """The purified state on (computational A) (x) (computational B),
-        read off the Schmidt factors of the cut and divided by the squared
-        norm, so its trace is 1 to rounding."""
-        mat = comp_reduction(*absorbed_schmidt_vectors(self.state))
-        return DensityMatrix(self.dim_a, self.dim_b, mat / self.state.norm() ** 2)
-
-    def srank(self) -> int:
-        return schmidt_rank(self.state)
-
-
 def canonical_purification(rho: DensityMatrix) -> Purification:
     """Spectral purification with all purifying freedom on Alice's side.
 
@@ -162,18 +111,16 @@ def canonical_purification(rho: DensityMatrix) -> Purification:
     B1 is trivial: the amplitudes are those of ``rho.factor``. Tracing out
     the aux registers reproduces rho. A factor seeded by ``_built`` gives
     one aux dimension per column of it instead, with the same Schmidt
-    coefficients across the cut.
+    coefficients across the cut. The pair is read straight off the factor
+    W: a[x, k, y] = W[(x, y), k] and b[y, 0, y'] = delta_yy', so the
+    Schmidt rank is at most dim_b.
     """
     if not isinstance(rho, DensityMatrix):
         raise InvalidInput("expected a DensityMatrix")
     da, db, k = rho.dim_a, rho.dim_b, rho.factor.shape[1]
-    amps = np.transpose(rho.factor.reshape(da, db, k), (0, 2, 1))  # (x, aux, y)
-    flat = amps.reshape(-1) / float(np.linalg.norm(amps))
-    state = RegisterState(
-        flat, dims=(da, k, db, 1), sides=("A", "A", "B", "B"),
-        names=("A", "A1", "B", "B1"),
-    )
-    return Purification(state)
+    a = np.transpose(rho.factor.reshape(da, db, k), (0, 2, 1))  # (x, aux, y)
+    return Purification(a / float(np.linalg.norm(a)), np.eye(db).reshape(db, 1, db),
+                        names=("A", "A1", "B", "B1"))
 
 
 def factor_from_purification(p: Purification) -> GeneralFactorization:
@@ -184,8 +131,8 @@ def factor_from_purification(p: Purification) -> GeneralFactorization:
     ``reconstruct_from_factors`` of the result equals the purification's
     reduction.
     """
-    a, b = absorbed_schmidt_vectors(p.state)
-    return GeneralFactorization(r=a.shape[2], a_mats=tuple(a), b_mats=tuple(b))
+    pair = p.schmidt_pair()
+    return GeneralFactorization(r=pair.a.shape[2], a_mats=tuple(pair.a), b_mats=tuple(pair.b))
 
 
 def _is_classical(rho: DensityMatrix) -> bool:
@@ -213,5 +160,5 @@ def q_upper_bound(
         if report.witness is not None:
             q_psd = ceil_log2(report.upper)
             if q_psd <= q_spectral:
-                return q_psd, Purification(synth_from_psd(dist, report.witness))
+                return q_psd, synth_from_psd(dist, report.witness)
     return q_spectral, purif

@@ -2,9 +2,10 @@
 
 Singular value decomposition, Hermitian eigendecomposition, positive
 semi-definite square roots, partial traces over declared registers,
-Schmidt cuts and the reductions their factors encode, and Uhlmann
-fidelity. Everything here is a pure function of plain numpy arrays plus a
-few small frozen dataclasses; all other modules build on this layer.
+Schmidt cuts and the reductions their factors encode, purifications held
+as their factor pair, and Uhlmann fidelity. Everything here is a pure
+function of plain numpy arrays plus a few small frozen dataclasses; all
+other modules build on this layer.
 
 Conventions
 -----------
@@ -23,6 +24,11 @@ Conventions
   ``DensityMatrix._built``. One factor: ``DensityMatrix.factor`` keeps
   the eigenvalues the rank rule above counts. Fidelity, purification and
   seed ranks read that factor.
+* One representation of a purification: the pair (a, b) of
+  ``Purification``, whose Schmidt form comes from two thin QRs and an
+  r x r SVD, or is kept from the decomposition that made the pair. A
+  dense ``RegisterState`` is decomposed once, by
+  ``Purification.from_state``, and built only for files and tests.
 """
 
 from __future__ import annotations
@@ -354,42 +360,137 @@ def schmidt_rank(state: RegisterState) -> int:
     return cut_svd(state).rank
 
 
-def absorbed_schmidt_vectors(state: RegisterState) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient-absorbed Schmidt vectors of the declared cut, read as
-    comp-major factor families.
-
-    Returns ``(a, b)`` of shapes (n, ka, r) and (m, kb, r) (see
-    ``comp_aux_dims``): ``a[x, :, i]`` is the aux block at computational
-    index x of sqrt(s_i) u_i, and ``b[y, :, i]`` that of
-    sqrt(s_i) conj(v_i), so that the state equals
-    sum_i a[:, :, i] (x) b[:, :, i].
-    """
-    n, m, ka, kb = comp_aux_dims(state)
-    res = cut_svd(state)
-    r = res.rank
-    if r == 0:
-        raise InvalidInput("zero state has no Schmidt vectors")
-    root = np.sqrt(res.singulars[:r])
-    a = (res.left[:, :r] * root).reshape(n, ka, r)
-    b = (res.right[:, :r].conj() * root).reshape(m, kb, r)
-    return a, b
-
-
 def comp_reduction(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Reduction to the computational registers of sum_i a[:, :, i] (x)
     b[:, :, i], without forming that state.
 
-    ``a`` is (n, ka, r) and ``b`` is (m, kb, r), as from
-    ``absorbed_schmidt_vectors``. Returns the (n m) x (n m) matrix
+    ``a`` is (n, ka, r) and ``b`` is (m, kb, r), as in ``Purification``.
+    Returns the (n m) x (n m) matrix
     rho[(x, y), (x', y')] = sum_ij (a_x'^dag a_x)[j, i] (b_y'^dag b_y)[j, i]
     in the basis index ``x * m + y``; its trace is the squared norm of the
-    state.
+    state. Two matrix products form every Gram block, a third sums them.
     """
-    ga = np.einsum("paj,xai->pxji", a.conj(), a)  # (a_x'^dag a_x)[j, i]
-    gb = np.einsum("qbj,ybi->qyji", b.conj(), b)
-    coeff = np.einsum("pxji,qyji->xypq", ga, gb)
-    d = a.shape[0] * b.shape[0]
-    return coeff.reshape(d, d)
+    def grams(f):  # g[(x, x'), (j, i)] = (f_x'^dag f_x)[j, i]
+        k, aux, r = f.shape
+        flat = f.transpose(1, 0, 2).reshape(aux, k * r)
+        return (flat.conj().T @ flat).reshape(k, r, k, r).transpose(2, 0, 1, 3).reshape(k * k, r * r)
+
+    n, m = a.shape[0], b.shape[0]
+    coeff = grams(a) @ grams(b).T  # coeff[(x, x'), (y, y')]
+    return coeff.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+
+
+@dataclass(frozen=True)
+class Purification:
+    """Normalized pure state sum_i a[:, :, i] (x) b[:, :, i] across the
+    Alice|Bob cut, held as its factor pair.
+
+    ``a`` is (n, ka, r) and ``b`` is (m, kb, r): a[x, alpha, i] is the
+    i-th term's amplitude at Alice's computational index x and aux index
+    alpha, and b the same for Bob, so the Schmidt rank is at most r. The
+    reduction to the computational registers is the state purified.
+    Construction checks the shapes, finiteness and unit norm within 1e-10.
+
+    ``dims_a`` and ``dims_b`` are each side's register dims, the
+    computational register first, by default (n, ka) and (m, kb);
+    ``names`` names Alice's registers, then Bob's. Only the dense state
+    (``amps``, ``to_state``, Alice's registers before Bob's) reads them; the
+    library reads the pair and its cached ``schmidt`` form.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    dims_a: tuple[int, ...] | None = None
+    dims_b: tuple[int, ...] | None = None
+    names: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        a = as_complex_array(self.a, "purification factor a")
+        b = as_complex_array(self.b, "purification factor b")
+        if a.ndim != 3 or b.ndim != 3 or a.shape[2] != b.shape[2] or 0 in a.shape + b.shape:
+            raise InvalidInput(f"factor shapes {a.shape} and {b.shape} are not "
+                               "nonempty (n, ka, r) and (m, kb, r)")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        for field, f in (("dims_a", a), ("dims_b", b)):
+            dims = f.shape[:2] if getattr(self, field) is None else tuple(getattr(self, field))
+            if dims[:1] != f.shape[:1] or int(np.prod(dims[1:])) != f.shape[1]:
+                raise InvalidInput(f"registers {dims} do not lay out a factor of shape {f.shape}")
+            object.__setattr__(self, field, dims)
+        # |sum_i a_i (x) b_i|^2 = sum_ij (a^dag a)_ij (b^dag b)_ij
+        ga, gb = (f.reshape(-1, f.shape[2]).conj().T @ f.reshape(-1, f.shape[2]) for f in (a, b))
+        norm = float(np.sqrt(max(np.sum(ga * gb).real, 0.0)))
+        if abs(norm - 1.0) > 1e-10:
+            raise NotNormalized(f"purification norm {norm!r} deviates from 1")
+
+    @classmethod
+    def _of_schmidt(cls, res: SvdResult, n: int, ka: int, m: int, kb: int,
+                    **layout) -> "Purification":
+        """The pair of coefficient-absorbed Schmidt vectors sqrt(s_i) u_i and
+        sqrt(s_i) conj(v_i) of a Schmidt form of the (n ka) x (m kb) cut
+        matrix, which it keeps as its ``schmidt``."""
+        t = res.rank
+        root = np.sqrt(res.singulars[:t])
+        purif = cls((res.left[:, :t] * root).reshape(n, ka, t),
+                    (res.right[:, :t].conj() * root).reshape(m, kb, t), **layout)
+        vars(purif)["schmidt"] = SvdResult(res.left[:, :t], res.singulars[:t], res.right[:, :t])
+        return purif
+
+    @classmethod
+    def from_state(cls, state: RegisterState) -> "Purification":
+        """The coefficient-absorbed Schmidt pair of a dense state, on its
+        registers with Alice's before Bob's: the one place a dense state is
+        decomposed (``cut_svd``). A zero state raises InvalidInput."""
+        n, m, ka, kb = comp_aux_dims(state)
+        res = cut_svd(state)
+        if res.rank == 0:
+            raise InvalidInput("zero state has no Schmidt vectors")
+        regs_a, regs_b = state.registers_on("A"), state.registers_on("B")
+        names = None if state.names is None else tuple(state.names[i] for i in regs_a + regs_b)
+        return cls._of_schmidt(res, n, ka, m, kb, names=names,
+                               dims_a=tuple(state.dims[i] for i in regs_a),
+                               dims_b=tuple(state.dims[i] for i in regs_b))
+
+    @cached_property
+    def schmidt(self) -> SvdResult:
+        """Schmidt form across the cut, one column per counted coefficient:
+        the (n ka) x (m kb) cut matrix a b^T equals left diag(singulars)
+        right^dag. From thin QRs a = Q_a R_a, b = Q_b R_b and an SVD of the
+        r x r matrix R_a R_b^T, unless the pair was made from a Schmidt
+        form (``from_state``), which it then keeps."""
+        (n, ka, r), (m, kb, _) = self.a.shape, self.b.shape
+        qa, ra = np.linalg.qr(self.a.reshape(n * ka, r))
+        qb, rb = np.linalg.qr(self.b.reshape(m * kb, r))
+        u, s, vh = np.linalg.svd(ra @ rb.T)
+        t = rank_from_singulars(s)
+        return SvdResult(left=qa @ u[:, :t], singulars=s[:t],
+                         right=qb.conj() @ vh[:t].conj().T)
+
+    def srank(self) -> int:
+        return self.schmidt.rank
+
+    def schmidt_pair(self) -> "Purification":
+        """The same state held as its coefficient-absorbed Schmidt vectors:
+        factors of shapes (n, ka, t) and (m, kb, t), t the Schmidt rank."""
+        return Purification._of_schmidt(self.schmidt, *self.a.shape[:2], *self.b.shape[:2])
+
+    def reduction(self) -> DensityMatrix:
+        """The purified state on (computational A) (x) (computational B),
+        (x, y) ordered, read off the pair and divided by its trace, the
+        squared norm. Psd by construction, so it skips the psd check."""
+        mat = comp_reduction(self.a, self.b)
+        return DensityMatrix._built(self.a.shape[0], self.b.shape[0],
+                                    mat / float(np.trace(mat).real))
+
+    @cached_property
+    def amps(self) -> np.ndarray:
+        """Dense amplitudes, Alice's registers before Bob's, built on first use."""
+        return (self.a.reshape(-1, self.a.shape[2]) @ self.b.reshape(-1, self.b.shape[2]).T).reshape(-1)
+
+    def to_state(self) -> RegisterState:
+        """The dense state on the declared registers."""
+        sides = ("A",) * len(self.dims_a) + ("B",) * len(self.dims_b)
+        return RegisterState(self.amps, self.dims_a + self.dims_b, sides, self.names)
 
 
 def partial_trace(state: RegisterState | DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

@@ -18,6 +18,7 @@ from .errors import InvalidInput, NotNormalized
 from .linalg import (
     DensityMatrix,
     RegisterState,
+    SvdResult,
     as_complex_array,
     ceil_log2,
     density_from_pure,
@@ -192,6 +193,19 @@ def q_eps(psi: PureState, eps: float) -> int:
     return ceil_log2(srank_eps(psi, eps))
 
 
+def _truncation(psi: PureState, eps: float) -> SvdResult:
+    """Schmidt form of the approximant of ``build_approximant``: the
+    r' = max(srank_eps(psi, eps), 1) leading Schmidt terms of psi with
+    their coefficients renormalized, as the SVD of its amplitude matrix.
+    ``sim.synth_pure_protocol`` reads it as a pair, so psi is decomposed
+    once per protocol."""
+    form = schmidt_decompose(psi)
+    cum = np.cumsum(form.coeffs)
+    r = max(_min_terms(cum, _kept_weight(eps)), 1)
+    return SvdResult(left=form.left[:, :r], singulars=np.sqrt(form.coeffs[:r] / float(cum[r - 1])),
+                     right=form.right[:, :r].conj())
+
+
 def build_approximant(psi: PureState, eps: float) -> tuple[PureState, float]:
     """Best low-Schmidt-rank approximant of ``psi`` at accuracy ``eps``.
 
@@ -200,11 +214,6 @@ def build_approximant(psi: PureState, eps: float) -> tuple[PureState, float]:
     the square root of the retained coefficient mass and is >= 1 - eps.
     For eps >= 1 the single leading term is kept.
     """
-    form = schmidt_decompose(psi)
-    cum = np.cumsum(form.coeffs)
-    r = max(_min_terms(cum, _kept_weight(eps)), 1)
-    weights = np.sqrt(form.coeffs[:r] / float(cum[r - 1]))
-    mat = (form.left[:, :r] * weights) @ form.right[:, :r].T
-    phi = PureState(psi.dim_a, psi.dim_b, mat.reshape(-1))
+    phi = PureState(psi.dim_a, psi.dim_b, _truncation(psi, eps).reconstruct().reshape(-1))
     fid = float(abs(np.vdot(psi.amps, phi.amps)))
     return phi, fid

@@ -15,10 +15,11 @@ costs |K_A| + |K_B| Kraus operators, not their product.
 
 Every protocol is built by one function, ``protocol_from_purification``,
 from the Schmidt decomposition of a purification across the Alice|Bob
-cut, computed on the support of the cut matrix. A pure target is
-generated through its truncated Schmidt sum (``synth_pure_protocol``);
-a mixed or classical target is the reduction that the Schmidt factors
-encode, read off them without forming the state's density matrix.
+cut, which a ``Purification`` computes from its factor pair without
+forming the dense state. A pure target is generated through its truncated
+Schmidt pair (``synth_pure_protocol``); a mixed or classical target is the
+reduction that the Schmidt factors encode, read off them without forming
+the state's density matrix.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from .classical import DistMatrix, validate_dist
 from .errors import InvalidInput
 from .linalg import (
     DensityMatrix,
+    Purification,
     RegisterState,
     as_complex_array,
     ceil_log2,
-    comp_aux_dims,
     comp_reduction,
-    cut_svd,
     fidelity,
     hermitize,
     partial_trace,
@@ -45,7 +45,7 @@ from .linalg import (
 )
 # srank_eps is not used here, but stays importable from this module:
 # benchmarks/tracing.py wraps the name on this module too.
-from .pure import PureState, build_approximant, require_eps, srank_eps  # noqa: F401
+from .pure import PureState, _truncation, require_eps, srank_eps  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -245,43 +245,48 @@ def synth_pure_protocol(psi: PureState, eps: float) -> ProtocolSpec:
     """Protocol generating ``psi`` within fidelity 1 - eps from the
     smallest possible seed.
 
-    The protocol of the purification ``build_approximant(psi, eps)``, with
-    ``psi`` as its target: the seed is the Schmidt-diagonal state of the
-    truncated approximant, padded to full qubits per side, and the local
-    channels rotate the seed basis onto the approximant's Schmidt vectors.
-    The declared seed size is exactly the generation complexity of ``psi``
-    at accuracy eps. For eps >= 1 the approximant is the leading Schmidt
-    term, generated from no seed qubits.
+    The protocol of the approximant of ``build_approximant(psi, eps)``,
+    with ``psi`` as its target, built from the approximant's Schmidt pair,
+    so psi is decomposed once. The seed is the Schmidt-diagonal state of
+    the approximant, padded to full qubits per side, and the local channels
+    rotate the seed basis onto the approximant's Schmidt vectors. The
+    declared seed size is exactly the generation complexity of ``psi`` at
+    accuracy eps. For eps >= 1 the approximant is the leading Schmidt term,
+    generated from no seed qubits.
     """
-    phi, _ = build_approximant(psi, eps)
-    return protocol_from_purification(phi.to_registers(), psi.to_density(), eps)
+    pair = Purification._of_schmidt(_truncation(psi, eps), psi.dim_a, 1, psi.dim_b, 1)
+    return protocol_from_purification(pair, psi.to_density(), eps)
 
 
-def protocol_from_purification(
-    state: RegisterState, target: DensityMatrix | None = None, eps: float = 0.0
-) -> ProtocolSpec:
+def protocol_from_purification(purif: Purification | RegisterState,
+                               target: DensityMatrix | None = None,
+                               eps: float = 0.0) -> ProtocolSpec:
     """Protocol realizing the reduction of a purification.
 
     The seed is the Schmidt-diagonal state of the purification across the
-    Alice|Bob cut; each party's channel rotates its seed register onto its
-    Schmidt vectors and then traces out everything but the computational
-    register (the first register on its side). The declared seed size is
-    ceil(log2) of the purification's Schmidt rank. The default target is
-    the reduction to the computational registers, (x, y) ordered, read off
-    the same Schmidt vectors. Seed and target both use the Schmidt
-    coefficients divided by their norm, the norm of the state.
+    Alice|Bob cut, from its pair's ``schmidt`` form; each party's channel
+    rotates its seed register onto its Schmidt vectors and then traces out
+    its aux block, keeping the computational register. The declared seed
+    size is ceil(log2) of the Schmidt rank. The default target is the
+    reduction to the computational registers, (x, y) ordered, read off the
+    same Schmidt vectors; it is psd by construction and skips the psd
+    check. Seed and target both use the Schmidt coefficients divided by
+    their norm, the norm of the state. A RegisterState of any nonzero norm
+    is scaled to unit norm and goes through ``Purification.from_state``,
+    which refuses a zero state.
     """
-    n, m, ka, kb = comp_aux_dims(state)
-    res = cut_svd(state)
+    if isinstance(purif, RegisterState):
+        scale = purif.norm() or 1.0
+        purif = Purification.from_state(
+            RegisterState(purif.amps / scale, purif.dims, purif.sides, purif.names))
+    (n, ka, _), (m, kb, _) = purif.a.shape, purif.b.shape
+    res = purif.schmidt
     t = res.rank
-    if t == 0:
-        raise InvalidInput("zero state cannot seed a protocol")
-    coeffs = res.singulars[:t] / float(np.linalg.norm(res.singulars[:t]))
-    left = res.left[:, :t]
-    right = res.right[:, :t].conj()
+    coeffs = res.singulars / float(np.linalg.norm(res.singulars))
+    left, right = res.left, res.right.conj()
     if target is None:
-        target = DensityMatrix(n, m, comp_reduction((left * coeffs).reshape(n, ka, t),
-                                                    right.reshape(m, kb, t)))
+        target = DensityMatrix._built(n, m, comp_reduction(
+            (left * coeffs).reshape(n, ka, t), right.reshape(m, kb, t)))
 
     d = 2 ** ceil_log2(t)
     seed_amps = np.zeros((d, d), dtype=np.complex128)

@@ -16,8 +16,8 @@ from qcorr.classical import (
     synth_from_psd,
     validate_dist,
 )
-from qcorr.general import assemble_purification, reconstruct_from_factors
-from qcorr.linalg import ceil_log2, partial_trace, schmidt_rank
+from qcorr.general import reconstruct_from_factors
+from qcorr.linalg import Purification, ceil_log2, partial_trace, schmidt_rank
 from qcorr.pure import (
     build_approximant,
     q_eps,
@@ -106,7 +106,7 @@ def test_criterion_3_classical_synthesis_round_trip():
         r = int(rng.integers(1, 5))
         dist, fact = random_psd_factorization(rng, n, m, r)
         state = synth_from_psd(dist, fact)
-        red = partial_trace(state, keep=[0, 3])
+        red = partial_trace(state.to_state(), keep=[0, 3])
         off = red.mat - np.diag(np.diag(red.mat))
         if np.linalg.norm(off) > 1e-8:
             ok = False
@@ -116,7 +116,7 @@ def test_criterion_3_classical_synthesis_round_trip():
         extracted = gram_extract(state)
         if np.abs(extracted.trace_products() - dist.p).max() > 1e-8:
             ok = False
-        if schmidt_rank(state) > r:
+        if schmidt_rank(state.to_state()) > r:
             ok = False
     _report(3, "psd synthesis and Gram extraction round trip", ok,
             time.time() - t0, 30)
@@ -161,7 +161,8 @@ def test_criterion_5_factorization_reconstruction():
             ok = False
         if abs(np.trace(rho.mat).real - 1.0) > 1e-9:
             ok = False
-        red = partial_trace(assemble_purification(fact), keep=[0, 2])
+        purif = Purification(np.stack(fact.a_mats), np.stack(fact.b_mats))
+        red = partial_trace(purif.to_state(), keep=[0, 2])
         if np.abs(rho.mat - red.mat).max() > 1e-9:
             ok = False
     _report(5, "factorization reconstruction matches purification", ok,

@@ -25,7 +25,7 @@ from qcorr.classical import (
     validate_dist,
 )
 from qcorr.errors import FactorizationMismatch, InvalidInput, NotNormalized
-from qcorr.linalg import ceil_log2, partial_trace, schmidt_rank
+from qcorr.linalg import ceil_log2, partial_trace, psd_sqrt, schmidt_rank
 from qcorr.rand import random_psd_factorization
 
 UNIFORM = validate_dist([[0.25, 0.25], [0.25, 0.25]])
@@ -333,16 +333,16 @@ def test_synth_trivial_point_mass():
     dist = DistMatrix(1, 1, np.array([[1.0]]))
     fact = PsdFactorization(r=1, cs=(np.array([[1.0]]),), ds=(np.array([[1.0]]),),
                             residual=0.0)
-    state = synth_from_psd(dist, fact)
+    state = synth_from_psd(dist, fact).to_state()
     assert state.dims == (1, 1, 1, 1, 1, 1)
     np.testing.assert_allclose(state.amps, [1.0], atol=1e-12)
 
 
 def test_synth_half_i2_diagonal_witness():
     state = synth_from_psd(HALF_I2, diagonal_half_i2_factorization())
-    red = partial_trace(state, keep=[0, 3])
+    red = partial_trace(state.to_state(), keep=[0, 3])
     np.testing.assert_allclose(red.mat, np.diag([0.5, 0, 0, 0.5]), atol=1e-10)
-    assert schmidt_rank(state) == 2
+    assert schmidt_rank(state.to_state()) == 2
 
 
 def test_synth_random_factorizations_reproduce_trace_form():
@@ -352,10 +352,37 @@ def test_synth_random_factorizations_reproduce_trace_form():
         r = int(rng.integers(1, 4))
         dist, fact = random_psd_factorization(rng, n, m, r)
         state = synth_from_psd(dist, fact)
-        red = partial_trace(state, keep=[0, 3])
+        red = partial_trace(state.to_state(), keep=[0, 3])
         diag = np.real(np.diag(red.mat)).reshape(n, m)
         np.testing.assert_allclose(diag, fact.trace_products(), atol=1e-8)
-        assert schmidt_rank(state) <= r
+        assert schmidt_rank(state.to_state()) <= r
+
+
+def test_synth_pair_lays_out_the_dense_witness_state():
+    # Reference layout: amps[x, x, :, y, y, :] = sum_i v_x[:, i] (x) w_y[:, i]
+    # with v_x = sqrt(C_x^T) and w_y = sqrt(D_y), normalized.
+    n, m, r = 4, 3, 2
+    dist, fact = random_psd_factorization(np.random.default_rng(5), n, m, r)
+    v = np.stack([psd_sqrt(c.T) for c in fact.cs])
+    w = np.stack([psd_sqrt(d) for d in fact.ds])
+    block = np.einsum("xai,ybi->xayb", v, w)
+    amps = np.zeros((n, n, r, m, m, r), dtype=complex)
+    for x in range(n):
+        for y in range(m):
+            amps[x, x, :, y, y, :] = block[x, :, y, :]
+    state = synth_from_psd(dist, fact).to_state()
+    assert state.dims == (n, n, r, m, m, r)
+    assert state.sides == ("A", "A", "A", "B", "B", "B")
+    assert state.names == ("A", "A'", "A1", "B", "B'", "B1")
+    np.testing.assert_allclose(state.amps, amps.reshape(-1) / np.linalg.norm(amps),
+                               rtol=0, atol=1e-15)
+
+
+def test_synth_rejects_zero_vector():
+    # The residual field is the caller's claim; zero factors give no state.
+    zero = tuple(np.zeros((2, 2), dtype=complex) for _ in range(2))
+    with pytest.raises(FactorizationMismatch, match="zero vector"):
+        synth_from_psd(HALF_I2, PsdFactorization(r=2, cs=zero, ds=zero, residual=0.0))
 
 
 def test_synth_rejects_large_residual():

@@ -8,7 +8,6 @@ from qcorr.errors import InvalidInput
 from qcorr.general import (
     GeneralFactorization,
     Purification,
-    assemble_purification,
     canonical_purification,
     factor_from_purification,
     factorization_norm,
@@ -32,17 +31,17 @@ def test_canonical_purification_of_pure_state():
     rng = np.random.default_rng(79)
     psi = random_pure_state(rng, 2, 3)
     purif = canonical_purification(psi.to_density())
-    assert purif.state.dims == (2, 1, 3, 1)  # trivial aux
+    assert (purif.dims_a, purif.dims_b) == ((2, 1), (3, 1))  # trivial aux
     np.testing.assert_allclose(purif.reduction().mat, psi.to_density().mat,
                                atol=1e-9)
 
 def test_canonical_purification_maximally_mixed():
     rho = DensityMatrix(2, 1, np.eye(2) / 2)
     purif = canonical_purification(rho)
-    assert purif.state.dims == (2, 2, 1, 1)  # aux dim 2
+    assert (purif.dims_a, purif.dims_b) == ((2, 2), (1, 1))  # aux dim 2
     # EPR-like across A|A1, both on Alice's side: one basis ket per
     # eigenvector, weight 1/2 each.
-    probs = np.abs(purif.state.amps) ** 2
+    probs = np.abs(purif.amps) ** 2
     np.testing.assert_allclose(sorted(probs), [0, 0, 0.5, 0.5], atol=1e-12)
     # No correlation with the trivial Bob side is needed at all.
     assert purif.srank() == 1
@@ -52,11 +51,11 @@ def test_canonical_purification_random_rank3():
     rng = np.random.default_rng(83)
     rho = random_density_matrix(rng, 2, 2, rank=3)
     purif = canonical_purification(rho)
-    assert purif.state.dims[1] == 3  # aux carries the rank
+    assert purif.dims_a[1] == 3  # aux carries the rank
     np.testing.assert_allclose(purif.reduction().mat, rho.mat, atol=1e-9)
 
 def test_factor_from_purification_epr():
-    fact = factor_from_purification(Purification(EPR.to_registers()))
+    fact = factor_from_purification(Purification.from_state(EPR.to_registers()))
     assert fact.r == 2
     scale = 2.0 ** -0.25
     np.testing.assert_allclose(np.abs(fact.a_mats[0]), [[scale, 0.0]], atol=1e-10)
@@ -67,7 +66,7 @@ def test_factor_from_purification_epr():
 
 def test_factor_from_purification_product_state():
     psi = PureState(2, 2, [0, 1, 0, 0])  # |0>|1>
-    fact = factor_from_purification(Purification(psi.to_registers()))
+    fact = factor_from_purification(Purification.from_state(psi.to_registers()))
     assert fact.r == 1
     rho = reconstruct_from_factors(fact)
     np.testing.assert_allclose(rho.mat, psi.to_density().mat, atol=1e-9)
@@ -81,7 +80,7 @@ def test_factor_from_synth_half_i2():
     ds = tuple((0.5 * np.diag([1.0 if y == i else 0.0 for i in range(2)])).astype(complex)
                for y in range(2))
     state = synth_from_psd(half, PsdFactorization(r=2, cs=cs, ds=ds, residual=0.0))
-    fact = factor_from_purification(Purification(state))
+    fact = factor_from_purification(state)
     rho = reconstruct_from_factors(fact)
     np.testing.assert_allclose(rho.mat, np.diag([0.5, 0, 0, 0.5]), atol=1e-8)
 
@@ -98,7 +97,7 @@ def test_reconstruct_matches_assembled_purification():
         r = int(rng.integers(1, 4))
         fact = random_general_factorization(rng, da, db, ka, kb, r)
         rho = reconstruct_from_factors(fact)
-        state = assemble_purification(fact)
+        state = Purification(np.stack(fact.a_mats), np.stack(fact.b_mats)).to_state()
         red = partial_trace(state, keep=[0, 2])
         np.testing.assert_allclose(rho.mat, red.mat, atol=1e-9)
         vals = np.linalg.eigvalsh(rho.mat)
@@ -122,18 +121,18 @@ def test_reconstruct_renormalizes_with_warning():
 def test_factorization_norm_is_purification_norm():
     rng = np.random.default_rng(101)
     fact = random_general_factorization(rng, 2, 3, 2, 2, 2)
-    state = assemble_purification(fact)
-    assert abs(factorization_norm(fact) - state.norm() ** 2) <= 1e-9
+    amps = np.einsum("xai,ybi->xayb", np.stack(fact.a_mats), np.stack(fact.b_mats))
+    assert abs(factorization_norm(fact) - np.linalg.norm(amps) ** 2) <= 1e-9
 
 def test_round_trip_purification_to_factors():
     rng = np.random.default_rng(103)
     for _ in range(5):
         fact = random_general_factorization(rng, 3, 2, 2, 3, 3)
-        state = assemble_purification(fact)
-        back = factor_from_purification(Purification(state))
+        purif = Purification(np.stack(fact.a_mats), np.stack(fact.b_mats))
+        back = factor_from_purification(purif)
         np.testing.assert_allclose(
             reconstruct_from_factors(back).mat,
-            partial_trace(state, keep=[0, 2]).mat,
+            partial_trace(purif.to_state(), keep=[0, 2]).mat,
             atol=1e-8,
         )
 
@@ -149,7 +148,7 @@ def test_q_upper_bound_half_i2():
     rho = DensityMatrix(2, 2, np.diag([0.5, 0, 0, 0.5]))
     qubits, witness = q_upper_bound(rho)
     assert qubits == 1
-    assert schmidt_rank(witness.state) <= 2
+    assert schmidt_rank(witness.to_state()) <= 2
     red = witness.reduction()
     np.testing.assert_allclose(red.mat, rho.mat, atol=1e-8)
 
@@ -176,7 +175,7 @@ def test_extraction_paths_agree_on_classical_inputs():
     for _ in range(5):
         rho = random_classical_density(rng, 2, 3)
         purif = canonical_purification(rho)
-        psd = gram_extract(purif.state)
+        psd = gram_extract(purif)
         gen = factor_from_purification(purif)
         diag = np.real(np.diag(reconstruct_from_factors(gen).mat))
         np.testing.assert_allclose(
@@ -192,9 +191,9 @@ def test_bob_first_layout_reduces_in_alice_bob_order():
     # (dim 2); the reduction is still the 2 x 3 state in (x, y) order.
     state = random_register_state(np.random.default_rng(3), (3, 2, 2, 2),
                                   ("B", "A", "A", "B"))
-    red = Purification(state).reduction()
+    red = Purification.from_state(state).reduction()
     assert (red.dim_a, red.dim_b) == (2, 3)
-    expected = reconstruct_from_factors(factor_from_purification(Purification(state)))
+    expected = reconstruct_from_factors(factor_from_purification(Purification.from_state(state)))
     np.testing.assert_allclose(red.mat, expected.mat, rtol=0, atol=1e-12)
     assert verify_generation(protocol_from_purification(state)).passed
 
@@ -204,7 +203,7 @@ def test_purification_within_norm_check_reduces_to_unit_trace(scale):
     # The norm check admits |norm - 1| <= 1e-10, so the squared norm may be
     # off by 2e-10: the reduction and the protocol target divide it out.
     state = RegisterState(EPR.amps * scale, (2, 2), ("A", "B"))
-    assert abs(np.trace(Purification(state).reduction().mat).real - 1.0) <= 1e-15
+    assert abs(np.trace(Purification.from_state(state).reduction().mat).real - 1.0) <= 1e-15
     spec = protocol_from_purification(state)
     assert abs(np.trace(spec.target.mat).real - 1.0) <= 1e-15
     report = verify_generation(spec)

@@ -9,8 +9,8 @@ from qcorr.classical import PsdFactorization
 from qcorr.errors import InvalidInput, NotNormalized, NotPsd
 from qcorr.linalg import (
     DensityMatrix,
+    Purification,
     RegisterState,
-    absorbed_schmidt_vectors,
     ceil_log2,
     comp_aux_dims,
     cut_svd,
@@ -308,7 +308,27 @@ def test_cut_svd_zero_state():
     assert cut_svd(state).rank == 0
     assert schmidt_rank(state) == 0
     with pytest.raises(InvalidInput):
-        absorbed_schmidt_vectors(state)
+        Purification.from_state(state)
+
+
+def test_purification_validates_pair_layout_and_norm():
+    a, b = np.full((2, 1, 1), 0.5), np.ones((2, 1, 1))  # |+>|+>
+    purif = Purification(a, b)
+    assert purif.srank() == 1
+    state = purif.to_state()
+    assert (state.dims, state.sides) == ((2, 1, 2, 1), ("A", "A", "B", "B"))
+    np.testing.assert_allclose(state.amps, np.full(4, 0.5), rtol=0, atol=1e-15)
+    for bad_a, bad_b in ((a[:, :, 0], b), (a, np.ones((2, 1, 2))), (a * np.nan, b),
+                         (np.zeros((0, 1, 1)), b)):
+        with pytest.raises(InvalidInput):
+            Purification(bad_a, bad_b)
+    for dims_a, dims_b in (((1, 2), None), (None, (2, 2)), ((), None), (None, (2, 1, 3))):
+        with pytest.raises(InvalidInput, match="registers"):
+            Purification(a, b, dims_a=dims_a, dims_b=dims_b)
+    with pytest.raises(NotNormalized):
+        Purification(2 * a, b)
+    with pytest.raises(NotNormalized):
+        Purification(0 * a, b)
 
 
 def test_comp_aux_dims():

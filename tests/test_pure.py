@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr.errors import InvalidInput, NotNormalized
 from qcorr.pure import (
@@ -150,6 +152,27 @@ def test_srank_non_increasing_in_eps():
         # The empty protocol meets every fidelity target 1 - eps <= 0.
         assert all(v == 0 for v, e in zip(values, grid) if e >= 1.0)
     assert srank_eps(EPR, 1.5) == srank_eps(EPR, 2.0) == 0
+
+
+dims = st.integers(1, 5)
+eps_values = st.floats(0.0, 1.5)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(da=dims, db=dims, eps=eps_values, other=eps_values, seed=seeds)
+def test_srank_eps_property_non_increasing_in_eps(da, db, eps, other, seed):
+    psi = random_pure_state(np.random.default_rng(seed), da, db)
+    low, high = sorted((eps, other))
+    assert srank_eps(psi, high) <= srank_eps(psi, low)
+
+
+@settings(max_examples=60, deadline=None)
+@given(da=dims, db=dims, d1=dims, d2=dims, eps=eps_values, seed=seeds)
+def test_srank_eps_property_monotone_under_tensoring(da, db, d1, d2, eps, seed):
+    rng = np.random.default_rng(seed)
+    psi, theta = random_pure_state(rng, da, db), random_pure_state(rng, d1, d2)
+    assert srank_eps(tensor_product(psi, theta), eps) >= srank_eps(psi, eps)
 
 
 def test_eps_domain_rejects_nan_and_negative():

@@ -11,6 +11,7 @@ from qcorr.linalg import (
     DensityMatrix,
     RegisterState,
     ceil_log2,
+    cut_svd,
     fidelity,
     partial_trace,
     require_psd,
@@ -217,7 +218,7 @@ def test_measure_matches_source_distribution():
 
     dist, fact = random_psd_factorization(rng, 3, 2, 2)
     state = synth_from_psd(dist, fact)
-    red = partial_trace(state, keep=[0, 3])
+    red = partial_trace(state.to_state(), keep=[0, 3])
     measured = measure_computational(red)
     np.testing.assert_allclose(measured.p, dist.p, atol=1e-8)
 
@@ -355,7 +356,7 @@ def test_planted_protocol_rung_20_5():
     state = synth_from_psd(dist, fact)
     assert gram_extract(state).r == 5
     spec = protocol_from_purification(state)
-    np.testing.assert_allclose(spec.target.mat, partial_trace(state, [0, 3]).mat,
+    np.testing.assert_allclose(spec.target.mat, partial_trace(state.to_state(), [0, 3]).mat,
                                rtol=0, atol=1e-12)
     out = apply_protocol(spec)
     assert fidelity(out, spec.target) >= 1 - 1e-12
@@ -368,16 +369,30 @@ def test_planted_protocol_rung_20_5():
 def test_synthesis_extraction_round_trip(n, m, r, seed):
     # synth_from_psd followed by gram_extract gives back a witness of P of
     # size at most r, and the protocol of the purification generates its
-    # reduction.
+    # reduction. Every step reads the pair; its dense state, decomposed by
+    # cut_svd, is the reference each step must match.
     dist, fact = random_psd_factorization(np.random.default_rng(seed), n, m, r)
     state = synth_from_psd(dist, fact)
-    back = gram_extract(state)
-    assert back.r <= r
-    np.testing.assert_allclose(back.trace_products(), dist.p, rtol=0, atol=1e-8)
-    spec = protocol_from_purification(state)
-    np.testing.assert_allclose(spec.target.mat, partial_trace(state, [0, 3]).mat,
+    dense = state.to_state()
+    ref = cut_svd(dense)
+    np.testing.assert_allclose(state.schmidt.singulars, ref.singulars[:ref.rank],
                                rtol=0, atol=1e-12)
-    assert verify_generation(spec).passed
+    np.testing.assert_allclose(state.reduction().mat, partial_trace(dense, [0, 3]).mat,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(Purification.from_state(dense).to_state().amps, dense.amps,
+                               rtol=0, atol=1e-12)
+    back, dense_back = gram_extract(state), gram_extract(dense)
+    assert back.r == dense_back.r <= r
+    np.testing.assert_allclose(back.trace_products(), dist.p, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(back.trace_products(), dense_back.trace_products(),
+                               rtol=0, atol=1e-12)
+    spec = protocol_from_purification(state)
+    np.testing.assert_allclose(spec.target.mat, partial_trace(dense, [0, 3]).mat,
+                               rtol=0, atol=1e-12)
+    report, dense_report = verify_generation(spec), verify_generation(
+        protocol_from_purification(dense))
+    assert report.passed and dense_report.passed
+    assert report.seed_size == dense_report.seed_size
 
 
 #: Register dims of one side: the computational register, then the aux ones.
@@ -401,7 +416,7 @@ def test_purification_reduction_matches_aux_contraction(a_dims, b_dims, seed):
     if ib < ia:
         ref = ref.transpose(1, 0, 3, 2)
     d = a_dims[0] * b_dims[0]
-    red = Purification(state).reduction()
+    red = Purification.from_state(state).reduction()
     assert (red.dim_a, red.dim_b) == (a_dims[0], b_dims[0])
     np.testing.assert_allclose(red.mat, ref.reshape(d, d), rtol=0, atol=1e-12)
 
@@ -437,6 +452,16 @@ def test_pure_protocol_output_is_psd(da, db, eps, seed):
 def test_protocol_from_purification_rejects_zero_state():
     with pytest.raises(InvalidInput, match="zero state"):
         protocol_from_purification(RegisterState(np.zeros(4), (2, 2), ("A", "B")))
+
+
+def test_protocol_from_purification_scales_a_state_to_unit_norm():
+    # Seed and target are read off the Schmidt coefficients divided by the
+    # state norm, so any nonzero multiple of a state gives its protocol.
+    unit = protocol_from_purification(EPR.to_registers())
+    scaled = protocol_from_purification(RegisterState(2 * EPR.amps, (2, 2), ("A", "B")))
+    np.testing.assert_allclose(scaled.seed.amps, unit.seed.amps, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(scaled.target.mat, unit.target.mat, rtol=0, atol=1e-15)
+    assert verify_generation(scaled).passed
 
 
 def test_protocol_spec_validates_seed_size():
