@@ -274,10 +274,33 @@ class PsdFactorization:
     residual: float
 
     def __post_init__(self):
+        self._settle(psd=True)
+
+    @classmethod
+    def _built(cls, r: int, cs: tuple[np.ndarray, ...], ds: tuple[np.ndarray, ...],
+               residual: float) -> "PsdFactorization":
+        """A factorization the library built psd, without the psd check.
+
+        Every caller must pass complex Hermitian matrices of the form
+        E^dag E, computed in floating point and hermitized: their least
+        eigenvalue is then within roundoff of zero, far inside
+        -EIG_CLAMP_TOL. The ``r``, shape and residual checks still run.
+        """
+        fact = object.__new__(cls)
+        object.__setattr__(fact, "r", r)
+        object.__setattr__(fact, "cs", cs)
+        object.__setattr__(fact, "ds", ds)
+        object.__setattr__(fact, "residual", residual)
+        fact._settle(psd=False)
+        return fact
+
+    def _settle(self, psd: bool) -> None:
         if self.r < 1:
             raise InvalidInput("factorization size r must be positive")
-        cs = tuple(require_psd(c, name=f"C[{x}]") for x, c in enumerate(self.cs))
-        ds = tuple(require_psd(d, name=f"D[{y}]") for y, d in enumerate(self.ds))
+        cs, ds = self.cs, self.ds
+        if psd:
+            cs = tuple(require_psd(c, name=f"C[{x}]") for x, c in enumerate(cs))
+            ds = tuple(require_psd(d, name=f"D[{y}]") for y, d in enumerate(ds))
         for fam, tag in ((cs, "C"), (ds, "D")):
             for idx, mat in enumerate(fam):
                 if mat.shape != (self.r, self.r):
@@ -433,10 +456,10 @@ def _descend(
 def _witness(e: np.ndarray, f: np.ndarray, P: np.ndarray) -> PsdFactorization:
     """The factorization C_x = E_x^dag E_x, D_y = F_y^dag F_y, with its
     Frobenius residual against P. E_x and F_y may be k x r."""
-    cs = tuple(hermitize(ex.conj().T @ ex) for ex in e)
-    ds = tuple(hermitize(fy.conj().T @ fy) for fy in f)
-    residual = float(np.linalg.norm(_trace_form(np.stack(cs), np.stack(ds)) - P))
-    return PsdFactorization(r=e.shape[-1], cs=cs, ds=ds, residual=residual)
+    n = e.shape[0]
+    grams = hermitize(np.concatenate([e.conj().swapaxes(1, 2) @ e, f.conj().swapaxes(1, 2) @ f]))
+    residual = float(np.linalg.norm(_trace_form(grams[:n], grams[n:]) - P))
+    return PsdFactorization._built(e.shape[-1], tuple(grams[:n]), tuple(grams[n:]), residual)
 
 
 def _random_start(

@@ -23,7 +23,8 @@ Conventions
   state pushed through CPTP maps) skips it through the private
   ``DensityMatrix._built``. One factor: ``DensityMatrix.factor`` keeps
   the eigenvalues the rank rule above counts. Fidelity, purification and
-  seed ranks read that factor.
+  seed ranks read that factor; fidelity of two exactly diagonal states
+  needs none and is read off their diagonals.
 * One representation of a purification: the pair (a, b) of
   ``Purification``, whose Schmidt form comes from two thin QRs and an
   r x r SVD, or is kept from the decomposition that made the pair. A
@@ -58,8 +59,9 @@ def as_complex_array(a, name: str = "input") -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (a + a^dag) / 2."""
-    return (a + a.conj().T) / 2.0
+    """Return the Hermitian part (a + a^dag) / 2 of a matrix, or of each
+    matrix in a stack over the leading axes."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def require_hermitian(h, name: str = "matrix") -> np.ndarray:
@@ -529,12 +531,31 @@ def partial_trace(state: RegisterState | DensityMatrix, keep: Sequence[int]) -> 
     return DensityMatrix(da, k // da, red)
 
 
+def _is_diagonal(mat: np.ndarray) -> bool:
+    """True when every off-diagonal entry of the square ``mat`` is 0.0.
+
+    A dense matrix is rejected from its first row in O(N); only when that
+    row is clear is the off-diagonal view scanned: the N^2 - 1 entries
+    after mat[0, 0], read as N - 1 rows of N + 1, end each row on a
+    diagonal entry.
+    """
+    n = mat.shape[0]
+    if np.any(mat[0, 1:]):
+        return False
+    return not np.any(mat.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
+
+
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity tr sqrt(sigma^1/2 rho sigma^1/2), not squared.
 
-    Evaluated as sum sqrt(eig(W^dag rho W)) with W = ``sigma.factor``;
-    W^dag rho W shares its nonzero eigenvalues with s^1/2 rho s^1/2 for
-    s = W W^dag. For a pure target |psi><psi| from
+    When both matrices are exactly diagonal (every off-diagonal entry is
+    0.0), as for classical states sum_xy P(x, y)|xy><xy|, the states
+    commute and the value is the Bhattacharyya sum sum_i sqrt(p_i q_i) of
+    their diagonals, exact with no rank cutoff.
+
+    Any other pair is evaluated as sum sqrt(eig(W^dag rho W)) with
+    W = ``sigma.factor``; W^dag rho W shares its nonzero eigenvalues with
+    s^1/2 rho s^1/2 for s = W W^dag. For a pure target |psi><psi| from
     ``density_from_pure`` the factor is psi, so the value is exactly
     sqrt(<psi|rho|psi>). For any other target the factor drops the
     eigenvalues at most REL_RANK_TOL times the largest; sqrt is operator
@@ -545,6 +566,9 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise InvalidInput("fidelity expects two DensityMatrix inputs")
     if rho.mat.shape != sigma.mat.shape:
         raise InvalidInput("fidelity requires states of equal dimension")
+    if _is_diagonal(rho.mat) and _is_diagonal(sigma.mat):
+        p, q = (np.clip(np.diag(x.mat).real, 0.0, None) for x in (rho, sigma))
+        return float(np.sqrt(p * q).sum())
     inner = hermitize(sigma.factor.conj().T @ rho.mat @ sigma.factor)
     vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     return float(np.sqrt(vals).sum())

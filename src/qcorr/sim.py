@@ -56,19 +56,24 @@ class LocalChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(as_complex_array(k, f"Kraus[{i}]") for i, k in enumerate(self.kraus))
-        if not ops:
+        if not len(self.kraus):
             raise InvalidInput("channel needs at least one Kraus operator")
-        shape = ops[0].shape
+        shape = np.shape(self.kraus[0])
         if len(shape) != 2:
             raise InvalidInput("Kraus operators must be 2-D")
-        for i, k in enumerate(ops):
-            if k.shape != shape:
-                raise InvalidInput(f"Kraus[{i}] shape {k.shape} differs from {shape}")
-        total = sum(k.conj().T @ k for k in ops)
-        if float(np.abs(total - np.eye(shape[1])).max()) > 1e-9:
+        for i, k in enumerate(self.kraus):
+            if np.shape(k) != shape:
+                raise InvalidInput(f"Kraus[{i}] shape {np.shape(k)} differs from {shape}")
+        try:
+            ops = as_complex_array(self.kraus, "Kraus operators")
+        except InvalidInput:  # name the first operator at fault
+            for i, k in enumerate(self.kraus):
+                as_complex_array(k, f"Kraus[{i}]")
+            raise
+        flat = ops.reshape(-1, shape[1])
+        if float(np.abs(flat.conj().T @ flat - np.eye(shape[1])).max()) > 1e-9:
             raise InvalidInput("channel is not trace preserving within 1e-9")
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", tuple(ops))
 
     @property
     def in_dim(self) -> int:

@@ -16,6 +16,7 @@ from qcorr.classical import (
     _jacobian,
     _random_start,
     _trace_form,
+    _witness,
     gram_extract,
     nonneg_rank_bounds,
     psd_fit,
@@ -394,6 +395,31 @@ def test_synth_rejects_large_residual():
     )
     with pytest.raises(FactorizationMismatch):
         synth_from_psd(HALF_I2, bad)
+
+
+def test_witness_matches_the_checked_constructor():
+    # _witness skips the psd check on Grams E^dag E, and only that: the same
+    # matrices pass the public constructor, and _built keeps its other checks.
+    rng = np.random.default_rng(67)
+    e = rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2))
+    f = rng.standard_normal((4, 7, 2)) + 1j * rng.standard_normal((4, 7, 2))
+    p = rng.uniform(size=(3, 4))
+    wit = _witness(e, f, p)
+    checked = PsdFactorization(r=wit.r, cs=wit.cs, ds=wit.ds, residual=wit.residual)
+    assert (wit.r, wit.n, wit.m) == (2, 3, 4)
+    for got, want in zip(wit.cs + wit.ds, checked.cs + checked.ds):
+        np.testing.assert_array_equal(got, want)
+    for x, ex in enumerate(e):
+        np.testing.assert_allclose(wit.cs[x], ex.conj().T @ ex, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(wit.trace_products(),
+                               np.einsum("xab,yba->xy", wit.cs, wit.ds).real, atol=1e-12)
+    assert wit.residual == float(np.linalg.norm(wit.trace_products() - p))
+    with pytest.raises(InvalidInput, match="positive"):
+        PsdFactorization._built(0, wit.cs, wit.ds, 0.0)
+    with pytest.raises(InvalidInput, match=r"C\[0\] has shape"):
+        PsdFactorization._built(3, wit.cs, wit.ds, 0.0)
+    with pytest.raises(InvalidInput, match="residual"):
+        PsdFactorization._built(2, wit.cs, wit.ds, float("nan"))
 
 
 def test_gram_extract_product_state():

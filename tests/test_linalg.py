@@ -1,11 +1,13 @@
 """Tests for the dense linear-algebra core."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcorr.classical import PsdFactorization
+from qcorr.classical import PsdFactorization, synth_from_psd
 from qcorr.errors import InvalidInput, NotNormalized, NotPsd
 from qcorr.linalg import (
     DensityMatrix,
@@ -24,7 +26,8 @@ from qcorr.linalg import (
     schmidt_rank,
     svd,
 )
-from qcorr.rand import random_density_matrix, random_pure_state
+from qcorr.rand import random_density_matrix, random_psd_factorization, random_pure_state
+from qcorr.sim import apply_protocol, protocol_from_purification
 
 
 def test_svd_permutation_matrix():
@@ -259,6 +262,83 @@ def test_fidelity_exact_for_pure_targets_and_one_sided_for_dense(
     full = random_density_matrix(rng, da, db)
     sigma = random_density_matrix(rng, da, db, min(sigma_rank, d))
     assert fidelity(full, sigma) <= _dense_fidelity(full, sigma) + 1e-12
+
+
+def _factor_fidelity(rho, sigma) -> float:
+    # The general path of ``fidelity``: sum sqrt(eig(W^dag rho W)) with
+    # W = sigma.factor, for pairs the diagonal rule would take.
+    w = sigma.factor
+    inner = hermitize(w.conj().T @ rho.mat @ w)
+    return float(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum())
+
+
+def _diag_state(weights) -> DensityMatrix:
+    p = np.asarray(weights, dtype=float)
+    return DensityMatrix(p.size, 1, np.diag(p / p.sum()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_fidelity_of_diagonal_pairs_is_the_bhattacharyya_sum(data, d, seed):
+    # Entries may be 0.0, so either state may be rank deficient.
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    p = data.draw(st.lists(entry, min_size=d, max_size=d).filter(any))
+    q = data.draw(st.lists(entry, min_size=d, max_size=d).filter(any))
+    rho, sigma = _diag_state(p), _diag_state(q)
+    exact = math.fsum(math.sqrt(a * b) for a, b in zip(np.diag(rho.mat).real,
+                                                      np.diag(sigma.mat).real))
+    assert abs(fidelity(rho, sigma) - exact) <= 1e-15
+    assert abs(fidelity(sigma, rho) - exact) <= 1e-15
+    # A shared random unitary keeps the fidelity and makes both states
+    # dense, so they take the factor path; full-rank pairs agree with it.
+    p = data.draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))
+    q = data.draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))
+    rho, sigma = _diag_state(p), _diag_state(q)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    u = np.linalg.qr(g)[0]
+    turned = [DensityMatrix(d, 1, hermitize(u @ x.mat @ u.conj().T)) for x in (rho, sigma)]
+    assert abs(fidelity(*turned) - fidelity(rho, sigma)) <= 1e-12
+
+
+def test_fidelity_reads_coherences_of_either_state():
+    # <+| I/2 |+> = 1/2, so F = 1/sqrt(2); the diagonals alone would give 1.
+    plus = density_from_pure(np.array([1.0, 1.0]) / np.sqrt(2.0), 2, 1)
+    mixed = DensityMatrix(2, 1, np.eye(2) / 2)
+    assert abs(fidelity(plus, mixed) - np.sqrt(0.5)) <= 1e-12
+    assert abs(fidelity(mixed, plus) - np.sqrt(0.5)) <= 1e-12
+    # A first row clear of coherences does not make a state diagonal:
+    # rho = diag(1/2) + |+><+|/2 on the last two levels has eigenvalues
+    # (1/2, 1/2, 0), so against I/3, F = tr sqrt(rho / 3) = sqrt(2/3).
+    rho = DensityMatrix(3, 1, np.array([[2, 0, 0], [0, 1, 1], [0, 1, 1]]) / 4)
+    third = DensityMatrix(3, 1, np.eye(3) / 3)
+    assert abs(fidelity(rho, third) - np.sqrt(2.0 / 3.0)) <= 1e-12
+    assert abs(fidelity(third, rho) - np.sqrt(2.0 / 3.0)) <= 1e-12
+
+
+def test_fidelity_of_diagonal_pairs_has_no_rank_cutoff():
+    # A rank-deficient rho against a full-rank sigma whose smallest entry
+    # lies below the REL_RANK_TOL cutoff: the factor path drops that
+    # entry and reads 0, the diagonal rule keeps it.
+    rho = _diag_state([0.0, 1.0])
+    sigma = _diag_state([1.0 - 1e-12, 1e-12])
+    assert _factor_fidelity(rho, sigma) == 0.0
+    assert abs(fidelity(rho, sigma) - 1e-6) <= 1e-15 * 1e-6
+    rho = _diag_state([0.0, 0.3, 0.0, 0.7])
+    sigma = _diag_state([0.1, 0.2, 0.3, 0.4])
+    assert abs(fidelity(rho, sigma) - (math.sqrt(0.06) + math.sqrt(0.28))) <= 1e-15
+
+
+@pytest.mark.parametrize("n, r", [(6, 3), (10, 4), (12, 4), (16, 4)])
+def test_planted_fidelity_matches_the_factor_path(n, r):
+    p, fact = random_psd_factorization(np.random.default_rng(11), n, n, r)
+    spec = protocol_from_purification(synth_from_psd(p, fact))
+    out = apply_protocol(spec)
+    for state in (out, spec.target):  # both classical, so the rule applies
+        assert not np.any(state.mat - np.diag(np.diag(state.mat)))
+    fid = fidelity(out, spec.target)
+    assert abs(fid - _factor_fidelity(out, spec.target)) <= 1e-12
+    assert abs(fid - 1.0) <= 1e-12
 
 
 def test_fidelity_dimension_mismatch():

@@ -56,6 +56,23 @@ def test_channel_requires_trace_preservation():
         LocalChannel((np.array([[1.0, 0.0], [0.0, 0.5]]),))
 
 
+def test_channel_validation_messages():
+    half = np.eye(2) / np.sqrt(2)
+    cases = [
+        ((), "at least one Kraus operator"),
+        ((np.ones(2),), "must be 2-D"),
+        ((half, np.eye(3)), r"Kraus\[1\] shape \(3, 3\) differs from \(2, 2\)"),
+        ((half, np.diag([np.nan, 1.0])), r"Kraus\[1\] contains non-finite entries"),
+        ((half, half, half), "not trace preserving within 1e-9"),
+    ]
+    for kraus, message in cases:
+        with pytest.raises(InvalidInput, match=message):
+            LocalChannel(kraus)
+    ch = LocalChannel([half, np.array([[0, 1j], [1j, 0]]) / np.sqrt(2)])
+    assert isinstance(ch.kraus, tuple) and len(ch.kraus) == 2
+    assert all(k.dtype == np.complex128 and k.shape == (2, 2) for k in ch.kraus)
+
+
 def test_protocol_spec_rejects_nan_and_negative_eps():
     for eps in (-0.1, float("nan")):
         with pytest.raises(InvalidInput, match="eps"):
