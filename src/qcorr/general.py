@@ -109,9 +109,9 @@ def canonical_purification(rho: DensityMatrix) -> Purification:
     |psi> = sum_k sqrt(lambda_k) |e_k>_(AB) (x) |k>_aux on registers
     (A, A1, B, B1) where A1 is the aux register of dimension rank(rho) and
     B1 is trivial: the amplitudes are those of ``rho.factor``. Tracing out
-    the aux registers reproduces rho. A factor seeded by ``_built`` gives
-    one aux dimension per column of it instead, with the same Schmidt
-    coefficients across the cut. The pair is read straight off the factor
+    the aux registers reproduces rho. A state held as its factor
+    (``DensityMatrix._of_factor``) gives one aux dimension per column of
+    that factor instead, with the same Schmidt coefficients across the cut. The pair is read straight off the factor
     W: a[x, k, y] = W[(x, y), k] and b[y, 0, y'] = delta_yy', so the
     Schmidt rank is at most dim_b.
     """

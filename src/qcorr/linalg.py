@@ -19,12 +19,20 @@ Conventions
   ``-EIG_CLAMP_TOL``, decided by a Cholesky factorization. It runs where
   a matrix enters from outside the library: ``DensityMatrix(...)``
   checks every file, random draw, partial trace and user matrix. A
-  matrix the library builds psd by construction (W W^dag, or a pure
-  state pushed through CPTP maps) skips it through the private
-  ``DensityMatrix._built``. One factor: ``DensityMatrix.factor`` keeps
-  the eigenvalues the rank rule above counts. Fidelity, purification and
-  seed ranks read that factor; fidelity of two exactly diagonal states
-  needs none and is read off their diagonals.
+  matrix the library builds psd by construction (a pure state pushed
+  through CPTP maps) skips it through the private
+  ``DensityMatrix._built``.
+* One factor: ``DensityMatrix.factor`` is a W with mat = W W^dag. A state
+  the library builds as W W^dag (a pure state, the output of a pure
+  seed) is born from W alone through the private
+  ``DensityMatrix._of_factor``, which runs the shape, finiteness and
+  trace checks on W, and forms the dense ``mat`` only when it is first
+  read. Any other state computes W once, from an eigendecomposition
+  that keeps the eigenvalues the rank rule above counts. Fidelity,
+  purification and seed ranks read that factor. Fidelity has one
+  formula, the trace norm of sigma.factor^dag rho.factor, which reads
+  low only through a computed factor's rank cutoff; two exactly
+  diagonal states need no factor and are read off their diagonals.
 * One representation of a purification: the pair (a, b) of
   ``Purification``, whose Schmidt form comes from two thin QRs and an
   r x r SVD, or is kept from the decomposition that made the pair. A
@@ -191,44 +199,69 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        self._settle(psd=True)
+        self._settle(self.mat, psd=True)
 
     @classmethod
-    def _built(cls, dim_a: int, dim_b: int, mat: np.ndarray,
-               factor: np.ndarray | None = None) -> "DensityMatrix":
-        """A density matrix the library built psd, without the psd check.
-
-        Every caller must pass a ``mat`` that is W W^dag, or the image of
-        a pure state under CPTP maps, computed in floating point: its
-        least eigenvalue is then within roundoff of zero, far inside
-        -EIG_CLAMP_TOL. The dimension, shape, finiteness and trace checks
-        still run. ``factor``, when given, seeds ``DensityMatrix.factor``
-        and must satisfy mat ~ factor factor^dag.
-        """
+    def _unchecked(cls, dim_a: int, dim_b: int) -> "DensityMatrix":
         rho = object.__new__(cls)
         object.__setattr__(rho, "dim_a", dim_a)
         object.__setattr__(rho, "dim_b", dim_b)
-        object.__setattr__(rho, "mat", mat)
-        rho._settle(psd=False)
-        if factor is not None:
-            vars(rho)["factor"] = factor
         return rho
 
-    def _settle(self, psd: bool) -> None:
+    @classmethod
+    def _built(cls, dim_a: int, dim_b: int, mat: np.ndarray) -> "DensityMatrix":
+        """A density matrix the library built psd, without the psd check.
+
+        Every caller must pass a ``mat`` that is the image of a pure state
+        under CPTP maps, or otherwise psd by construction, computed in
+        floating point: its least eigenvalue is then within roundoff of
+        zero, far inside -EIG_CLAMP_TOL. The dimension, shape, finiteness
+        and trace checks still run.
+        """
+        rho = cls._unchecked(dim_a, dim_b)
+        rho._settle(mat, psd=False)
+        return rho
+
+    @classmethod
+    def _of_factor(cls, dim_a: int, dim_b: int, w: np.ndarray) -> "DensityMatrix":
+        """The density matrix W W^dag, held as its factor W.
+
+        W is (dim_a dim_b) x k for any k; the dimension, shape, finiteness
+        and trace (||W||_F^2) checks run on it, and W W^dag, psd by
+        construction, is formed only when ``mat`` is first read. ``factor``
+        is this W, exactly as given.
+        """
+        rho = cls._unchecked(dim_a, dim_b)
+        rho._settle(w, psd=False, factor=True)
+        return rho
+
+    def _settle(self, arr, psd: bool, factor: bool = False) -> None:
+        """Check the dims and ``arr``, the matrix or, with ``factor``, a
+        factor W of it, and store it."""
         if self.dim_a < 1 or self.dim_b < 1:
             raise InvalidInput("density matrix dimensions must be positive")
-        arr = (require_psd(self.mat, name="density matrix") if psd
-               else as_complex_array(self.mat, "density matrix"))
+        name = "density factor" if factor else "density matrix"
+        arr = require_psd(arr, name=name) if psd else as_complex_array(arr, name)
         d = self.dim_a * self.dim_b
-        if arr.shape != (d, d):
+        if arr.ndim != 2 or arr.shape[0] != d or (not factor and arr.shape[1] != d):
             raise InvalidInput(
-                f"density matrix shape {arr.shape} does not match dims "
+                f"{name} shape {arr.shape} does not match dims "
                 f"{self.dim_a} x {self.dim_b}"
             )
-        tr = float(np.trace(arr).real)
+        tr = float(np.vdot(arr, arr).real) if factor else float(np.trace(arr).real)
         if abs(tr - 1.0) > 1e-10:
             raise NotNormalized(f"trace {tr!r} deviates from 1 beyond 1e-10")
-        object.__setattr__(self, "mat", arr)
+        object.__setattr__(self, "factor" if factor else "mat", arr)
+
+    def __getattr__(self, name):
+        # Reached only when ``name`` is not set: the ``mat`` of a state held
+        # as its factor is formed on first read.
+        w = vars(self).get("factor")
+        if name != "mat" or w is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mat = w @ w.conj().T
+        object.__setattr__(self, "mat", mat)
+        return mat
 
     @property
     def dim(self) -> int:
@@ -237,22 +270,21 @@ class DensityMatrix:
     @cached_property
     def factor(self) -> np.ndarray:
         """W = V_k sqrt(lam_k), one column per eigenvalue that
-        ``rank_from_singulars`` counts, so that mat ~ W W^dag. A matrix
-        from ``_built`` may carry the W it was built from instead, which
-        can have more columns than the rank (``apply_protocol`` seeds one
-        per acting Kraus pair)."""
+        ``rank_from_singulars`` counts, so that mat ~ W W^dag. A state
+        held as its factor (``_of_factor``) has the W it was built from
+        instead, which can have more columns than the rank
+        (``apply_protocol`` gives one per acting Kraus pair)."""
         vals, vecs = eigh(self.mat)
         k = rank_from_singulars(vals)
         return vecs[:, :k] * np.sqrt(vals[:k])
 
 
 def density_from_pure(amps, dim_a: int, dim_b: int) -> DensityMatrix:
-    """|psi><psi| from a normalized amplitude vector, with psi as its factor."""
+    """|psi><psi| from a normalized amplitude vector, held as its factor psi."""
     vec = as_complex_array(amps, "state vector").reshape(-1)
     if vec.size != dim_a * dim_b:
         raise InvalidInput("amplitude length does not match dims")
-    return DensityMatrix._built(dim_a, dim_b, np.outer(vec, vec.conj()),
-                                factor=vec[:, None].copy())
+    return DensityMatrix._of_factor(dim_a, dim_b, vec[:, None].copy())
 
 
 @dataclass(frozen=True)
@@ -545,30 +577,39 @@ def _is_diagonal(mat: np.ndarray) -> bool:
     return not np.any(mat.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
 
 
+def _factor_held(rho: DensityMatrix) -> bool:
+    """True while a state held as its factor has not formed its matrix."""
+    return "mat" not in vars(rho)
+
+
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity tr sqrt(sigma^1/2 rho sigma^1/2), not squared.
 
-    When both matrices are exactly diagonal (every off-diagonal entry is
+    One formula: the trace norm (sum of singular values) of
+    ``sigma.factor``^dag ``rho.factor``, which equals ||rho^1/2 sigma^1/2||_1
+    for any pair of factors. A state held as its factor (a pure state from
+    ``density_from_pure``, the output of a pure seed) uses that factor, so
+    no dense matrix is formed or decomposed: a pure target psi gives
+    ||W^dag psi||, exactly sqrt(<psi|rho|psi>). A factor computed from a
+    dense matrix drops the eigenvalues at most REL_RANK_TOL times the
+    largest; sqrt is operator monotone, so that is the only way the value
+    can read low, by at most the square root of the trace of the dropped
+    part. Beyond rounding it never reads high.
+
+    When both states are exactly diagonal (every off-diagonal entry is
     0.0), as for classical states sum_xy P(x, y)|xy><xy|, the states
     commute and the value is the Bhattacharyya sum sum_i sqrt(p_i q_i) of
-    their diagonals, exact with no rank cutoff.
-
-    Any other pair is evaluated as sum sqrt(eig(W^dag rho W)) with
-    W = ``sigma.factor``; W^dag rho W shares its nonzero eigenvalues with
-    s^1/2 rho s^1/2 for s = W W^dag. For a pure target |psi><psi| from
-    ``density_from_pure`` the factor is psi, so the value is exactly
-    sqrt(<psi|rho|psi>). For any other target the factor drops the
-    eigenvalues at most REL_RANK_TOL times the largest; sqrt is operator
-    monotone, so this can only lower the value, by at most the square
-    root of the trace of the dropped part.
+    their diagonals, exact with no rank cutoff and no eigensolver. The
+    scan for it reads a dense matrix first, and two states held as their
+    factors skip it.
     """
     if not isinstance(rho, DensityMatrix) or not isinstance(sigma, DensityMatrix):
         raise InvalidInput("fidelity expects two DensityMatrix inputs")
-    if rho.mat.shape != sigma.mat.shape:
+    if rho.dim != sigma.dim:
         raise InvalidInput("fidelity requires states of equal dimension")
-    if _is_diagonal(rho.mat) and _is_diagonal(sigma.mat):
+    first, second = sorted((rho, sigma), key=_factor_held)  # dense first
+    if not _factor_held(first) and _is_diagonal(first.mat) and _is_diagonal(second.mat):
         p, q = (np.clip(np.diag(x.mat).real, 0.0, None) for x in (rho, sigma))
         return float(np.sqrt(p * q).sum())
-    inner = hermitize(sigma.factor.conj().T @ rho.mat @ sigma.factor)
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(np.sqrt(vals).sum())
+    inner = sigma.factor.conj().T @ rho.factor
+    return float(np.linalg.svd(inner, compute_uv=False).sum())

@@ -11,6 +11,7 @@ truncation of the Schmidt sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,10 @@ RANK_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized pure state on A (x) B, amplitude index ``x * dim_b + y``."""
+    """Normalized pure state on A (x) B, amplitude index ``x * dim_b + y``.
+
+    ``amps`` is a read-only copy of the amplitudes given.
+    """
 
     dim_a: int
     dim_b: int
@@ -52,10 +56,31 @@ class PureState:
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-10:
             raise NotNormalized(f"state norm {norm!r} deviates from 1 beyond 1e-10")
+        vec = vec.copy()  # read-only, so the cached Schmidt form stays valid
+        vec.flags.writeable = False
         object.__setattr__(self, "amps", vec)
 
     def to_density(self) -> DensityMatrix:
         return density_from_pure(self.amps, self.dim_a, self.dim_b)
+
+    @cached_property
+    def _schmidt(self) -> SchmidtForm:
+        """The state's one Schmidt decomposition (``schmidt_decompose``),
+        computed on first use, with read-only arrays."""
+        res = svd(vec_inv(self))
+        r = res.rank
+        left = res.left[:, :r].copy()
+        right = res.right[:, :r].conj()
+        for i in range(r):
+            k = int(np.argmax(np.abs(left[:, i])))
+            pivot = left[k, i]
+            phase = pivot / abs(pivot)
+            left[:, i] *= phase.conjugate()
+            right[:, i] *= phase
+        coeffs = res.singulars[:r] ** 2
+        for arr in (coeffs, left, right):
+            arr.flags.writeable = False
+        return SchmidtForm(coeffs=coeffs, left=left, right=right)
 
     def to_registers(self) -> RegisterState:
         return RegisterState(
@@ -108,20 +133,11 @@ def schmidt_decompose(psi: PureState) -> SchmidtForm:
     truncated at the relative zero threshold. Degenerate coefficients keep
     the SVD's ordering; each left vector is rotated so its
     largest-magnitude entry is real positive, with the compensating phase
-    on the right vector, so decompositions are reproducible.
+    on the right vector, so decompositions are reproducible. A state is
+    decomposed once: every call returns the same form, cached on
+    ``psi``, whose arrays are read-only.
     """
-    res = svd(vec_inv(psi))
-    r = res.rank
-    sing = res.singulars[:r]
-    left = res.left[:, :r].copy()
-    right = res.right[:, :r].conj().copy()
-    for i in range(r):
-        k = int(np.argmax(np.abs(left[:, i])))
-        pivot = left[k, i]
-        phase = pivot / abs(pivot)
-        left[:, i] *= phase.conjugate()
-        right[:, i] *= phase
-    return SchmidtForm(coeffs=sing**2, left=left, right=right)
+    return psi._schmidt
 
 
 def require_eps(eps: float) -> float:

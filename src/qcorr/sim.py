@@ -8,10 +8,16 @@ double the Schmidt rank per qubit moved. All simulation is dense and
 exact: "the distribution produced" always means the exact Born-rule
 diagonal, so acceptance checks carry no statistical noise. A pure seed
 psi is simulated through its output's factor W, one column
-(K_a (x) K_b) psi per Kraus pair that acts on it, with the output W W^dag;
-a mixed seed, or a pure one with more acting pairs than output dimensions,
-goes through one transfer matrix sum_k K_k (x) conj(K_k) per side, so it
-costs |K_A| + |K_B| Kraus operators, not their product.
+(K_a (x) K_b) psi per Kraus pair that acts on it: the output W W^dag is
+held as W, and its dense matrix is formed only when read (a file, a
+measurement, the diagonal test of ``fidelity`` against a dense state). A mixed seed, or a pure one with more acting pairs than
+output dimensions, goes through one transfer matrix
+sum_k K_k (x) conj(K_k) per side, so it costs |K_A| + |K_B| Kraus
+operators, not their product.
+
+Verification is ``linalg.fidelity``: for a pure target, held as its
+vector psi, against an output held as W, it is ||W^dag psi||, so a pure
+state stays a vector from target to verdict.
 
 Every protocol is built by one function, ``protocol_from_purification``,
 from the Schmidt decomposition of a purification across the Alice|Bob
@@ -41,6 +47,7 @@ from .linalg import (
     fidelity,
     hermitize,
     partial_trace,
+    rank_from_singulars,
     schmidt_rank,
 )
 # srank_eps is not used here, but stays importable from this module:
@@ -93,9 +100,14 @@ Seed = Union[PureState, DensityMatrix]
 
 def _seed_marginal_ranks(seed: Seed) -> tuple[int, int]:
     """Schmidt rank of a pure seed; column counts of a mixed seed's
-    marginal factors."""
+    marginal factors. The Schmidt coefficients of a seed whose amplitude
+    matrix is exactly diagonal, as ``protocol_from_purification`` builds
+    it, are the moduli of its diagonal, so it needs no SVD."""
     if isinstance(seed, PureState):
-        r = schmidt_rank(seed.to_registers())
+        psi = seed.amps.reshape(seed.dim_a, seed.dim_b)
+        diag = np.diagonal(psi)
+        exact = np.count_nonzero(psi) == np.count_nonzero(diag)
+        r = rank_from_singulars(np.abs(diag)) if exact else schmidt_rank(seed.to_registers())
         return r, r
     return tuple(partial_trace(seed, [side]).factor.shape[1] for side in (0, 1))
 
@@ -166,9 +178,9 @@ def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
     """Run the protocol: (Phi_A (x) Phi_B)(seed) on the target's space.
 
     A pure seed psi whose acting Kraus pairs are no more than the output
-    dimension gives the output W W^dag, with W the factor of one column
-    (K_a (x) K_b) psi per acting pair, scaled to unit trace; W seeds the
-    output's ``factor``. Any other seed sigma[(i, j), (I, J)] is
+    dimension gives the output W W^dag, held as its factor W of one column
+    (K_a (x) K_b) psi per acting pair, scaled to unit trace; its dense
+    ``mat`` is formed only if read. Any other seed sigma[(i, j), (I, J)] is
     contracted with Alice's transfer matrix over (i, I), then with Bob's
     over (j, J): the cost grows with |K_A| + |K_B|, not with the number
     of Kraus pairs. The output of a pure seed is psd by construction and
@@ -187,8 +199,7 @@ def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
         trace = float(np.vdot(w, w).real)
         if abs(trace - 1.0) > 1e-9:
             raise InvalidInput(f"protocol output trace {trace!r} deviates beyond 1e-9")
-        w = w / np.sqrt(trace)
-        return DensityMatrix._built(oa, ob, w @ w.conj().T, factor=w)
+        return DensityMatrix._of_factor(oa, ob, w / np.sqrt(trace))
     sigma = np.outer(seed.amps, seed.amps.conj()) if pure_seed else seed.mat
     s = sigma.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     out = (_transfer(spec.alice) @ s) @ _transfer(spec.bob).T

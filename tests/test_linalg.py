@@ -256,20 +256,33 @@ def test_fidelity_exact_for_pure_targets_and_one_sided_for_dense(
     assert abs(fid - exact) <= 1e-12
     assert fid <= 1 + 1e-12
     # A dense target drops only eigenvalues at rounding level, which can
-    # only lower the fidelity. The comparison takes a full-rank rho: against
-    # a rank-deficient one, both evaluations take square roots of inner
-    # eigenvalues that are zero up to rounding, and each can read ~1e-8 high.
-    full = random_density_matrix(rng, da, db)
+    # only lower the fidelity, also against a rank-deficient rho: the trace
+    # norm of sigma.factor^dag rho.factor takes no square root of an inner
+    # eigenvalue that is zero up to rounding.
     sigma = random_density_matrix(rng, da, db, min(sigma_rank, d))
-    assert fidelity(full, sigma) <= _dense_fidelity(full, sigma) + 1e-12
+    assert fidelity(rho, sigma) <= _dense_fidelity(rho, sigma) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(da=st.integers(1, 6), db=st.integers(1, 6), sigma_rank=st.integers(1, 36),
+       seed=st.integers(0, 2**32 - 1))
+def test_fidelity_of_a_rank_one_rho_is_the_closed_form(da, db, sigma_rank, seed):
+    # rho = w w^dag enters through the public constructor, so both factors
+    # are computed; F(rho, sigma) = sqrt(w^dag sigma w) for sigma of any rank.
+    rng = np.random.default_rng(seed)
+    d = da * db
+    w = random_pure_state(rng, da, db).amps
+    rho = DensityMatrix(da, db, np.outer(w, w.conj()))
+    sigma = random_density_matrix(rng, da, db, min(sigma_rank, d))
+    exact = math.sqrt(max(np.vdot(w, sigma.mat @ w).real, 0.0))
+    assert abs(fidelity(rho, sigma) - exact) <= 1e-12
+    assert abs(fidelity(sigma, rho) - exact) <= 1e-12
 
 
 def _factor_fidelity(rho, sigma) -> float:
-    # The general path of ``fidelity``: sum sqrt(eig(W^dag rho W)) with
-    # W = sigma.factor, for pairs the diagonal rule would take.
-    w = sigma.factor
-    inner = hermitize(w.conj().T @ rho.mat @ w)
-    return float(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum())
+    # The general path of ``fidelity``, the trace norm of
+    # sigma.factor^dag rho.factor, for pairs the diagonal rule would take.
+    return float(np.linalg.svd(sigma.factor.conj().T @ rho.factor, compute_uv=False).sum())
 
 
 def _diag_state(weights) -> DensityMatrix:
@@ -448,3 +461,23 @@ def test_density_from_pure_input_contract():
         density_from_pure([np.nan, 1.0, 0.0, 0.0], 2, 2)
     with pytest.raises(InvalidInput, match="length"):
         density_from_pure(psi[:3], 2, 2)
+
+
+def test_of_factor_checks_the_factor_and_forms_the_matrix_on_first_read():
+    w = random_pure_state(np.random.default_rng(37), 2, 3).amps.reshape(6, 1) * [0.6, 0.8]
+    rho = DensityMatrix._of_factor(2, 3, w)
+    assert "mat" not in vars(rho)
+    assert rho.factor is vars(rho)["factor"]
+    np.testing.assert_array_equal(rho.mat, w @ w.conj().T)
+    assert rho.mat is vars(rho)["mat"]
+    with pytest.raises(NotNormalized, match="trace"):
+        DensityMatrix._of_factor(2, 3, 2 * w)
+    for bad in (w[:5], w[:, 0], w.reshape(2, 3, 2)):
+        with pytest.raises(InvalidInput, match="shape"):
+            DensityMatrix._of_factor(2, 3, bad)
+    with pytest.raises(InvalidInput, match="non-finite"):
+        DensityMatrix._of_factor(2, 3, np.where(np.arange(6)[:, None] == 0, np.nan, w))
+    with pytest.raises(InvalidInput, match="dimensions"):
+        DensityMatrix._of_factor(0, 3, w)
+    with pytest.raises(AttributeError, match="other"):
+        rho.other

@@ -232,3 +232,17 @@ def test_tensor_product_layout():
         vec_inv(joint), np.kron(vec_inv(psi), vec_inv(theta)), atol=1e-12
     )
     assert abs(np.linalg.norm(joint.amps) - 1.0) <= 1e-10
+
+
+def test_schmidt_form_is_cached_and_read_only():
+    psi = random_pure_state(np.random.default_rng(167), 3, 5)
+    form = schmidt_decompose(psi)
+    assert schmidt_decompose(psi) is form
+    fresh = schmidt_decompose(PureState(psi.dim_a, psi.dim_b, np.array(psi.amps)))
+    assert fresh is not form
+    for name in ("coeffs", "left", "right"):
+        np.testing.assert_array_equal(getattr(form, name), getattr(fresh, name))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(form, name)[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        psi.amps[0] = 0.0

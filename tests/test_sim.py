@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+
+from qcorr import io as qio
+from qcorr import sim
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +31,7 @@ from qcorr.rand import (
 from qcorr.sim import (
     LocalChannel,
     ProtocolSpec,
+    _seed_marginal_ranks,
     apply_protocol,
     measure_computational,
     protocol_from_purification,
@@ -578,3 +582,50 @@ def test_mixed_seed_ranks_ignore_rounding_eigenvalues():
     assert verify_generation(ProtocolSpec(seed, 1, ident, ident, seed, 0.0)).passed
     with pytest.raises(InvalidInput, match="cannot hold"):
         ProtocolSpec(seed, 0, ident, ident, seed, 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_pure_protocol_verifies_without_a_dense_matrix(eps, monkeypatch, tmp_path):
+    psi = random_pure_state(np.random.default_rng(157), 8, 16)
+    spec = synth_pure_protocol(psi, eps)
+    outputs = []
+
+    def recording(spec):
+        outputs.append(apply_protocol(spec))
+        return outputs[-1]
+
+    monkeypatch.setattr(sim, "apply_protocol", recording)
+    assert verify_generation(spec).passed
+    (out,) = outputs
+    assert "mat" not in vars(out) and "mat" not in vars(spec.target)
+    # Read later, the matrix is W W^dag to the bit, and a saved file holds
+    # the same bytes as the file of that matrix entered densely.
+    w = vars(out)["factor"]
+    held, dense = tmp_path / "held.json", tmp_path / "dense.json"
+    qio.save(str(held), out)
+    qio.save(str(dense), DensityMatrix(out.dim_a, out.dim_b, w @ w.conj().T))
+    np.testing.assert_array_equal(out.mat, w @ w.conj().T)
+    assert held.read_bytes() == dense.read_bytes()
+
+
+def test_diagonal_seed_rank_matches_the_schmidt_rank():
+    # Exactly diagonal seeds, square and rectangular, with zero and
+    # below-cutoff coefficients, take the diagonal; any other seed the SVD.
+    coeffs = np.array([0.6, -0.8j, 0.0, 1e-12])
+    rng = np.random.default_rng(163)
+    for da, db in ((4, 4), (4, 6), (5, 4)):
+        amps = np.zeros((da, db), dtype=np.complex128)
+        amps[np.arange(4), np.arange(4)] = coeffs / np.linalg.norm(coeffs)
+        u = np.linalg.qr(rng.standard_normal((da, da)))[0]
+        v = np.linalg.qr(rng.standard_normal((db, db)))[0]
+        for seed in (PureState(da, db, amps.reshape(-1)),
+                     PureState(da, db, (u @ amps @ v).reshape(-1))):
+            r = schmidt_rank(seed.to_registers())
+            assert r == 2
+            assert _seed_marginal_ranks(seed) == (r, r)
+    seed = PureState(4, 4, amps[:4, :4].reshape(-1))
+    ident = LocalChannel.identity(4)
+    target = seed.to_density()
+    assert ProtocolSpec(seed, 1, ident, ident, target, 0.0).seed_size_qubits == 1
+    with pytest.raises(InvalidInput, match="does not match"):
+        ProtocolSpec(seed, 2, ident, ident, target, 0.0)
