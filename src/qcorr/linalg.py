@@ -394,6 +394,31 @@ def schmidt_rank(state: RegisterState) -> int:
     return cut_svd(state).rank
 
 
+def _contract_cut(ga: np.ndarray, gb: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The (n m) x (n m) matrix rho[(x, y), (x', y')] = sum_J ga[(x, x'), J]
+    gb[(y, y'), J], in the basis index ``x * m + y``, computed on its support.
+
+    A row of ``ga`` or ``gb`` that is exactly zero gives exact zeros, so
+    only the nonzero rows are multiplied and their product is scattered
+    into a zero matrix: exact for finite inputs, and cheap when each side
+    is block diagonal, as for a purification whose aux registers copy the
+    computational ones. With no zero row on either side the dense product
+    is permuted instead, which is faster there.
+    """
+    rows_a = np.flatnonzero(ga.any(axis=1))
+    rows_b = np.flatnonzero(gb.any(axis=1))
+    if rows_a.size == n * n and rows_b.size == m * m:
+        coeff = ga @ gb.T  # coeff[(x, x'), (y, y')]
+        return coeff.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    out = np.zeros((n * m, n * m), dtype=np.result_type(ga, gb))
+    # Entry (x, y), (x', y') sits at flat index (x m n + x') m + (y n m + y').
+    x, xp = np.divmod(rows_a, n)
+    y, yp = np.divmod(rows_b, m)
+    at = ((x * n * m + xp) * m)[:, None] + (y * n * m + yp)
+    out.reshape(-1)[at] = ga[rows_a] @ gb[rows_b].T
+    return out
+
+
 def comp_reduction(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Reduction to the computational registers of sum_i a[:, :, i] (x)
     b[:, :, i], without forming that state.
@@ -402,16 +427,17 @@ def comp_reduction(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Returns the (n m) x (n m) matrix
     rho[(x, y), (x', y')] = sum_ij (a_x'^dag a_x)[j, i] (b_y'^dag b_y)[j, i]
     in the basis index ``x * m + y``; its trace is the squared norm of the
-    state. Two matrix products form every Gram block, a third sums them.
+    state. One matrix product per side forms every Gram block, and
+    ``_contract_cut`` sums them on their support: a Gram block
+    a_x'^dag a_x that is exactly zero, as for x != x' when the aux
+    registers copy x, costs nothing and leaves exact zeros.
     """
     def grams(f):  # g[(x, x'), (j, i)] = (f_x'^dag f_x)[j, i]
         k, aux, r = f.shape
         flat = f.transpose(1, 0, 2).reshape(aux, k * r)
         return (flat.conj().T @ flat).reshape(k, r, k, r).transpose(2, 0, 1, 3).reshape(k * k, r * r)
 
-    n, m = a.shape[0], b.shape[0]
-    coeff = grams(a) @ grams(b).T  # coeff[(x, x'), (y, y')]
-    return coeff.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    return _contract_cut(grams(a), grams(b), a.shape[0], b.shape[0])
 
 
 @dataclass(frozen=True)

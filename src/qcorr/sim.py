@@ -6,14 +6,24 @@ at the declared fidelity slack verifies a protocol end to end; a
 single-qubit register transfer models communication, which can at most
 double the Schmidt rank per qubit moved. All simulation is dense and
 exact: "the distribution produced" always means the exact Born-rule
-diagonal, so acceptance checks carry no statistical noise. A pure seed
-psi is simulated through its output's factor W, one column
-(K_a (x) K_b) psi per Kraus pair that acts on it: the output W W^dag is
-held as W, and its dense matrix is formed only when read (a file, a
-measurement, the diagonal test of ``fidelity`` against a dense state). A mixed seed, or a pure one with more acting pairs than
-output dimensions, goes through one transfer matrix
-sum_k K_k (x) conj(K_k) per side, so it costs |K_A| + |K_B| Kraus
-operators, not their product.
+diagonal, so acceptance checks carry no statistical noise.
+
+A channel holds its Kraus operators as one stacked (K, out, in) array,
+checked once and read whole by the simulator. A pure seed with amplitude
+matrix Psi is pushed through Alice's stack once, left[a] = K_a Psi. With
+no more acting Kraus pairs than output dimensions, it is simulated
+through its output's factor W, one column (K_a (x) K_b) psi per pair that
+acts on it: the output W W^dag is held as W, and its dense matrix is
+formed only when read (a file, the diagonal test of ``fidelity`` against
+a dense state); a measurement reads the row sums of |W|^2. Otherwise the
+output is contracted from two halves, sum_a left[a] (x) conj(left[a]) and
+Bob's transfer matrix sum_b K_b (x) conj(K_b); a mixed seed goes through
+Alice's transfer matrix, then Bob's. Either way it costs |K_A| + |K_B|
+Kraus operators, not their product, and ``linalg._contract_cut`` works
+on the support of the halves, so a protocol whose channels copy x and y
+yields its classical output with exact zeros and no dense pass over
+them. A pure seed's output is psd by construction and is neither
+hermitized nor psd-checked; a mixed seed's is both.
 
 Verification is ``linalg.fidelity``: for a pure target, held as its
 vector psi, against an output held as W, it is ||W^dag psi||, so a pure
@@ -30,7 +40,7 @@ the state's density matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -41,6 +51,8 @@ from .linalg import (
     DensityMatrix,
     Purification,
     RegisterState,
+    _contract_cut,
+    _factor_held,
     as_complex_array,
     ceil_log2,
     comp_reduction,
@@ -58,41 +70,54 @@ from .pure import PureState, _truncation, require_eps, srank_eps  # noqa: F401
 @dataclass(frozen=True)
 class LocalChannel:
     """Completely positive trace-preserving map given by Kraus operators,
-    each out_dim x in_dim; a single-Kraus channel is an isometry."""
+    each out_dim x in_dim; a single-Kraus channel is an isometry.
+
+    The operators are checked and held as one complex (K, out_dim, in_dim)
+    array; ``kraus`` is the tuple of its K views."""
 
     kraus: tuple[np.ndarray, ...]
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not len(self.kraus):
             raise InvalidInput("channel needs at least one Kraus operator")
-        shape = np.shape(self.kraus[0])
-        if len(shape) != 2:
-            raise InvalidInput("Kraus operators must be 2-D")
-        for i, k in enumerate(self.kraus):
-            if np.shape(k) != shape:
-                raise InvalidInput(f"Kraus[{i}] shape {np.shape(k)} differs from {shape}")
         try:
             ops = as_complex_array(self.kraus, "Kraus operators")
-        except InvalidInput:  # name the first operator at fault
-            for i, k in enumerate(self.kraus):
-                as_complex_array(k, f"Kraus[{i}]")
+            if ops.ndim != 3:
+                raise InvalidInput("Kraus operators must be 2-D")
+        except (InvalidInput, TypeError, ValueError):  # ragged, non-numeric or non-finite
+            _name_the_fault(self.kraus)
             raise
-        flat = ops.reshape(-1, shape[1])
-        if float(np.abs(flat.conj().T @ flat - np.eye(shape[1])).max()) > 1e-9:
+        flat = ops.reshape(-1, ops.shape[2])
+        if float(np.abs(flat.conj().T @ flat - np.eye(ops.shape[2])).max()) > 1e-9:
             raise InvalidInput("channel is not trace preserving within 1e-9")
+        object.__setattr__(self, "_stack", ops)
         object.__setattr__(self, "kraus", tuple(ops))
 
     @property
     def in_dim(self) -> int:
-        return self.kraus[0].shape[1]
+        return self._stack.shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self._stack.shape[1]
 
     @classmethod
     def identity(cls, dim: int) -> "LocalChannel":
-        return cls((np.eye(dim, dtype=np.complex128),))
+        return cls(np.eye(dim, dtype=np.complex128)[None])
+
+
+def _name_the_fault(kraus) -> None:
+    """Raise the error that names the first Kraus operator at fault, for
+    operators that do not stack into one finite (K, out, in) array."""
+    shape = np.shape(kraus[0])
+    if len(shape) != 2:
+        raise InvalidInput("Kraus operators must be 2-D")
+    for i, k in enumerate(kraus):
+        if np.shape(k) != shape:
+            raise InvalidInput(f"Kraus[{i}] shape {np.shape(k)} differs from {shape}")
+    for i, k in enumerate(kraus):
+        as_complex_array(k, f"Kraus[{i}]")
 
 
 Seed = Union[PureState, DensityMatrix]
@@ -148,74 +173,78 @@ class ProtocolSpec:
             raise InvalidInput("declared seed size cannot hold the seed marginals")
 
 
-def _transfer(channel: LocalChannel) -> np.ndarray:
-    """Transfer matrix T[(x, X), (i, I)] = sum_k K_k[x, i] conj(K_k[X, I])
-    of a channel, from one product of its stacked Kraus operators."""
-    ops = np.stack(channel.kraus)
+def _transfer(ops: np.ndarray) -> np.ndarray:
+    """T[(x, X), (i, I)] = sum_k ops[k, x, i] conj(ops[k, X, I]) of a stack
+    of operators, from one product: for a channel's Kraus stack, its
+    transfer matrix."""
     t = np.tensordot(ops, ops.conj(), axes=(0, 0))  # t[x, i, X, I]
-    o, i = channel.out_dim, channel.in_dim
+    _, o, i = ops.shape
     return t.transpose(0, 2, 1, 3).reshape(o * o, i * i)
 
 
-def _pure_output_factor(spec: ProtocolSpec) -> np.ndarray | None:
-    """Factor W[(x, y), (a, b)] = (K_a Psi K_b^T)[x, y] of the output of a
-    pure seed with amplitude matrix Psi, over the Kraus operators that act
-    on it (K_a Psi != 0, K_b Psi^T != 0, tested exactly, so padding
-    operators drop out); None when W would have more columns than rows."""
-    seed = spec.seed
-    psi = seed.amps.reshape(seed.dim_a, seed.dim_b)
-    left = np.stack(spec.alice.kraus) @ psi  # left[a, x, j] = (K_a Psi)[x, j]
-    right = np.stack(spec.bob.kraus)  # right[b, y, j] = K_b[y, j]
-    acting_a = np.any(left, axis=(1, 2))
-    acting_b = np.any(right @ psi.T, axis=(1, 2))
-    rows = spec.alice.out_dim * spec.bob.out_dim
-    if np.count_nonzero(acting_a) * np.count_nonzero(acting_b) > rows:
-        return None
-    return np.einsum("axj,byj->xyab", left[acting_a], right[acting_b]).reshape(rows, -1)
+def _unit_trace(trace: float) -> float:
+    if abs(trace - 1.0) > 1e-9:
+        raise InvalidInput(f"protocol output trace {trace!r} deviates beyond 1e-9")
+    return trace
 
 
 def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
     """Run the protocol: (Phi_A (x) Phi_B)(seed) on the target's space.
 
-    A pure seed psi whose acting Kraus pairs are no more than the output
-    dimension gives the output W W^dag, held as its factor W of one column
-    (K_a (x) K_b) psi per acting pair, scaled to unit trace; its dense
-    ``mat`` is formed only if read. Any other seed sigma[(i, j), (I, J)] is
-    contracted with Alice's transfer matrix over (i, I), then with Bob's
-    over (j, J): the cost grows with |K_A| + |K_B|, not with the number
-    of Kraus pairs. The output of a pure seed is psd by construction and
-    skips the psd check; that of a mixed seed is checked, since a seed
-    accepted at a least eigenvalue just above -EIG_CLAMP_TOL can map
-    below it.
+    A pure seed with amplitude matrix Psi is pushed through Alice's Kraus
+    stack once, left[a] = K_a Psi. With no more acting Kraus pairs
+    (K_a Psi != 0 and K_b Psi^T != 0, tested exactly, so padding operators
+    drop out) than output dimensions, the output is held as its factor
+    W[(x, y), (a, b)] = (K_a Psi K_b^T)[x, y], scaled to unit trace.
+    Otherwise it is ``linalg._contract_cut`` of Alice's half
+    sum_a left[a] (x) conj(left[a]), divided by the output's trace read off
+    both halves, and Bob's transfer matrix sum_b K_b (x) conj(K_b). A mixed
+    seed sigma[(i, j), (I, J)] is contracted with Alice's transfer matrix
+    over (i, I), then, through ``_contract_cut``, with Bob's over (j, J).
+    The cost grows with |K_A| + |K_B|, not with the number of Kraus pairs.
+    The output of a pure seed is psd by construction and skips
+    ``hermitize`` and the psd check; that of a mixed seed is hermitized and
+    checked, since a seed accepted at a least eigenvalue just above
+    -EIG_CLAMP_TOL can map below it.
     """
     seed = spec.seed
-    pure_seed = isinstance(seed, PureState)
-    da, db = seed.dim_a, seed.dim_b
     oa, ob = spec.target.dim_a, spec.target.dim_b
     if spec.alice.out_dim != oa or spec.bob.out_dim != ob:
         raise InvalidInput("channel output dims do not match the target")
-    w = _pure_output_factor(spec) if pure_seed else None
-    if w is not None:
-        trace = float(np.vdot(w, w).real)
-        if abs(trace - 1.0) > 1e-9:
-            raise InvalidInput(f"protocol output trace {trace!r} deviates beyond 1e-9")
-        return DensityMatrix._of_factor(oa, ob, w / np.sqrt(trace))
-    sigma = np.outer(seed.amps, seed.amps.conj()) if pure_seed else seed.mat
-    s = sigma.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    out = (_transfer(spec.alice) @ s) @ _transfer(spec.bob).T
-    out = out.reshape(oa, oa, ob, ob).transpose(0, 2, 1, 3).reshape(oa * ob, oa * ob)
-    trace = float(np.trace(out).real)
-    if abs(trace - 1.0) > 1e-9:
-        raise InvalidInput(f"protocol output trace {trace!r} deviates beyond 1e-9")
-    build = DensityMatrix._built if pure_seed else DensityMatrix
-    return build(oa, ob, hermitize(out) / trace)
+    right = spec.bob._stack  # right[b, y, j] = K_b[y, j]
+    if isinstance(seed, PureState):
+        psi = seed.amps.reshape(seed.dim_a, seed.dim_b)
+        left = spec.alice._stack @ psi  # left[a, x, j] = (K_a Psi)[x, j]
+        acting_a = np.any(left, axis=(1, 2))
+        acting_b = np.any(right @ psi.T, axis=(1, 2))
+        if np.count_nonzero(acting_a) * np.count_nonzero(acting_b) <= oa * ob:
+            w = np.einsum("axj,byj->xyab", left[acting_a], right[acting_b])
+            w = w.reshape(oa * ob, -1)
+            trace = _unit_trace(float(np.vdot(w, w).real))
+            return DensityMatrix._of_factor(oa, ob, w / np.sqrt(trace))
+        ga, gb = _transfer(left), _transfer(right)
+        # tr = sum_xy sum_J ga[(x, x), J] gb[(y, y), J]; scaling Alice's
+        # half leaves the zeros of the output unwritten.
+        trace = _unit_trace(float((ga[::oa + 1].sum(axis=0) @ gb[::ob + 1].sum(axis=0)).real))
+        return DensityMatrix._built(oa, ob, _contract_cut(ga / trace, gb, oa, ob))
+    da, db = seed.dim_a, seed.dim_b
+    s = seed.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    out = _contract_cut(_transfer(spec.alice._stack) @ s, _transfer(right), oa, ob)
+    trace = _unit_trace(float(np.trace(out).real))
+    return DensityMatrix(oa, ob, hermitize(out) / trace)
 
 
 def measure_computational(rho: DensityMatrix) -> DistMatrix:
-    """Born-rule diagonal P(x, y) = <x,y|rho|x,y> as a distribution."""
+    """Born-rule diagonal P(x, y) = <x,y|rho|x,y> as a distribution. A
+    state held as its factor W is read as the row sums of |W|^2, with no
+    dense matrix."""
     if not isinstance(rho, DensityMatrix):
         raise InvalidInput("expected a DensityMatrix")
-    diag = np.clip(np.real(np.diag(rho.mat)), 0.0, None)
+    if _factor_held(rho):
+        w = rho.factor
+        diag = (w.real ** 2 + w.imag ** 2).sum(axis=1)
+    else:
+        diag = np.clip(np.real(np.diag(rho.mat)), 0.0, None)
     return validate_dist(diag.reshape(rho.dim_a, rho.dim_b), renormalize=True)
 
 
@@ -326,4 +355,4 @@ def _rotate_and_discard(columns: np.ndarray, in_dim: int, comp: int, aux: int) -
     ops = np.zeros((aux + in_dim - t, comp, in_dim), dtype=np.complex128)
     ops[:aux, :, :t] = columns.reshape(comp, aux, t).transpose(1, 0, 2)
     ops[np.arange(aux, aux + in_dim - t), 0, np.arange(t, in_dim)] = 1.0
-    return LocalChannel(tuple(ops))
+    return LocalChannel(ops)

@@ -13,6 +13,7 @@ from qcorr.linalg import (
     DensityMatrix,
     Purification,
     RegisterState,
+    _contract_cut,
     ceil_log2,
     comp_aux_dims,
     cut_svd,
@@ -394,6 +395,31 @@ def test_cut_svd_matches_dense_svd_on_planted_zeros():
         for vecs in (res.left, res.right):
             np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(k), atol=1e-12)
         assert schmidt_rank(state) == matrix_rank(mat)
+
+
+#: Which rows of one side of ``_contract_cut`` are set exactly to zero.
+zero_rows = st.sampled_from(["none", "all", "some"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 5), k=st.integers(1, 6),
+       zero_a=zero_rows, zero_b=zero_rows, seed=st.integers(0, 2**32 - 1))
+def test_contract_cut_matches_the_dense_contraction(n, m, k, zero_a, zero_b, seed):
+    rng = np.random.default_rng(seed)
+
+    def side(d, zero):
+        g = rng.standard_normal((d * d, k)) + 1j * rng.standard_normal((d * d, k))
+        mask = {"none": np.zeros(d * d, bool), "all": np.ones(d * d, bool),
+                "some": rng.random(d * d) < 0.5}[zero]
+        g[mask] = 0.0
+        return g, ~mask
+
+    (ga, on_a), (gb, on_b) = side(n, zero_a), side(m, zero_b)
+    out = _contract_cut(ga, gb, n, m)
+    ref = np.einsum("xpJ,yqJ->xypq", ga.reshape(n, n, k), gb.reshape(m, m, k))
+    np.testing.assert_allclose(out, ref.reshape(n * m, n * m), rtol=0, atol=1e-13)
+    support = on_a.reshape(n, 1, n, 1) & on_b.reshape(1, m, 1, m)
+    assert np.all(out[~support.reshape(n * m, n * m)] == 0.0)
 
 
 def test_cut_svd_zero_state():

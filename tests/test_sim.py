@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcorr import io as qio
-from qcorr import sim
+from qcorr import linalg, sim
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,6 +220,58 @@ def test_pure_seed_with_more_acting_pairs_than_outputs_matches_kraus_pair_sum():
     out = apply_protocol(spec)
     assert "factor" not in vars(out)
     np.testing.assert_allclose(out.mat, kraus_pair_sum(spec), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, r", [(6, 3), (10, 4)])
+def test_planted_output_is_exactly_diagonal(n, r):
+    # Aux registers that copy x and y make every Gram block off x = x' and
+    # y = y' exactly zero, so output and target are classical states and
+    # fidelity is the Bhattacharyya sum of their diagonals.
+    dist, fact = random_psd_factorization(np.random.default_rng(n), n, n, r)
+    spec = protocol_from_purification(synth_from_psd(dist, fact))
+    out = apply_protocol(spec)
+    assert "factor" not in vars(out)
+    off = ~np.eye(n * n, dtype=bool)
+    for rho in (out, spec.target):
+        assert np.all(rho.mat[off] == 0.0)
+    p, q = (np.clip(np.diag(rho.mat).real, 0.0, None) for rho in (out, spec.target))
+    assert fidelity(out, spec.target) == float(np.sqrt(p * q).sum())
+    assert verify_generation(spec).passed
+
+
+def embedded_channel(rng, in_dim: int, out_dim: int, rows: int) -> LocalChannel:
+    """A random channel into the first ``rows`` of ``out_dim`` outputs:
+    every Kraus operator is zero on the rows below."""
+    inner = random_channel(rng, in_dim, rows, 2, 0)
+    ops = np.zeros((len(inner.kraus), out_dim, in_dim), dtype=np.complex128)
+    ops[:, :rows] = inner.kraus
+    return LocalChannel(tuple(ops))
+
+
+def test_mixed_seed_through_channels_with_zero_rows(monkeypatch):
+    rng = np.random.default_rng(167)
+    seed = random_density_matrix(rng, 3, 2, 4)
+    spec = ProtocolSpec(seed, ceil_log2(3), embedded_channel(rng, 3, 4, 2),
+                        embedded_channel(rng, 2, 3, 1),
+                        DensityMatrix(4, 3, np.eye(12) / 12), 1.0)
+    checked = []
+    require = linalg.require_psd
+    monkeypatch.setattr(linalg, "require_psd",
+                        lambda h, name="matrix": checked.append(name) or require(h, name))
+    out = apply_protocol(spec)
+    assert checked == ["density matrix"]
+    np.testing.assert_allclose(out.mat, kraus_pair_sum(spec), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(out.mat, out.mat.conj().T)
+    block = out.mat.reshape(4, 3, 4, 3)
+    assert not block[2:].any() and not block[:, 1:].any()
+
+
+def test_measure_reads_a_held_factor_without_a_dense_matrix():
+    psi = random_pure_state(np.random.default_rng(149), 8, 64)
+    out = apply_protocol(synth_pure_protocol(psi, 0.0))
+    dist = measure_computational(out)
+    assert "mat" not in vars(out)
+    np.testing.assert_allclose(dist.p.reshape(-1), np.diag(out.mat).real, rtol=0, atol=1e-15)
 
 
 def test_measure_computational_diagonal():
