@@ -402,14 +402,10 @@ def _contract_cut(ga: np.ndarray, gb: np.ndarray, n: int, m: int) -> np.ndarray:
     only the nonzero rows are multiplied and their product is scattered
     into a zero matrix: exact for finite inputs, and cheap when each side
     is block diagonal, as for a purification whose aux registers copy the
-    computational ones. With no zero row on either side the dense product
-    is permuted instead, which is faster there.
+    computational ones.
     """
     rows_a = np.flatnonzero(ga.any(axis=1))
     rows_b = np.flatnonzero(gb.any(axis=1))
-    if rows_a.size == n * n and rows_b.size == m * m:
-        coeff = ga @ gb.T  # coeff[(x, x'), (y, y')]
-        return coeff.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
     out = np.zeros((n * m, n * m), dtype=np.result_type(ga, gb))
     # Entry (x, y), (x', y') sits at flat index (x m n + x') m + (y n m + y').
     x, xp = np.divmod(rows_a, n)

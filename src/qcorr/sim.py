@@ -23,7 +23,8 @@ Kraus operators, not their product, and ``linalg._contract_cut`` works
 on the support of the halves, so a protocol whose channels copy x and y
 yields its classical output with exact zeros and no dense pass over
 them. A pure seed's output is psd by construction and is neither
-hermitized nor psd-checked; a mixed seed's is both.
+hermitized nor psd-checked, only its diagonal is set real; a mixed
+seed's is hermitized and checked.
 
 Verification is ``linalg.fidelity``: for a pure target, held as its
 vector psi, against an output held as W, it is ||W^dag psi||, so a pure
@@ -203,9 +204,10 @@ def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
     over (i, I), then, through ``_contract_cut``, with Bob's over (j, J).
     The cost grows with |K_A| + |K_B|, not with the number of Kraus pairs.
     The output of a pure seed is psd by construction and skips
-    ``hermitize`` and the psd check; that of a mixed seed is hermitized and
-    checked, since a seed accepted at a least eigenvalue just above
-    -EIG_CLAMP_TOL can map below it.
+    ``hermitize`` and the psd check; its diagonal, real in exact
+    arithmetic, is set to its real part. That of a mixed seed is
+    hermitized and checked, since a seed accepted at a least eigenvalue
+    just above -EIG_CLAMP_TOL can map below it.
     """
     seed = spec.seed
     oa, ob = spec.target.dim_a, spec.target.dim_b
@@ -226,7 +228,10 @@ def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
         # tr = sum_xy sum_J ga[(x, x), J] gb[(y, y), J]; scaling Alice's
         # half leaves the zeros of the output unwritten.
         trace = _unit_trace(float((ga[::oa + 1].sum(axis=0) @ gb[::ob + 1].sum(axis=0)).real))
-        return DensityMatrix._built(oa, ob, _contract_cut(ga / trace, gb, oa, ob))
+        out = _contract_cut(ga / trace, gb, oa, ob)
+        # The diagonal is real in exact arithmetic; drop its rounding residue.
+        np.fill_diagonal(out, out.diagonal().real)
+        return DensityMatrix._built(oa, ob, out)
     da, db = seed.dim_a, seed.dim_b
     s = seed.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     out = _contract_cut(_transfer(spec.alice._stack) @ s, _transfer(right), oa, ob)

@@ -234,6 +234,7 @@ def test_planted_output_is_exactly_diagonal(n, r):
     off = ~np.eye(n * n, dtype=bool)
     for rho in (out, spec.target):
         assert np.all(rho.mat[off] == 0.0)
+    assert np.all(out.mat.diagonal().imag == 0.0)
     p, q = (np.clip(np.diag(rho.mat).real, 0.0, None) for rho in (out, spec.target))
     assert fidelity(out, spec.target) == float(np.sqrt(p * q).sum())
     assert verify_generation(spec).passed
