@@ -683,8 +683,7 @@ def gram_extract(purif: Purification | RegisterState) -> PsdFactorization:
     """
     if isinstance(purif, RegisterState):
         purif = Purification.from_state(purif)
-    ga = np.einsum("xaj,xai->xji", purif.a.conj(), purif.a)
-    gb = np.einsum("ybj,ybi->yji", purif.b.conj(), purif.b)
+    ga, gb = _grams(purif.a), _grams(purif.b)  # ga[x] = a_x^dag a_x
     vw = purif.schmidt_pair()
     # D_y(i, j) = <w_y^j|w_y^i> is the Gram matrix of conj(w_y).
     return _witness(vw.a, vw.b.conj(), np.einsum("xji,yji->xy", ga, gb).real)

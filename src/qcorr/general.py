@@ -23,6 +23,7 @@ from .errors import InvalidInput
 from .linalg import (
     DensityMatrix,
     Purification,
+    _sq_norm,
     as_complex_array,
     ceil_log2,
     comp_reduction,
@@ -78,29 +79,25 @@ class GeneralFactorization:
 def factorization_norm(f: GeneralFactorization) -> float:
     """sum_xy tr((A_x^dag A_x)^T (B_y^dag B_y)); the squared norm of the
     purification assembled from the factors."""
-    sa = sum(a.conj().T @ a for a in f.a_mats)
-    sb = sum(b.conj().T @ b for b in f.b_mats)
-    return float(np.trace(sa.T @ sb).real)
+    return _sq_norm(np.stack(f.a_mats), np.stack(f.b_mats))
 
 
 def reconstruct_from_factors(f: GeneralFactorization) -> DensityMatrix:
     """Density matrix encoded by a factorization.
 
     Evaluates the bilinear form tr((A_x'^dag A_x)^T (B_y'^dag B_y)) for
-    every basis pair; the result is Hermitian psd with trace equal to the
-    factorization norm. The output is rescaled to unit trace, with a
-    warning when the input deviates from normalization beyond 1e-8.
+    every basis pair (``comp_reduction``); the result is psd by
+    construction with trace equal to the factorization norm. The output is
+    rescaled to unit trace, with a warning when the input deviates from
+    normalization beyond 1e-8. A zero factorization raises InvalidInput.
     """
-    mat = comp_reduction(np.stack(f.a_mats), np.stack(f.b_mats))
-    trace = float(np.trace(mat).real)
-    if trace <= 0.0:
-        raise InvalidInput("factorization encodes a non-positive trace")
+    rho, trace = comp_reduction(np.stack(f.a_mats), np.stack(f.b_mats))
     if abs(trace - 1.0) > 1e-8:
         warnings.warn(
             f"factorization norm {trace!r} deviates from 1; renormalizing",
             stacklevel=2,
         )
-    return DensityMatrix(f.dim_a, f.dim_b, mat / trace)
+    return rho
 
 
 def canonical_purification(rho: DensityMatrix) -> Purification:
@@ -111,9 +108,10 @@ def canonical_purification(rho: DensityMatrix) -> Purification:
     B1 is trivial: the amplitudes are those of ``rho.factor``. Tracing out
     the aux registers reproduces rho. A state held as its factor
     (``DensityMatrix._of_factor``) gives one aux dimension per column of
-    that factor instead, with the same Schmidt coefficients across the cut. The pair is read straight off the factor
-    W: a[x, k, y] = W[(x, y), k] and b[y, 0, y'] = delta_yy', so the
-    Schmidt rank is at most dim_b.
+    that factor instead, with the same Schmidt coefficients across the
+    cut. The pair is read straight off the factor W:
+    a[x, k, y] = W[(x, y), k] and b[y, 0, y'] = delta_yy', so the Schmidt
+    rank is at most dim_b.
     """
     if not isinstance(rho, DensityMatrix):
         raise InvalidInput("expected a DensityMatrix")

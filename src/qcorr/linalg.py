@@ -19,12 +19,14 @@ Conventions
   ``-EIG_CLAMP_TOL``, decided by a Cholesky factorization. It runs where
   a matrix enters from outside the library: ``DensityMatrix(...)``
   checks every file, random draw, partial trace and user matrix. A
-  matrix the library builds psd by construction (a pure state pushed
-  through CPTP maps) skips it through the private
-  ``DensityMatrix._built``.
+  matrix the library builds psd by construction skips it.
+* One reduction: ``comp_reduction`` turns every factor pair (a
+  purification, a general factorization, a default target, a pure seed's
+  dilated pair) into its reduction to the computational registers, held
+  as its factor or contracted on its support (``DensityMatrix._built``).
 * One factor: ``DensityMatrix.factor`` is a W with mat = W W^dag. A state
-  the library builds as W W^dag (a pure state, the output of a pure
-  seed) is born from W alone through the private
+  the library builds as W W^dag (a pure state, a reduction with few
+  acting aux pairs) is born from W alone through the private
   ``DensityMatrix._of_factor``, which runs the shape, finiteness and
   trace checks on W, and forms the dense ``mat`` only when it is first
   read. Any other state computes W once, from an eigendecomposition
@@ -212,11 +214,11 @@ class DensityMatrix:
     def _built(cls, dim_a: int, dim_b: int, mat: np.ndarray) -> "DensityMatrix":
         """A density matrix the library built psd, without the psd check.
 
-        Every caller must pass a ``mat`` that is the image of a pure state
-        under CPTP maps, or otherwise psd by construction, computed in
-        floating point: its least eigenvalue is then within roundoff of
-        zero, far inside -EIG_CLAMP_TOL. The dimension, shape, finiteness
-        and trace checks still run.
+        Its one caller, ``comp_reduction``, passes the reduction of a pure
+        state it contracted from a factor pair, computed in floating point:
+        its least eigenvalue is then within roundoff of zero, far inside
+        -EIG_CLAMP_TOL. The dimension, shape, finiteness and trace checks
+        still run.
         """
         rho = cls._unchecked(dim_a, dim_b)
         rho._settle(mat, psd=False)
@@ -273,7 +275,7 @@ class DensityMatrix:
         ``rank_from_singulars`` counts, so that mat ~ W W^dag. A state
         held as its factor (``_of_factor``) has the W it was built from
         instead, which can have more columns than the rank
-        (``apply_protocol`` gives one per acting Kraus pair)."""
+        (``comp_reduction`` gives one per acting aux pair)."""
         vals, vecs = eigh(self.mat)
         k = rank_from_singulars(vals)
         return vecs[:, :k] * np.sqrt(vals[:k])
@@ -415,25 +417,56 @@ def _contract_cut(ga: np.ndarray, gb: np.ndarray, n: int, m: int) -> np.ndarray:
     return out
 
 
-def comp_reduction(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Reduction to the computational registers of sum_i a[:, :, i] (x)
-    b[:, :, i], without forming that state.
+def _cut_grams(f: np.ndarray) -> np.ndarray:
+    """g[(x, x'), (j, i)] = (f_x'^dag f_x)[j, i] of an aux-major factor f
+    of shape (aux, k, r), f_x = f[:, x, :]: every Gram block from one
+    matrix product."""
+    aux, k, r = f.shape
+    flat = f.reshape(aux, k * r)
+    return (flat.conj().T @ flat).reshape(k, r, k, r).transpose(2, 0, 1, 3).reshape(k * k, r * r)
 
-    ``a`` is (n, ka, r) and ``b`` is (m, kb, r), as in ``Purification``.
-    Returns the (n m) x (n m) matrix
-    rho[(x, y), (x', y')] = sum_ij (a_x'^dag a_x)[j, i] (b_y'^dag b_y)[j, i]
-    in the basis index ``x * m + y``; its trace is the squared norm of the
-    state. One matrix product per side forms every Gram block, and
-    ``_contract_cut`` sums them on their support: a Gram block
-    a_x'^dag a_x that is exactly zero, as for x != x' when the aux
-    registers copy x, costs nothing and leaves exact zeros.
+
+def _sq_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """Squared norm of sum_i a[:, :, i] (x) b[:, :, i]: sum_ij (a^dag a)_ij
+    (b^dag b)_ij, from the two r x r Grams."""
+    ga, gb = (f.conj().T @ f for f in (a.reshape(-1, a.shape[2]), b.reshape(-1, b.shape[2])))
+    return float(np.vdot(ga.conj(), gb).real)
+
+
+def comp_reduction(a: np.ndarray, b: np.ndarray) -> tuple[DensityMatrix, float]:
+    """The reduction to the computational registers of the state
+    sum_i a[:, :, i] (x) b[:, :, i], scaled to unit trace, and that state's
+    squared norm, the trace it had; the state itself is never formed.
+
+    ``a`` is (n, ka, r) and ``b`` is (m, kb, r), complex, as in
+    ``Purification``: rho[(x, y), (x', y')] =
+    sum_ij (a_x'^dag a_x)[j, i] (b_y'^dag b_y)[j, i] in the basis index
+    ``x * m + y``, psd by construction, so it skips the psd check. An aux
+    slice that is exactly zero acts on nothing. With at most n m acting aux
+    pairs rho is held as its factor W[(x, y), (alpha, beta)] =
+    sum_i a[x, alpha, i] b[y, beta, i]; otherwise ``_contract_cut`` sums
+    the Gram blocks on their support, leaving exact zeros where a block
+    vanishes (x != x' when the aux registers copy x) and an exactly real
+    diagonal. A zero pair raises InvalidInput.
     """
-    def grams(f):  # g[(x, x'), (j, i)] = (f_x'^dag f_x)[j, i]
-        k, aux, r = f.shape
-        flat = f.transpose(1, 0, 2).reshape(aux, k * r)
-        return (flat.conj().T @ flat).reshape(k, r, k, r).transpose(2, 0, 1, 3).reshape(k * k, r * r)
-
-    return _contract_cut(grams(a), grams(b), a.shape[0], b.shape[0])
+    n, m, r = a.shape[0], b.shape[0], a.shape[2]
+    trace = _sq_norm(a, b)
+    if not trace > 0.0:
+        raise InvalidInput("factor pair encodes the zero state")
+    # Aux-major, one contiguous block per aux slice; a pair built that way,
+    # as the simulator's is, is read without a copy.
+    fa, fb = (np.ascontiguousarray(f.transpose(1, 0, 2)) for f in (a, b))
+    acting_a, acting_b = fa.any(axis=(1, 2)), fb.any(axis=(1, 2))
+    ka, kb = np.count_nonzero(acting_a), np.count_nonzero(acting_b)
+    if ka * kb <= n * m:
+        w = (fa[acting_a] / np.sqrt(trace)).reshape(-1, r) @ fb[acting_b].reshape(-1, r).T
+        w = w.reshape(ka, n, kb, m).transpose(1, 3, 0, 2).reshape(n * m, ka * kb)
+        return DensityMatrix._of_factor(n, m, w), trace
+    # A zero aux slice adds exact zeros to the Grams, so it is not dropped
+    # here; scaling Alice's half leaves the zeros of the output unwritten.
+    out = _contract_cut(_cut_grams(fa) / trace, _cut_grams(fb), n, m)
+    out.reshape(-1)[::n * m + 1].imag = 0.0
+    return DensityMatrix._built(n, m, out), trace
 
 
 @dataclass(frozen=True)
@@ -473,9 +506,7 @@ class Purification:
             if dims[:1] != f.shape[:1] or int(np.prod(dims[1:])) != f.shape[1]:
                 raise InvalidInput(f"registers {dims} do not lay out a factor of shape {f.shape}")
             object.__setattr__(self, field, dims)
-        # |sum_i a_i (x) b_i|^2 = sum_ij (a^dag a)_ij (b^dag b)_ij
-        ga, gb = (f.reshape(-1, f.shape[2]).conj().T @ f.reshape(-1, f.shape[2]) for f in (a, b))
-        norm = float(np.sqrt(max(np.sum(ga * gb).real, 0.0)))
+        norm = float(np.sqrt(max(_sq_norm(a, b), 0.0)))
         if abs(norm - 1.0) > 1e-10:
             raise NotNormalized(f"purification norm {norm!r} deviates from 1")
 
@@ -532,11 +563,8 @@ class Purification:
 
     def reduction(self) -> DensityMatrix:
         """The purified state on (computational A) (x) (computational B),
-        (x, y) ordered, read off the pair and divided by its trace, the
-        squared norm. Psd by construction, so it skips the psd check."""
-        mat = comp_reduction(self.a, self.b)
-        return DensityMatrix._built(self.a.shape[0], self.b.shape[0],
-                                    mat / float(np.trace(mat).real))
+        (x, y) ordered: ``comp_reduction`` of the pair."""
+        return comp_reduction(self.a, self.b)[0]
 
     @cached_property
     def amps(self) -> np.ndarray:

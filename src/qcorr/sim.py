@@ -4,27 +4,22 @@ A generation protocol is a shared seed state plus one local channel per
 party. Applying the channels and comparing the output against the target
 at the declared fidelity slack verifies a protocol end to end; a
 single-qubit register transfer models communication, which can at most
-double the Schmidt rank per qubit moved. All simulation is dense and
-exact: "the distribution produced" always means the exact Born-rule
-diagonal, so acceptance checks carry no statistical noise.
+double the Schmidt rank per qubit moved. Simulation is exact: "the
+distribution produced" always means the exact Born-rule diagonal, so
+acceptance checks carry no statistical noise.
 
 A channel holds its Kraus operators as one stacked (K, out, in) array,
 checked once and read whole by the simulator. A pure seed with amplitude
-matrix Psi is pushed through Alice's stack once, left[a] = K_a Psi. With
-no more acting Kraus pairs than output dimensions, it is simulated
-through its output's factor W, one column (K_a (x) K_b) psi per pair that
-acts on it: the output W W^dag is held as W, and its dense matrix is
-formed only when read (a file, the diagonal test of ``fidelity`` against
-a dense state); a measurement reads the row sums of |W|^2. Otherwise the
-output is contracted from two halves, sum_a left[a] (x) conj(left[a]) and
-Bob's transfer matrix sum_b K_b (x) conj(K_b); a mixed seed goes through
-Alice's transfer matrix, then Bob's. Either way it costs |K_A| + |K_B|
-Kraus operators, not their product, and ``linalg._contract_cut`` works
-on the support of the halves, so a protocol whose channels copy x and y
-yields its classical output with exact zeros and no dense pass over
-them. A pure seed's output is psd by construction and is neither
-hermitized nor psd-checked, only its diagonal is set real; a mixed
-seed's is hermitized and checked.
+matrix Psi pushed through Kraus stacks is itself a purification: its
+output is the reduction (``linalg.comp_reduction``) of the dilated pair
+a[x, alpha, j] = (K_alpha Psi)[x, j] and b[y, beta, j] = K_beta[y, j],
+held as its factor when few Kraus pairs act and contracted on its
+support otherwise, so a protocol whose channels copy x and y yields its
+classical output with exact zeros. A mixed seed is contracted with the
+Gram halves of both channels. Either way it costs |K_A| + |K_B| Kraus
+operators, not their product. A pure seed's output is psd by
+construction and skips the psd check; a mixed seed's is hermitized and
+checked.
 
 Verification is ``linalg.fidelity``: for a pure target, held as its
 vector psi, against an output held as W, it is ||W^dag psi||, so a pure
@@ -53,6 +48,7 @@ from .linalg import (
     Purification,
     RegisterState,
     _contract_cut,
+    _cut_grams,
     _factor_held,
     as_complex_array,
     ceil_log2,
@@ -61,11 +57,10 @@ from .linalg import (
     hermitize,
     partial_trace,
     rank_from_singulars,
-    schmidt_rank,
 )
 # srank_eps is not used here, but stays importable from this module:
 # benchmarks/tracing.py wraps the name on this module too.
-from .pure import PureState, _truncation, require_eps, srank_eps  # noqa: F401
+from .pure import PureState, _truncation, require_eps, schmidt_decompose, srank_eps  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -128,12 +123,13 @@ def _seed_marginal_ranks(seed: Seed) -> tuple[int, int]:
     """Schmidt rank of a pure seed; column counts of a mixed seed's
     marginal factors. The Schmidt coefficients of a seed whose amplitude
     matrix is exactly diagonal, as ``protocol_from_purification`` builds
-    it, are the moduli of its diagonal, so it needs no SVD."""
+    it, are the moduli of its diagonal, so it needs no SVD; any other pure
+    seed reads its one cached Schmidt decomposition."""
     if isinstance(seed, PureState):
         psi = seed.amps.reshape(seed.dim_a, seed.dim_b)
         diag = np.diagonal(psi)
         exact = np.count_nonzero(psi) == np.count_nonzero(diag)
-        r = rank_from_singulars(np.abs(diag)) if exact else schmidt_rank(seed.to_registers())
+        r = rank_from_singulars(np.abs(diag)) if exact else schmidt_decompose(seed).rank
         return r, r
     return tuple(partial_trace(seed, [side]).factor.shape[1] for side in (0, 1))
 
@@ -174,15 +170,6 @@ class ProtocolSpec:
             raise InvalidInput("declared seed size cannot hold the seed marginals")
 
 
-def _transfer(ops: np.ndarray) -> np.ndarray:
-    """T[(x, X), (i, I)] = sum_k ops[k, x, i] conj(ops[k, X, I]) of a stack
-    of operators, from one product: for a channel's Kraus stack, its
-    transfer matrix."""
-    t = np.tensordot(ops, ops.conj(), axes=(0, 0))  # t[x, i, X, I]
-    _, o, i = ops.shape
-    return t.transpose(0, 2, 1, 3).reshape(o * o, i * i)
-
-
 def _unit_trace(trace: float) -> float:
     if abs(trace - 1.0) > 1e-9:
         raise InvalidInput(f"protocol output trace {trace!r} deviates beyond 1e-9")
@@ -192,49 +179,33 @@ def _unit_trace(trace: float) -> float:
 def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
     """Run the protocol: (Phi_A (x) Phi_B)(seed) on the target's space.
 
-    A pure seed with amplitude matrix Psi is pushed through Alice's Kraus
-    stack once, left[a] = K_a Psi. With no more acting Kraus pairs
-    (K_a Psi != 0 and K_b Psi^T != 0, tested exactly, so padding operators
-    drop out) than output dimensions, the output is held as its factor
-    W[(x, y), (a, b)] = (K_a Psi K_b^T)[x, y], scaled to unit trace.
-    Otherwise it is ``linalg._contract_cut`` of Alice's half
-    sum_a left[a] (x) conj(left[a]), divided by the output's trace read off
-    both halves, and Bob's transfer matrix sum_b K_b (x) conj(K_b). A mixed
-    seed sigma[(i, j), (I, J)] is contracted with Alice's transfer matrix
-    over (i, I), then, through ``_contract_cut``, with Bob's over (j, J).
-    The cost grows with |K_A| + |K_B|, not with the number of Kraus pairs.
-    The output of a pure seed is psd by construction and skips
-    ``hermitize`` and the psd check; its diagonal, real in exact
-    arithmetic, is set to its real part. That of a mixed seed is
+    A pure seed with amplitude matrix Psi gives the reduction of the
+    dilated pair a[x, alpha, j] = (K_alpha Psi)[x, j] and
+    b[y, beta, j] = K_beta[y, j], j over Bob's seed support, so a padding
+    operator has a zero slice and drops out (``comp_reduction``). A mixed
+    seed sigma[(i, j), (I, J)] is contracted with Alice's Gram half over
+    (i, I), then, through ``_contract_cut``, with Bob's over (j, J), and
     hermitized and checked, since a seed accepted at a least eigenvalue
-    just above -EIG_CLAMP_TOL can map below it.
+    just above -EIG_CLAMP_TOL can map below it. The cost grows with
+    |K_A| + |K_B|, not with the number of Kraus pairs.
     """
     seed = spec.seed
     oa, ob = spec.target.dim_a, spec.target.dim_b
     if spec.alice.out_dim != oa or spec.bob.out_dim != ob:
         raise InvalidInput("channel output dims do not match the target")
-    right = spec.bob._stack  # right[b, y, j] = K_b[y, j]
+    alice, bob = spec.alice._stack, spec.bob._stack  # aux-major (K, out, in)
     if isinstance(seed, PureState):
         psi = seed.amps.reshape(seed.dim_a, seed.dim_b)
-        left = spec.alice._stack @ psi  # left[a, x, j] = (K_a Psi)[x, j]
-        acting_a = np.any(left, axis=(1, 2))
-        acting_b = np.any(right @ psi.T, axis=(1, 2))
-        if np.count_nonzero(acting_a) * np.count_nonzero(acting_b) <= oa * ob:
-            w = np.einsum("axj,byj->xyab", left[acting_a], right[acting_b])
-            w = w.reshape(oa * ob, -1)
-            trace = _unit_trace(float(np.vdot(w, w).real))
-            return DensityMatrix._of_factor(oa, ob, w / np.sqrt(trace))
-        ga, gb = _transfer(left), _transfer(right)
-        # tr = sum_xy sum_J ga[(x, x), J] gb[(y, y), J]; scaling Alice's
-        # half leaves the zeros of the output unwritten.
-        trace = _unit_trace(float((ga[::oa + 1].sum(axis=0) @ gb[::ob + 1].sum(axis=0)).real))
-        out = _contract_cut(ga / trace, gb, oa, ob)
-        # The diagonal is real in exact arithmetic; drop its rounding residue.
-        np.fill_diagonal(out, out.diagonal().real)
-        return DensityMatrix._built(oa, ob, out)
+        on = psi.any(axis=0)  # Bob's seed support
+        # left[alpha, x, j] = (K_alpha Psi)[x, j], from one product.
+        left = (alice.reshape(-1, seed.dim_a) @ psi[:, on]).reshape(len(alice), oa, -1)
+        rho, trace = comp_reduction(left.transpose(1, 0, 2),
+                                    bob.compress(on, axis=2).transpose(1, 0, 2))
+        _unit_trace(trace)
+        return rho
     da, db = seed.dim_a, seed.dim_b
-    s = seed.mat.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    out = _contract_cut(_transfer(spec.alice._stack) @ s, _transfer(right), oa, ob)
+    s = seed.mat.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
+    out = _contract_cut(_cut_grams(alice) @ s, _cut_grams(bob), oa, ob)
     trace = _unit_trace(float(np.trace(out).real))
     return DensityMatrix(oa, ob, hermitize(out) / trace)
 
@@ -335,8 +306,7 @@ def protocol_from_purification(purif: Purification | RegisterState,
     coeffs = res.singulars / float(np.linalg.norm(res.singulars))
     left, right = res.left, res.right.conj()
     if target is None:
-        target = DensityMatrix._built(n, m, comp_reduction(
-            (left * coeffs).reshape(n, ka, t), right.reshape(m, kb, t)))
+        target = comp_reduction((left * coeffs).reshape(n, ka, t), right.reshape(m, kb, t))[0]
 
     d = 2 ** ceil_log2(t)
     seed_amps = np.zeros((d, d), dtype=np.complex128)

@@ -14,7 +14,15 @@ from qcorr.general import (
     q_upper_bound,
     reconstruct_from_factors,
 )
-from qcorr.linalg import DensityMatrix, RegisterState, ceil_log2, partial_trace, schmidt_rank
+from qcorr import linalg
+from qcorr.linalg import (
+    DensityMatrix,
+    RegisterState,
+    ceil_log2,
+    comp_reduction,
+    partial_trace,
+    schmidt_rank,
+)
 from qcorr.pure import PureState, schmidt_decompose
 from qcorr.rand import (
     random_classical_density,
@@ -91,18 +99,49 @@ def test_reconstruct_trivial():
     np.testing.assert_allclose(rho.mat, [[1.0]], atol=1e-12)
 
 def test_reconstruct_matches_assembled_purification():
+    # Draws on both sides of acting pairs <= da db, the last ones with
+    # exactly zero aux slices, which act on nothing.
     rng = np.random.default_rng(89)
-    for _ in range(10):
+    for draw in range(16):
         da, db, ka, kb = (int(v) for v in rng.integers(1, 4, size=4))
         r = int(rng.integers(1, 4))
         fact = random_general_factorization(rng, da, db, ka, kb, r)
+        a, b = np.stack(fact.a_mats), np.stack(fact.b_mats)
+        if draw >= 10:
+            a[:, 1:][:, rng.random(ka - 1) < 0.5] = 0.0
+            b[:, 1:][:, rng.random(kb - 1) < 0.5] = 0.0
+            a /= np.sqrt(factorization_norm(GeneralFactorization(r, tuple(a), tuple(b))))
+            fact = GeneralFactorization(r, tuple(a), tuple(b))
         rho = reconstruct_from_factors(fact)
-        state = Purification(np.stack(fact.a_mats), np.stack(fact.b_mats)).to_state()
+        state = Purification(a, b).to_state()
         red = partial_trace(state, keep=[0, 2])
         np.testing.assert_allclose(rho.mat, red.mat, atol=1e-9)
         vals = np.linalg.eigvalsh(rho.mat)
         assert vals[0] >= -1e-9
         assert abs(np.trace(rho.mat).real - 1.0) <= 1e-9
+        acting = np.count_nonzero(a.any(axis=(0, 2))) * np.count_nonzero(b.any(axis=(0, 2)))
+        assert ("factor" in vars(rho)) == (acting <= da * db)
+        assert comp_reduction(a, b)[1] == factorization_norm(fact)
+        if acting > da * db:
+            assert np.all(rho.mat.diagonal().imag == 0.0)
+
+
+def test_reconstruct_refuses_a_zero_factorization():
+    zero = GeneralFactorization(r=1, a_mats=(np.zeros((2, 1)),), b_mats=(np.ones((1, 1)),))
+    with pytest.raises(InvalidInput, match="zero state"):
+        reconstruct_from_factors(zero)
+
+
+def test_reconstruct_runs_no_psd_check(monkeypatch):
+    # The reduction of a factor pair is psd by construction; the check runs
+    # where a matrix enters from outside the library.
+    fact = random_general_factorization(np.random.default_rng(91), 3, 2, 2, 3, 2)
+    checked = []
+    require = linalg.require_psd
+    monkeypatch.setattr(linalg, "require_psd",
+                        lambda h, name="matrix": checked.append(name) or require(h, name))
+    rho = reconstruct_from_factors(fact)
+    assert rho.mat.shape == (6, 6) and checked == []
 
 def test_reconstruct_renormalizes_with_warning():
     rng = np.random.default_rng(97)
