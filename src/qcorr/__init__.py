@@ -51,8 +51,6 @@ from .linalg import (
     fidelity,
     matrix_rank,
     partial_trace,
-    psd_sqrt,
-    schmidt_matrix,
     schmidt_rank,
     svd,
 )
@@ -122,13 +120,11 @@ __all__ = [
     "psd_fit",
     "psd_rank_lower_bound",
     "psd_rank_search",
-    "psd_sqrt",
     "q_eps",
     "q_upper_bound",
     "rank_eps",
     "reconstruct_from_factors",
     "schmidt_decompose",
-    "schmidt_matrix",
     "schmidt_rank",
     "srank_eps",
     "state_from_matrix",

@@ -107,11 +107,10 @@ def canonical_purification(rho: DensityMatrix) -> Purification:
     (A, A1, B, B1) where A1 is the aux register of dimension rank(rho) and
     B1 is trivial: the amplitudes are those of ``rho.factor``. Tracing out
     the aux registers reproduces rho. A state held as its factor
-    (``DensityMatrix._of_factor``) gives one aux dimension per column of
-    that factor instead, with the same Schmidt coefficients across the
-    cut. The pair is read straight off the factor W:
-    a[x, k, y] = W[(x, y), k] and b[y, 0, y'] = delta_yy', so the Schmidt
-    rank is at most dim_b.
+    (``form == "factor"``) gives one aux dimension per column of that
+    factor instead, with the same Schmidt coefficients across the cut. The
+    pair is read straight off the factor W: a[x, k, y] = W[(x, y), k] and
+    b[y, 0, y'] = delta_yy', so the Schmidt rank is at most dim_b.
     """
     if not isinstance(rho, DensityMatrix):
         raise InvalidInput("expected a DensityMatrix")
@@ -152,8 +151,8 @@ def q_upper_bound(
     purif = canonical_purification(rho)
     q_spectral = ceil_log2(purif.srank())
     if _is_classical(rho):
-        diag = np.clip(np.real(np.diag(rho.mat)), 0.0, None)
-        dist = validate_dist(diag.reshape(rho.dim_a, rho.dim_b), renormalize=True)
+        dist = validate_dist(rho.born_diagonal.reshape(rho.dim_a, rho.dim_b),
+                             renormalize=True)
         report = psd_rank_search(dist, cfg)
         if report.witness is not None:
             q_psd = ceil_log2(report.upper)

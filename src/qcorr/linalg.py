@@ -1,11 +1,10 @@
 """Dense complex linear-algebra core.
 
-Singular value decomposition, Hermitian eigendecomposition, positive
-semi-definite square roots, partial traces over declared registers,
-Schmidt cuts and the reductions their factors encode, purifications held
-as their factor pair, and Uhlmann fidelity. Everything here is a pure
-function of plain numpy arrays plus a few small frozen dataclasses; all
-other modules build on this layer.
+Singular value decomposition, Hermitian eigendecomposition, partial
+traces over declared registers, Schmidt cuts and the reductions their
+factors encode, purifications held as their factor pair, and Uhlmann
+fidelity. Everything here is a pure function of plain numpy arrays plus a
+few small frozen dataclasses; all other modules build on this layer.
 
 Conventions
 -----------
@@ -15,26 +14,23 @@ Conventions
   for ``|x>|y>``.
 * A singular value counts as nonzero iff it exceeds ``REL_RANK_TOL``
   times the largest one (scale-free rank decisions).
-* One psd check: ``require_psd`` accepts a least eigenvalue down to
-  ``-EIG_CLAMP_TOL``, decided by a Cholesky factorization. It runs where
-  a matrix enters from outside the library: ``DensityMatrix(...)``
-  checks every file, random draw, partial trace and user matrix. A
-  matrix the library builds psd by construction skips it.
+* A ``DensityMatrix`` holds one form, recorded in ``form`` where it is
+  built: ``"dense"``, ``"factor"`` (a W with mat = W W^dag) or
+  ``"diagonal"`` (the real p of a classical state sum_i p_i |i><i|).
+  Only this module reads the held form; ``mat`` is formed on first read.
+* One psd rule: dense is checked, factor and diagonal are psd by form.
+  ``DensityMatrix(...)`` runs ``require_psd`` (a least eigenvalue down to
+  ``-EIG_CLAMP_TOL``, by a Cholesky factorization) on every file, random
+  draw, partial trace, user matrix and non-diagonal contracted reduction.
 * One reduction: ``comp_reduction`` turns every factor pair (a
   purification, a general factorization, a default target, a pure seed's
   dilated pair) into its reduction to the computational registers, held
-  as its factor or contracted on its support (``DensityMatrix._built``).
-* One factor: ``DensityMatrix.factor`` is a W with mat = W W^dag. A state
-  the library builds as W W^dag (a pure state, a reduction with few
-  acting aux pairs) is born from W alone through the private
-  ``DensityMatrix._of_factor``, which runs the shape, finiteness and
-  trace checks on W, and forms the dense ``mat`` only when it is first
-  read. Any other state computes W once, from an eigendecomposition
-  that keeps the eigenvalues the rank rule above counts. Fidelity,
-  purification and seed ranks read that factor. Fidelity has one
-  formula, the trace norm of sigma.factor^dag rho.factor, which reads
-  low only through a computed factor's rank cutoff; two exactly
-  diagonal states need no factor and are read off their diagonals.
+  as a diagonal, a factor or a contracted dense matrix.
+* One factor: ``DensityMatrix.factor`` is a W with mat = W W^dag, which
+  fidelity, purification and seed ranks read. Fidelity has one formula,
+  the trace norm of sigma.factor^dag rho.factor, which reads low only
+  through a computed factor's rank cutoff; two diagonal states are read
+  off their diagonals.
 * One representation of a purification: the pair (a, b) of
   ``Purification``, whose Schmidt form comes from two thin QRs and an
   r x r SVD, or is kept from the decomposition that made the pair. A
@@ -44,7 +40,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -177,91 +173,97 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def psd_sqrt(h) -> np.ndarray:
-    """Hermitian psd square root S with S @ S = h.
-
-    Eigenvalues in [-EIG_CLAMP_TOL, 0) are clamped to zero; anything more
-    negative raises NotPsd (``require_psd``).
-    """
-    vals, vecs = np.linalg.eigh(require_psd(h, name="psd_sqrt input"))
-    vals = np.clip(vals, 0.0, None)
-    return hermitize((vecs * np.sqrt(vals)) @ vecs.conj().T)
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Trace-one positive semi-definite operator on A (x) B.
 
     Row/column index ``x * dim_b + y`` encodes the basis ket ``|x>|y>``.
     A system without a declared bipartition uses ``dim_b = 1``.
+
+    ``form`` records the one form the state is held in. The constructor
+    takes a dense matrix and runs the psd check; it holds an exactly
+    diagonal input (every off-diagonal entry 0.0) as ``"diagonal"`` and
+    any other as ``"dense"``. A state the library builds psd by form comes
+    from ``_of_factor`` (``"factor"``) or ``_of_diagonal``
+    (``"diagonal"``), and forms ``mat`` only when it is first read.
     """
 
     dim_a: int
     dim_b: int
     mat: np.ndarray
+    form: str = field(init=False, compare=False)
 
     def __post_init__(self):
-        self._settle(self.mat, psd=True)
-
-    @classmethod
-    def _unchecked(cls, dim_a: int, dim_b: int) -> "DensityMatrix":
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "dim_a", dim_a)
-        object.__setattr__(rho, "dim_b", dim_b)
-        return rho
-
-    @classmethod
-    def _built(cls, dim_a: int, dim_b: int, mat: np.ndarray) -> "DensityMatrix":
-        """A density matrix the library built psd, without the psd check.
-
-        Its one caller, ``comp_reduction``, passes the reduction of a pure
-        state it contracted from a factor pair, computed in floating point:
-        its least eigenvalue is then within roundoff of zero, far inside
-        -EIG_CLAMP_TOL. The dimension, shape, finiteness and trace checks
-        still run.
-        """
-        rho = cls._unchecked(dim_a, dim_b)
-        rho._settle(mat, psd=False)
-        return rho
+        self._hold("dense", self.mat)
 
     @classmethod
     def _of_factor(cls, dim_a: int, dim_b: int, w: np.ndarray) -> "DensityMatrix":
-        """The density matrix W W^dag, held as its factor W.
+        """The density matrix W W^dag, held as its factor W: (dim_a dim_b)
+        x k for any k, whose ``factor`` is this W, exactly as given."""
+        return cls._held_as("factor", dim_a, dim_b, w)
 
-        W is (dim_a dim_b) x k for any k; the dimension, shape, finiteness
-        and trace (||W||_F^2) checks run on it, and W W^dag, psd by
-        construction, is formed only when ``mat`` is first read. ``factor``
-        is this W, exactly as given.
-        """
-        rho = cls._unchecked(dim_a, dim_b)
-        rho._settle(w, psd=False, factor=True)
+    @classmethod
+    def _of_diagonal(cls, dim_a: int, dim_b: int, p: np.ndarray) -> "DensityMatrix":
+        """The classical state diag(p), held as its real diagonal p of
+        length dim_a dim_b."""
+        return cls._held_as("diagonal", dim_a, dim_b, p)
+
+    @classmethod
+    def _held_as(cls, form: str, dim_a: int, dim_b: int, arr) -> "DensityMatrix":
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "dim_a", dim_a)
+        object.__setattr__(rho, "dim_b", dim_b)
+        rho._hold(form, arr)
         return rho
 
-    def _settle(self, arr, psd: bool, factor: bool = False) -> None:
-        """Check the dims and ``arr``, the matrix or, with ``factor``, a
-        factor W of it, and store it."""
+    def _hold(self, form: str, arr) -> None:
+        """Check the dims and the array of ``form``, then record the form
+        and hold the array. Every form gets the shape, finiteness and trace
+        checks; a dense matrix gets the psd check and a diagonal its
+        entry-wise form, no entry below -EIG_CLAMP_TOL. An exactly diagonal
+        dense matrix is held as its diagonal, beside the ``mat`` given."""
         if self.dim_a < 1 or self.dim_b < 1:
             raise InvalidInput("density matrix dimensions must be positive")
-        name = "density factor" if factor else "density matrix"
-        arr = require_psd(arr, name=name) if psd else as_complex_array(arr, name)
         d = self.dim_a * self.dim_b
-        if arr.ndim != 2 or arr.shape[0] != d or (not factor and arr.shape[1] != d):
-            raise InvalidInput(
-                f"{name} shape {arr.shape} does not match dims "
-                f"{self.dim_a} x {self.dim_b}"
-            )
-        tr = float(np.vdot(arr, arr).real) if factor else float(np.trace(arr).real)
-        if abs(tr - 1.0) > 1e-10:
-            raise NotNormalized(f"trace {tr!r} deviates from 1 beyond 1e-10")
-        object.__setattr__(self, "factor" if factor else "mat", arr)
+        name = "density matrix" if form == "dense" else f"density {form}"
+        if form == "dense":
+            arr = require_psd(arr, name=name)
+            shaped, tr = arr.shape == (d, d), np.trace(arr).real
+        elif form == "factor":
+            arr = as_complex_array(arr, name)
+            shaped, tr = arr.ndim == 2 and arr.shape[0] == d, np.vdot(arr, arr).real
+        else:
+            arr = np.asarray(arr, dtype=np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise InvalidInput(f"{name} contains non-finite entries")
+            shaped, tr = arr.shape == (d,), arr.sum()
+        if not shaped:
+            raise InvalidInput(f"{name} shape {arr.shape} does not match dims "
+                               f"{self.dim_a} x {self.dim_b}")
+        if form == "diagonal" and arr.min() < -EIG_CLAMP_TOL:
+            raise NotPsd(f"{name} has minimum eigenvalue {arr.min():.3e} "
+                         f"below -{EIG_CLAMP_TOL:g}")
+        if abs(float(tr) - 1.0) > 1e-10:
+            raise NotNormalized(f"trace {float(tr)!r} deviates from 1 beyond 1e-10")
+        if form == "dense":
+            object.__setattr__(self, "mat", arr)
+            if _is_diagonal(arr):
+                form, arr = "diagonal", arr.diagonal().real.copy()
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "_held", arr)
 
     def __getattr__(self, name):
-        # Reached only when ``name`` is not set: the ``mat`` of a state held
-        # as its factor is formed on first read.
-        w = vars(self).get("factor")
-        if name != "mat" or w is None:
+        # Reached only when ``name`` is not set: the one place the ``mat``
+        # of a state held as its factor or its diagonal is formed. W W^dag
+        # keeps the real parts of the product; its diagonal is set real.
+        held = vars(self).get("_held")
+        if name != "mat" or held is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        mat = w @ w.conj().T
+        if self.form == "factor":
+            mat = held @ held.conj().T
+            mat.reshape(-1)[::self.dim + 1].imag = 0.0
+        else:
+            mat = np.diag(held.astype(np.complex128))
         object.__setattr__(self, "mat", mat)
         return mat
 
@@ -271,14 +273,33 @@ class DensityMatrix:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """W = V_k sqrt(lam_k), one column per eigenvalue that
-        ``rank_from_singulars`` counts, so that mat ~ W W^dag. A state
-        held as its factor (``_of_factor``) has the W it was built from
+        """W with mat ~ W W^dag, one column per eigenvalue that
+        ``rank_from_singulars`` counts, largest first: V_k sqrt(lam_k) from
+        an eigendecomposition of a dense state, sqrt(p_i) e_i of a diagonal
+        one. A state held as its factor has the W it was built from
         instead, which can have more columns than the rank
         (``comp_reduction`` gives one per acting aux pair)."""
-        vals, vecs = eigh(self.mat)
+        held = self._held
+        if self.form == "factor":
+            return held
+        if self.form == "diagonal":
+            keep = np.argsort(-held, kind="stable")[:rank_from_singulars(held)]
+            w = np.zeros((self.dim, keep.size), dtype=np.complex128)
+            w[keep, np.arange(keep.size)] = np.sqrt(held[keep])
+            return w
+        vals, vecs = eigh(held)
         k = rank_from_singulars(vals)
         return vecs[:, :k] * np.sqrt(vals[:k])
+
+    @property
+    def born_diagonal(self) -> np.ndarray:
+        """Born-rule probabilities <x,y|rho|x,y>, real and clipped at zero:
+        the held diagonal, the row sums of |W|^2 of a held factor, or the
+        diagonal of a dense matrix. No dense matrix is formed."""
+        held = self._held
+        if self.form == "factor":
+            return (held.real ** 2 + held.imag ** 2).sum(axis=1)
+        return np.clip(held if self.form == "diagonal" else held.diagonal().real, 0.0, None)
 
 
 def density_from_pure(amps, dim_a: int, dim_b: int) -> DensityMatrix:
@@ -336,20 +357,6 @@ class RegisterState:
         return float(np.linalg.norm(self.amps))
 
 
-def schmidt_matrix(state: RegisterState) -> np.ndarray:
-    """Amplitudes rearranged as an (Alice-dim x Bob-dim) matrix.
-
-    Alice-side registers (in declared order) index the rows, Bob-side
-    registers the columns. The singular values of this matrix are the
-    Schmidt coefficients across the declared cut.
-    """
-    a_regs = state.registers_on("A")
-    b_regs = state.registers_on("B")
-    tensor = state.amps.reshape(state.dims)
-    tensor = np.transpose(tensor, a_regs + b_regs)
-    return tensor.reshape(state.side_dim("A"), state.side_dim("B"))
-
-
 def comp_aux_dims(state: RegisterState) -> tuple[int, int, int, int]:
     """``(n, m, ka, kb)`` of a purification layout.
 
@@ -369,14 +376,17 @@ def comp_aux_dims(state: RegisterState) -> tuple[int, int, int, int]:
 def cut_svd(state: RegisterState) -> SvdResult:
     """Thin SVD of the Alice|Bob cut matrix, computed on its support.
 
-    Zero rows and columns of the cut matrix carry no singular value, so
+    The cut matrix is the amplitudes with Alice's registers (in declared
+    order) indexing the rows and Bob's the columns. Zero rows and columns of the cut matrix carry no singular value, so
     the SVD runs on the submatrix of nonzero rows and columns and the
     singular vectors are put back to full length with zeros elsewhere.
     This is exact for any state, and cheap for purifications whose
     amplitudes vanish off a small support. A zero state gives zero
     singular vectors and rank 0.
     """
-    mat = schmidt_matrix(state)
+    regs = state.registers_on("A") + state.registers_on("B")
+    mat = np.transpose(state.amps.reshape(state.dims), regs).reshape(
+        state.side_dim("A"), state.side_dim("B"))
     nonzero = mat != 0
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
@@ -398,23 +408,10 @@ def schmidt_rank(state: RegisterState) -> int:
 
 def _contract_cut(ga: np.ndarray, gb: np.ndarray, n: int, m: int) -> np.ndarray:
     """The (n m) x (n m) matrix rho[(x, y), (x', y')] = sum_J ga[(x, x'), J]
-    gb[(y, y'), J], in the basis index ``x * m + y``, computed on its support.
-
-    A row of ``ga`` or ``gb`` that is exactly zero gives exact zeros, so
-    only the nonzero rows are multiplied and their product is scattered
-    into a zero matrix: exact for finite inputs, and cheap when each side
-    is block diagonal, as for a purification whose aux registers copy the
-    computational ones.
-    """
-    rows_a = np.flatnonzero(ga.any(axis=1))
-    rows_b = np.flatnonzero(gb.any(axis=1))
-    out = np.zeros((n * m, n * m), dtype=np.result_type(ga, gb))
-    # Entry (x, y), (x', y') sits at flat index (x m n + x') m + (y n m + y').
-    x, xp = np.divmod(rows_a, n)
-    y, yp = np.divmod(rows_b, m)
-    at = ((x * n * m + xp) * m)[:, None] + (y * n * m + yp)
-    out.reshape(-1)[at] = ga[rows_a] @ gb[rows_b].T
-    return out
+    gb[(y, y'), J], in the basis index ``x * m + y``: one product and a
+    permute. A row of ``ga`` or ``gb`` that is exactly zero gives exact
+    zeros."""
+    return (ga @ gb.T).reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
 def _cut_grams(f: np.ndarray) -> np.ndarray:
@@ -441,13 +438,19 @@ def comp_reduction(a: np.ndarray, b: np.ndarray) -> tuple[DensityMatrix, float]:
     ``a`` is (n, ka, r) and ``b`` is (m, kb, r), complex, as in
     ``Purification``: rho[(x, y), (x', y')] =
     sum_ij (a_x'^dag a_x)[j, i] (b_y'^dag b_y)[j, i] in the basis index
-    ``x * m + y``, psd by construction, so it skips the psd check. An aux
-    slice that is exactly zero acts on nothing. With at most n m acting aux
-    pairs rho is held as its factor W[(x, y), (alpha, beta)] =
-    sum_i a[x, alpha, i] b[y, beta, i]; otherwise ``_contract_cut`` sums
-    the Gram blocks on their support, leaving exact zeros where a block
-    vanishes (x != x' when the aux registers copy x) and an exactly real
-    diagonal. A zero pair raises InvalidInput.
+    ``x * m + y``. An aux slice that is exactly zero acts on nothing. The
+    form is picked in this order:
+
+    * diagonal, when every acting aux slice touches one computational
+      index per side (aux registers that copy x and y): every Gram block
+      off x = x' and y = y' is then exactly zero, and p is read off the
+      diagonal rows of the two ``_cut_grams`` halves;
+    * factor, with at most n m acting aux pairs:
+      W[(x, y), (alpha, beta)] = sum_i a[x, alpha, i] b[y, beta, i];
+    * dense otherwise, contracted by ``_contract_cut`` with an exactly real
+      diagonal, through the psd-checked constructor.
+
+    A zero pair raises InvalidInput.
     """
     n, m, r = a.shape[0], b.shape[0], a.shape[2]
     trace = _sq_norm(a, b)
@@ -456,17 +459,19 @@ def comp_reduction(a: np.ndarray, b: np.ndarray) -> tuple[DensityMatrix, float]:
     # Aux-major, one contiguous block per aux slice; a pair built that way,
     # as the simulator's is, is read without a copy.
     fa, fb = (np.ascontiguousarray(f.transpose(1, 0, 2)) for f in (a, b))
-    acting_a, acting_b = fa.any(axis=(1, 2)), fb.any(axis=(1, 2))
+    touch_a, touch_b = fa.any(axis=2), fb.any(axis=2)  # (aux, comp) index pairs
+    if touch_a.sum(axis=1).max() <= 1 and touch_b.sum(axis=1).max() <= 1:
+        p = (_cut_grams(fa)[::n + 1] / trace) @ _cut_grams(fb)[::m + 1].T
+        return DensityMatrix._of_diagonal(n, m, p.real.reshape(-1)), trace
+    acting_a, acting_b = touch_a.any(axis=1), touch_b.any(axis=1)
     ka, kb = np.count_nonzero(acting_a), np.count_nonzero(acting_b)
     if ka * kb <= n * m:
         w = (fa[acting_a] / np.sqrt(trace)).reshape(-1, r) @ fb[acting_b].reshape(-1, r).T
         w = w.reshape(ka, n, kb, m).transpose(1, 3, 0, 2).reshape(n * m, ka * kb)
         return DensityMatrix._of_factor(n, m, w), trace
-    # A zero aux slice adds exact zeros to the Grams, so it is not dropped
-    # here; scaling Alice's half leaves the zeros of the output unwritten.
     out = _contract_cut(_cut_grams(fa) / trace, _cut_grams(fb), n, m)
     out.reshape(-1)[::n * m + 1].imag = 0.0
-    return DensityMatrix._built(n, m, out), trace
+    return DensityMatrix(n, m, out), trace
 
 
 @dataclass(frozen=True)
@@ -627,11 +632,6 @@ def _is_diagonal(mat: np.ndarray) -> bool:
     return not np.any(mat.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n])
 
 
-def _factor_held(rho: DensityMatrix) -> bool:
-    """True while a state held as its factor has not formed its matrix."""
-    return "mat" not in vars(rho)
-
-
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity tr sqrt(sigma^1/2 rho sigma^1/2), not squared.
 
@@ -646,20 +646,16 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     can read low, by at most the square root of the trace of the dropped
     part. Beyond rounding it never reads high.
 
-    When both states are exactly diagonal (every off-diagonal entry is
-    0.0), as for classical states sum_xy P(x, y)|xy><xy|, the states
-    commute and the value is the Bhattacharyya sum sum_i sqrt(p_i q_i) of
-    their diagonals, exact with no rank cutoff and no eigensolver. The
-    scan for it reads a dense matrix first, and two states held as their
-    factors skip it.
+    Two states held as diagonals, as classical states
+    sum_xy P(x, y)|xy><xy| are, commute, and the value is the
+    Bhattacharyya sum sum_i sqrt(p_i q_i) of their Born diagonals, exact
+    with no rank cutoff and no eigensolver.
     """
     if not isinstance(rho, DensityMatrix) or not isinstance(sigma, DensityMatrix):
         raise InvalidInput("fidelity expects two DensityMatrix inputs")
     if rho.dim != sigma.dim:
         raise InvalidInput("fidelity requires states of equal dimension")
-    first, second = sorted((rho, sigma), key=_factor_held)  # dense first
-    if not _factor_held(first) and _is_diagonal(first.mat) and _is_diagonal(second.mat):
-        p, q = (np.clip(np.diag(x.mat).real, 0.0, None) for x in (rho, sigma))
-        return float(np.sqrt(p * q).sum())
+    if rho.form == sigma.form == "diagonal":
+        return float(np.sqrt(rho.born_diagonal * sigma.born_diagonal).sum())
     inner = sigma.factor.conj().T @ rho.factor
     return float(np.linalg.svd(inner, compute_uv=False).sum())

@@ -12,18 +12,19 @@ A channel holds its Kraus operators as one stacked (K, out, in) array,
 checked once and read whole by the simulator. A pure seed with amplitude
 matrix Psi pushed through Kraus stacks is itself a purification: its
 output is the reduction (``linalg.comp_reduction``) of the dilated pair
-a[x, alpha, j] = (K_alpha Psi)[x, j] and b[y, beta, j] = K_beta[y, j],
-held as its factor when few Kraus pairs act and contracted on its
-support otherwise, so a protocol whose channels copy x and y yields its
-classical output with exact zeros. A mixed seed is contracted with the
-Gram halves of both channels. Either way it costs |K_A| + |K_B| Kraus
-operators, not their product. A pure seed's output is psd by
-construction and skips the psd check; a mixed seed's is hermitized and
-checked.
+a[x, alpha, j] = (K_alpha Psi)[x, j] and b[y, beta, j] = K_beta[y, j]:
+held as its diagonal when the channels copy x and y (a classical
+output), as its factor W when few Kraus pairs act, and contracted
+otherwise. A mixed seed is contracted with the Gram halves of both
+channels. Either way it costs |K_A| + |K_B| Kraus operators, not their
+product. The psd rule is ``linalg``'s: a diagonal or factor output is
+psd by form, and a contracted one is checked (a mixed seed's after
+hermitizing).
 
 Verification is ``linalg.fidelity``: for a pure target, held as its
 vector psi, against an output held as W, it is ||W^dag psi||, so a pure
-state stays a vector from target to verdict.
+state stays a vector from target to verdict; a classical target against
+a classical output is the Bhattacharyya sum of their diagonals.
 
 Every protocol is built by one function, ``protocol_from_purification``,
 from the Schmidt decomposition of a purification across the Alice|Bob
@@ -49,7 +50,6 @@ from .linalg import (
     RegisterState,
     _contract_cut,
     _cut_grams,
-    _factor_held,
     as_complex_array,
     ceil_log2,
     comp_reduction,
@@ -211,17 +211,11 @@ def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
 
 
 def measure_computational(rho: DensityMatrix) -> DistMatrix:
-    """Born-rule diagonal P(x, y) = <x,y|rho|x,y> as a distribution. A
-    state held as its factor W is read as the row sums of |W|^2, with no
-    dense matrix."""
+    """Born-rule diagonal P(x, y) = <x,y|rho|x,y> as a distribution, read
+    in whatever form rho is held (``DensityMatrix.born_diagonal``)."""
     if not isinstance(rho, DensityMatrix):
         raise InvalidInput("expected a DensityMatrix")
-    if _factor_held(rho):
-        w = rho.factor
-        diag = (w.real ** 2 + w.imag ** 2).sum(axis=1)
-    else:
-        diag = np.clip(np.real(np.diag(rho.mat)), 0.0, None)
-    return validate_dist(diag.reshape(rho.dim_a, rho.dim_b), renormalize=True)
+    return validate_dist(rho.born_diagonal.reshape(rho.dim_a, rho.dim_b), renormalize=True)
 
 
 def transfer_qubit(state: RegisterState, which: int, frm: str, to: str) -> RegisterState:
@@ -290,8 +284,8 @@ def protocol_from_purification(purif: Purification | RegisterState,
     its aux block, keeping the computational register. The declared seed
     size is ceil(log2) of the Schmidt rank. The default target is the
     reduction to the computational registers, (x, y) ordered, read off the
-    same Schmidt vectors; it is psd by construction and skips the psd
-    check. Seed and target both use the Schmidt coefficients divided by
+    same Schmidt vectors by ``comp_reduction``, a diagonal for a classical
+    target. Seed and target both use the Schmidt coefficients divided by
     their norm, the norm of the state. A RegisterState of any nonzero norm
     is scaled to unit norm and goes through ``Purification.from_state``,
     which refuses a zero state.

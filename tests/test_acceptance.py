@@ -9,10 +9,12 @@ import time
 import numpy as np
 
 from qcorr.classical import (
+    PsdFactorization,
     SolverConfig,
     gram_extract,
     psd_fit,
     psd_rank_search,
+    rank_at_tol,
     synth_from_psd,
     validate_dist,
 )
@@ -34,6 +36,7 @@ from qcorr.rand import (
     random_register_state,
 )
 from qcorr.sim import (
+    apply_protocol,
     protocol_from_purification,
     synth_pure_protocol,
     transfer_qubit,
@@ -244,3 +247,33 @@ def test_criterion_8_end_to_end_protocols():
 
     _report(8, "synthesized protocols verify at declared size", ok,
             time.time() - t0, 30)
+
+
+def squared_disjointness(n):
+    """P proportional to M(a, b) = (1 - a^T b)^2 over a, b in {0,1}^n, and
+    its size n + 1 psd witness C_a = v_a v_a^T / sum M, D_b = w_b w_b^T
+    with v_a = (1, a) and w_b = (1, -b): tr(C_a D_b) = (v_a . w_b)^2 / sum M.
+    Its nonnegative rank grows as 2^Omega(n) (Fiorini, Massar, Pokutta,
+    Tiwary and de Wolf, STOC 2012)."""
+    bits = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(float)
+    m = (1.0 - bits @ bits.T) ** 2
+    ones = np.ones((2 ** n, 1))
+    cs = tuple(np.outer(v, v) / m.sum() for v in np.hstack([ones, bits]))
+    ds = tuple(np.outer(w, w) for w in np.hstack([ones, -bits]))
+    return validate_dist(m / m.sum()), PsdFactorization(r=n + 1, cs=cs, ds=ds, residual=0.0)
+
+
+def test_criterion_9_quantum_classical_separation():
+    t0 = time.time()
+    ok = True
+    for n in (2, 3, 4):
+        dist, fact = squared_disjointness(n)
+        ok &= bool(np.abs(fact.trace_products() - dist.p).max() <= 1e-12)
+        spec = protocol_from_purification(synth_from_psd(dist, fact))
+        report = verify_generation(spec)
+        ok &= report.passed and report.seed_size == ceil_log2(n + 1)
+        ok &= apply_protocol(spec).form == spec.target.form == "diagonal"
+        # rank(P) bounds the nonnegative rank from below.
+        ok &= rank_at_tol(dist) >= 1 + n + n * (n - 1) // 2
+    _report(9, "squared disjointness verifies at ceil(log2(n + 1)) qubits", bool(ok),
+            time.time() - t0, 10)

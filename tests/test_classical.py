@@ -26,7 +26,7 @@ from qcorr.classical import (
     validate_dist,
 )
 from qcorr.errors import FactorizationMismatch, InvalidInput, NotNormalized
-from qcorr.linalg import ceil_log2, partial_trace, psd_sqrt, schmidt_rank
+from qcorr.linalg import ceil_log2, partial_trace, schmidt_rank
 from qcorr.rand import random_psd_factorization
 
 UNIFORM = validate_dist([[0.25, 0.25], [0.25, 0.25]])
@@ -357,6 +357,12 @@ def test_synth_random_factorizations_reproduce_trace_form():
         diag = np.real(np.diag(red.mat)).reshape(n, m)
         np.testing.assert_allclose(diag, fact.trace_products(), atol=1e-8)
         assert schmidt_rank(state.to_state()) <= r
+
+
+def psd_sqrt(h) -> np.ndarray:
+    """Oracle: the Hermitian psd square root of a psd matrix."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
 def test_synth_pair_lays_out_the_dense_witness_state():

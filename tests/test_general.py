@@ -99,17 +99,23 @@ def test_reconstruct_trivial():
     np.testing.assert_allclose(rho.mat, [[1.0]], atol=1e-12)
 
 def test_reconstruct_matches_assembled_purification():
-    # Draws on both sides of acting pairs <= da db, the last ones with
-    # exactly zero aux slices, which act on nothing.
+    # Draws on both sides of acting pairs <= da db, then ones with exactly
+    # zero aux slices, which act on nothing, then ones whose aux slices
+    # each touch one computational index (alpha = x mod da, beta = y mod
+    # db), whose reduction is diagonal.
     rng = np.random.default_rng(89)
-    for draw in range(16):
+    for draw in range(22):
         da, db, ka, kb = (int(v) for v in rng.integers(1, 4, size=4))
         r = int(rng.integers(1, 4))
         fact = random_general_factorization(rng, da, db, ka, kb, r)
         a, b = np.stack(fact.a_mats), np.stack(fact.b_mats)
         if draw >= 10:
-            a[:, 1:][:, rng.random(ka - 1) < 0.5] = 0.0
-            b[:, 1:][:, rng.random(kb - 1) < 0.5] = 0.0
+            if draw < 16:
+                a[:, 1:][:, rng.random(ka - 1) < 0.5] = 0.0
+                b[:, 1:][:, rng.random(kb - 1) < 0.5] = 0.0
+            else:
+                a[np.arange(da)[:, None] != np.arange(ka) % da] = 0.0
+                b[np.arange(db)[:, None] != np.arange(kb) % db] = 0.0
             a /= np.sqrt(factorization_norm(GeneralFactorization(r, tuple(a), tuple(b))))
             fact = GeneralFactorization(r, tuple(a), tuple(b))
         rho = reconstruct_from_factors(fact)
@@ -120,10 +126,13 @@ def test_reconstruct_matches_assembled_purification():
         assert vals[0] >= -1e-9
         assert abs(np.trace(rho.mat).real - 1.0) <= 1e-9
         acting = np.count_nonzero(a.any(axis=(0, 2))) * np.count_nonzero(b.any(axis=(0, 2)))
-        assert ("factor" in vars(rho)) == (acting <= da * db)
+        copies = all(f.any(axis=2).sum(axis=0).max() <= 1 for f in (a, b))
+        assert copies == (draw >= 16 or da == db == 1)
+        assert rho.form == ("diagonal" if copies else "factor" if acting <= da * db else "dense")
         assert comp_reduction(a, b)[1] == factorization_norm(fact)
-        if acting > da * db:
-            assert np.all(rho.mat.diagonal().imag == 0.0)
+        assert np.all(rho.mat.diagonal().imag == 0.0)
+        if copies:
+            assert np.all(rho.mat[~np.eye(da * db, dtype=bool)] == 0.0)
 
 
 def test_reconstruct_refuses_a_zero_factorization():
@@ -133,8 +142,8 @@ def test_reconstruct_refuses_a_zero_factorization():
 
 
 def test_reconstruct_runs_no_psd_check(monkeypatch):
-    # The reduction of a factor pair is psd by construction; the check runs
-    # where a matrix enters from outside the library.
+    # A reduction held as its factor (here 2 x 3 acting aux pairs against 6
+    # outputs) is psd by form; the check runs on dense matrices only.
     fact = random_general_factorization(np.random.default_rng(91), 3, 2, 2, 3, 2)
     checked = []
     require = linalg.require_psd

@@ -23,7 +23,7 @@ from qcorr.linalg import (
     hermitize,
     matrix_rank,
     partial_trace,
-    psd_sqrt,
+    require_psd,
     schmidt_rank,
     svd,
 )
@@ -102,6 +102,14 @@ def test_eigh_random_hermitian_trace_oracle():
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(InvalidInput):
         eigh([[0, 1], [0, 0]])
+
+
+def psd_sqrt(h) -> np.ndarray:
+    """Oracle: the Hermitian psd square root S with S @ S = h. Eigenvalues
+    in [-EIG_CLAMP_TOL, 0) are clamped to zero; a more negative one raises
+    NotPsd."""
+    vals, vecs = np.linalg.eigh(require_psd(h))
+    return hermitize((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
 
 
 def test_psd_sqrt_diagonal():
@@ -469,7 +477,13 @@ def test_density_matrix_validation():
 
     with pytest.raises(NotPsd, match="-2.000e-10"):
         DensityMatrix(2, 2, rotated(-2e-10))
-    DensityMatrix(2, 2, rotated(-0.5e-10))
+    assert DensityMatrix(2, 2, rotated(-0.5e-10)).form == "dense"
+    # An exactly diagonal input is recorded as diagonal and keeps its matrix.
+    mat = np.diag([0.6 + 0.5e-10 + 0.3e-10j, 0.4, 0.0, -0.5e-10])
+    rho = DensityMatrix(2, 2, mat)
+    assert rho.form == "diagonal"
+    np.testing.assert_array_equal(rho.mat, mat)
+    np.testing.assert_array_equal(rho.born_diagonal, [0.6 + 0.5e-10, 0.4, 0.0, 0.0])
     with pytest.raises(NotPsd, match=r"C\[1\]"):
         PsdFactorization(r=2, cs=(np.eye(2), np.diag([1.0, -1e-9])),
                          ds=(np.eye(2),), residual=0.0)
@@ -492,10 +506,13 @@ def test_density_from_pure_input_contract():
 def test_of_factor_checks_the_factor_and_forms_the_matrix_on_first_read():
     w = random_pure_state(np.random.default_rng(37), 2, 3).amps.reshape(6, 1) * [0.6, 0.8]
     rho = DensityMatrix._of_factor(2, 3, w)
-    assert "mat" not in vars(rho)
-    assert rho.factor is vars(rho)["factor"]
-    np.testing.assert_array_equal(rho.mat, w @ w.conj().T)
-    assert rho.mat is vars(rho)["mat"]
+    assert rho.form == "factor" and "mat" not in vars(rho)
+    assert rho.factor is w
+    # W W^dag with its diagonal set exactly real, formed once.
+    ww = w @ w.conj().T
+    ww.reshape(-1)[::7].imag = 0.0
+    np.testing.assert_array_equal(rho.mat, ww)
+    assert rho.mat is rho.mat and rho.form == "factor"
     with pytest.raises(NotNormalized, match="trace"):
         DensityMatrix._of_factor(2, 3, 2 * w)
     for bad in (w[:5], w[:, 0], w.reshape(2, 3, 2)):
@@ -507,3 +524,20 @@ def test_of_factor_checks_the_factor_and_forms_the_matrix_on_first_read():
         DensityMatrix._of_factor(0, 3, w)
     with pytest.raises(AttributeError, match="other"):
         rho.other
+    # The diagonal builder: psd by form, down to -EIG_CLAMP_TOL per entry.
+    p = np.array([0.5, 0.25, 0.25, 0.5e-10, -0.5e-10, 0.0])
+    diag = DensityMatrix._of_diagonal(2, 3, p)
+    assert diag.form == "diagonal" and "mat" not in vars(diag)
+    np.testing.assert_array_equal(diag.born_diagonal, np.clip(p, 0.0, None))
+    np.testing.assert_array_equal(diag.mat, np.diag(p).astype(complex))
+    with pytest.raises(NotPsd, match="-2.000e-10"):
+        DensityMatrix._of_diagonal(2, 3, p + [0, 0, 0, 1.5e-10, -1.5e-10, 0])
+    with pytest.raises(NotNormalized, match="trace"):
+        DensityMatrix._of_diagonal(2, 3, 2 * p)
+    for bad in (p[:5], p.reshape(2, 3), p.reshape(6, 1)):
+        with pytest.raises(InvalidInput, match="shape"):
+            DensityMatrix._of_diagonal(2, 3, bad)
+    with pytest.raises(InvalidInput, match="non-finite"):
+        DensityMatrix._of_diagonal(2, 3, np.where(np.arange(6) == 1, np.nan, p))
+    with pytest.raises(InvalidInput, match="dimensions"):
+        DensityMatrix._of_diagonal(2, 0, p)

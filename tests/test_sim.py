@@ -178,7 +178,8 @@ def test_apply_protocol_matches_kraus_pair_sum(alice, bob, mixed, seed):
 def test_pure_seed_output_factor_is_the_approximant(eps):
     psi = random_pure_state(np.random.default_rng(149), 8, 64)
     out = apply_protocol(synth_pure_protocol(psi, eps))
-    w = vars(out)["factor"]  # seeded by apply_protocol, not computed on access
+    assert out.form == "factor"  # held by apply_protocol, not computed on access
+    w = out.factor
     assert w.shape == (8 * 64, 1)
     phi = build_approximant(psi, eps)[0].amps
     assert abs(np.vdot(phi, w[:, 0])) >= 1 - 1e-12
@@ -206,7 +207,8 @@ def test_padding_kraus_operators_leave_a_pure_seed_output_unchanged():
                           with_padding(spec.alice, 2), with_padding(spec.bob, 2),
                           spec.target, spec.eps)
     out, out_padded = apply_protocol(spec), apply_protocol(padded)
-    assert vars(out_padded)["factor"].shape == vars(out)["factor"].shape
+    assert out_padded.form == out.form == "factor"
+    assert out_padded.factor.shape == out.factor.shape
     np.testing.assert_allclose(out_padded.mat, out.mat, rtol=0, atol=1e-15)
 
 
@@ -218,19 +220,24 @@ def test_pure_seed_with_more_acting_pairs_than_outputs_matches_kraus_pair_sum():
     acting_b = sum(bool(np.any(k @ psi.T)) for k in spec.bob.kraus)
     assert acting_a * acting_b > spec.target.dim
     out = apply_protocol(spec)
-    assert "factor" not in vars(out)
+    assert out.form == "diagonal"  # its aux registers copy x and y
     np.testing.assert_allclose(out.mat, kraus_pair_sum(spec), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n, r", [(6, 3), (10, 4)])
-def test_planted_output_is_exactly_diagonal(n, r):
+def test_planted_output_is_exactly_diagonal(n, r, monkeypatch):
     # Aux registers that copy x and y make every Gram block off x = x' and
-    # y = y' exactly zero, so output and target are classical states and
-    # fidelity is the Bhattacharyya sum of their diagonals.
+    # y = y' exactly zero, so output and target are held as diagonals, psd
+    # by form with no dense matrix checked, and fidelity is the
+    # Bhattacharyya sum of their diagonals.
+    checked = []
+    require = linalg.require_psd
+    monkeypatch.setattr(linalg, "require_psd",
+                        lambda h, name="matrix": checked.append(name) or require(h, name))
     dist, fact = random_psd_factorization(np.random.default_rng(n), n, n, r)
     spec = protocol_from_purification(synth_from_psd(dist, fact))
     out = apply_protocol(spec)
-    assert "factor" not in vars(out)
+    assert out.form == spec.target.form == "diagonal" and checked == []
     off = ~np.eye(n * n, dtype=bool)
     for rho in (out, spec.target):
         assert np.all(rho.mat[off] == 0.0)
@@ -271,7 +278,7 @@ def test_measure_reads_a_held_factor_without_a_dense_matrix():
     psi = random_pure_state(np.random.default_rng(149), 8, 64)
     out = apply_protocol(synth_pure_protocol(psi, 0.0))
     dist = measure_computational(out)
-    assert "mat" not in vars(out)
+    assert out.form == "factor" and "mat" not in vars(out)
     np.testing.assert_allclose(dist.p.reshape(-1), np.diag(out.mat).real, rtol=0, atol=1e-15)
 
 
@@ -650,14 +657,18 @@ def test_pure_protocol_verifies_without_a_dense_matrix(eps, monkeypatch, tmp_pat
     monkeypatch.setattr(sim, "apply_protocol", recording)
     assert verify_generation(spec).passed
     (out,) = outputs
+    assert out.form == spec.target.form == "factor"
     assert "mat" not in vars(out) and "mat" not in vars(spec.target)
-    # Read later, the matrix is W W^dag to the bit, and a saved file holds
-    # the same bytes as the file of that matrix entered densely.
-    w = vars(out)["factor"]
+    # Read later, the matrix is W W^dag to the bit with its diagonal set
+    # real, and a saved file holds the same bytes as the file of that
+    # matrix entered densely.
+    w = out.factor
+    ww = w @ w.conj().T
+    ww.reshape(-1)[::ww.shape[0] + 1].imag = 0.0
     held, dense = tmp_path / "held.json", tmp_path / "dense.json"
     qio.save(str(held), out)
-    qio.save(str(dense), DensityMatrix(out.dim_a, out.dim_b, w @ w.conj().T))
-    np.testing.assert_array_equal(out.mat, w @ w.conj().T)
+    qio.save(str(dense), DensityMatrix(out.dim_a, out.dim_b, ww))
+    np.testing.assert_array_equal(out.mat, ww)
     assert held.read_bytes() == dense.read_bytes()
 
 
