@@ -33,6 +33,9 @@ from .linalg import (
     REL_RANK_TOL,
     Purification,
     RegisterState,
+    _grams,
+    _sq_norm,
+    _trace_form,
     hermitize,
     require_psd,
 )
@@ -143,16 +146,21 @@ def _best_subset_ratio(g: np.ndarray) -> float:
     """
     k = g.shape[0]
     seeds = np.arange(k)
-    chosen = np.eye(k, dtype=bool)
-    load = g.copy()  # load[s] = sum of the rows of g in the subset grown from s
+    double = 2.0 * g
+    # twice[s] = 2 x (sum of the rows of g in the subset grown from s), +inf
+    # on the rows already in it; doubling is exact, so cost = twice + 1 is
+    # the raise in the subset's sum, bit for bit.
+    twice = double.copy()
+    twice[seeds, seeds] = np.inf
+    cost = np.empty_like(twice)
     totals = np.ones(k)
     best = 1.0
     for size in range(2, k + 1):
-        cost = np.where(chosen, np.inf, 2.0 * load + 1.0)
+        np.add(twice, 1.0, out=cost)
         add = cost.argmin(axis=1)
         totals += cost[seeds, add]
-        chosen[seeds, add] = True
-        load += g[add]
+        twice[seeds, add] = np.inf
+        twice += double[add]
         best = max(best, size * size / float(totals.min()))
     return best
 
@@ -351,15 +359,6 @@ class RankReport:
             raise InvalidInput("certified reports require lower == upper")
 
 
-def _grams(e: np.ndarray) -> np.ndarray:
-    # C_x = E_x^dag E_x, psd Hermitian by construction.
-    return np.einsum("xba,xbc->xac", e.conj(), e)
-
-
-def _trace_form(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return np.einsum("xab,yba->xy", c, d).real
-
-
 def _jacobian(
     e: np.ndarray, f: np.ndarray, c: np.ndarray, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -370,11 +369,13 @@ def _jacobian(
     the one with respect to F_y. The real part holds the derivatives with
     respect to the real coordinates, the imaginary part those with respect
     to the imaginary coordinates. t[x, y] does not depend on E_x' or F_y'
-    for x' != x, y' != y.
+    for x' != x, y' != y. Both come from broadcast products; jf is laid out
+    y-major in memory (a transposed view), so that each F_y's block set is
+    contiguous.
     """
-    je = 2.0 * np.einsum("xab,ybc->xyac", e, d)
-    jf = 2.0 * np.einsum("yab,xbc->xyac", f, c)
-    return je, jf
+    je = 2.0 * (e[:, None] @ d[None])
+    jf = 2.0 * (f[:, None] @ c[None])
+    return je, jf.swapaxes(0, 1)
 
 
 def _descend(
@@ -412,12 +413,15 @@ def _descend(
             break
         if accepted:
             je, jf = _jacobian(e, f, c, d)
-            # (J J^T)[(x, y), (x', y')] couples residuals through a shared
-            # E_x (x = x') or a shared F_y (y = y'); real coordinates make
-            # each inner product the real part of a complex one.
+            # The rows of J in real coordinates (real and imaginary parts
+            # side by side), grouped by E_x and by F_y. (J J^T)[(x, y),
+            # (x', y')] couples residuals through a shared E_x (x = x') or a
+            # shared F_y (y = y'): one batched product per block set.
+            ja = je.reshape(n, m, -1).view(np.float64)
+            jb = jf.swapaxes(0, 1).reshape(m, n, -1).view(np.float64)
             jjt = np.zeros((n, m, n, m))
-            jjt[rows, :, rows, :] = np.einsum("xyab,xzab->xyz", je.conj(), je).real
-            jjt[:, cols, :, cols] += np.einsum("xyab,wyab->yxw", jf.conj(), jf).real
+            jjt[rows, :, rows, :] = ja @ ja.swapaxes(1, 2)
+            jjt[:, cols, :, cols] += jb @ jb.swapaxes(1, 2)
             jjt = jjt.reshape(n * m, n * m)
             if lam is None:
                 scale = float(np.trace(jjt)) / (n * m)
@@ -433,8 +437,9 @@ def _descend(
             # rounding: reject the step so that lam grows.
             value = math.inf
         else:
-            e_try = e - np.einsum("xy,xyab->xab", w, je)
-            f_try = f - np.einsum("xy,xyab->yab", w, jf)
+            # The step J^T w, per E_x and per F_y.
+            e_try = e - (w[:, None] @ ja).view(np.complex128).reshape(e.shape)
+            f_try = f - (w.T[:, None] @ jb).view(np.complex128).reshape(f.shape)
             c_try, d_try = _grams(e_try), _grams(f_try)
             r_try = _trace_form(c_try, d_try) - P
             value = float((r_try * r_try).sum())
@@ -457,7 +462,7 @@ def _witness(e: np.ndarray, f: np.ndarray, P: np.ndarray) -> PsdFactorization:
     """The factorization C_x = E_x^dag E_x, D_y = F_y^dag F_y, with its
     Frobenius residual against P. E_x and F_y may be k x r."""
     n = e.shape[0]
-    grams = hermitize(np.concatenate([e.conj().swapaxes(1, 2) @ e, f.conj().swapaxes(1, 2) @ f]))
+    grams = hermitize(np.concatenate([_grams(e), _grams(f)]))
     residual = float(np.linalg.norm(_trace_form(grams[:n], grams[n:]) - P))
     return PsdFactorization._built(e.shape[-1], tuple(grams[:n]), tuple(grams[n:]), residual)
 
@@ -657,12 +662,16 @@ def synth_from_psd(p: DistMatrix, f: PsdFactorization) -> Purification:
                                                 np.stack(f.ds)]))
     roots = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     v, w = roots[:n], roots[n:]  # v[x, :, i] = i-th column of sqrt(C_x^T)
-    norm = float(np.linalg.norm(np.einsum("xai,ybi->xayb", v, w)))
+    # The norm of sum_i v[:, :, i] (x) w[:, :, i], from its two r x r Grams.
+    norm = math.sqrt(max(_sq_norm(v, w), 0.0))
     if norm <= 0.0:
         raise FactorizationMismatch("factorization synthesizes the zero vector")
+    a = np.zeros((n, n, r, r), dtype=np.complex128)
+    b = np.zeros((m, m, r, r), dtype=np.complex128)
+    a[np.arange(n), np.arange(n)] = v / norm
+    b[np.arange(m), np.arange(m)] = w
     return Purification(
-        np.einsum("xz,xij->xzij", np.eye(n), v).reshape(n, n * r, r) / norm,
-        np.einsum("yz,yij->yzij", np.eye(m), w).reshape(m, m * r, r),
+        a.reshape(n, n * r, r), b.reshape(m, m * r, r),
         dims_a=(n, n, r), dims_b=(m, m, r),
         names=("A", "A'", "A1", "B", "B'", "B1"),
     )
@@ -683,7 +692,8 @@ def gram_extract(purif: Purification | RegisterState) -> PsdFactorization:
     """
     if isinstance(purif, RegisterState):
         purif = Purification.from_state(purif)
-    ga, gb = _grams(purif.a), _grams(purif.b)  # ga[x] = a_x^dag a_x
+    # P(x, y) = tr(G_x G'_y^T) with G_x = a_x^dag a_x and G'_y = b_y^dag b_y.
+    P = _trace_form(_grams(purif.a), _grams(purif.b).swapaxes(1, 2))
     vw = purif.schmidt_pair()
     # D_y(i, j) = <w_y^j|w_y^i> is the Gram matrix of conj(w_y).
-    return _witness(vw.a, vw.b.conj(), np.einsum("xji,yji->xy", ga, gb).real)
+    return _witness(vw.a, vw.b.conj(), P)

@@ -132,11 +132,6 @@ def factor_from_purification(p: Purification) -> GeneralFactorization:
     return GeneralFactorization(r=pair.a.shape[2], a_mats=tuple(pair.a), b_mats=tuple(pair.b))
 
 
-def _is_classical(rho: DensityMatrix) -> bool:
-    off = rho.mat - np.diag(np.diag(rho.mat))
-    return float(np.abs(off).max(initial=0.0)) <= 1e-10
-
-
 def q_upper_bound(
     rho: DensityMatrix, cfg: SolverConfig | None = None
 ) -> tuple[int, Purification]:
@@ -150,7 +145,7 @@ def q_upper_bound(
     """
     purif = canonical_purification(rho)
     q_spectral = ceil_log2(purif.srank())
-    if _is_classical(rho):
+    if rho.is_classical:
         dist = validate_dist(rho.born_diagonal.reshape(rho.dim_a, rho.dim_b),
                              renormalize=True)
         report = psd_rank_search(dist, cfg)

@@ -26,6 +26,12 @@ Conventions
   purification, a general factorization, a default target, a pure seed's
   dilated pair) into its reduction to the computational registers, held
   as a diagonal, a factor or a contracted dense matrix.
+* Two block kernels: ``_grams`` forms the per-index Gram blocks
+  G[x] = f_x^dag f_x of a stack as one batched product, and
+  ``_trace_form`` pairs two stacks of blocks, t[x, y] = tr(c_x d_y), as
+  one matrix product. Every per-index Gram and trace form of the
+  classical chain, and the diagonal of a classical reduction, goes
+  through them.
 * One factor: ``DensityMatrix.factor`` is a W with mat = W W^dag, which
   fidelity, purification and seed ranks read. Fidelity has one formula,
   the trace norm of sigma.factor^dag rho.factor, which reads low only
@@ -301,6 +307,17 @@ class DensityMatrix:
             return (held.real ** 2 + held.imag ** 2).sum(axis=1)
         return np.clip(held if self.form == "diagonal" else held.diagonal().real, 0.0, None)
 
+    @property
+    def is_classical(self) -> bool:
+        """True when every off-diagonal entry is at most 1e-10 in modulus:
+        always for a state held as its diagonal, which forms no ``mat``;
+        a scan of ``mat`` otherwise."""
+        if self.form == "diagonal":
+            return True
+        off = np.abs(self.mat)
+        off.reshape(-1)[::self.dim + 1] = 0.0
+        return float(off.max()) <= 1e-10
+
 
 def density_from_pure(amps, dim_a: int, dim_b: int) -> DensityMatrix:
     """|psi><psi| from a normalized amplitude vector, held as its factor psi."""
@@ -423,6 +440,18 @@ def _cut_grams(f: np.ndarray) -> np.ndarray:
     return (flat.conj().T @ flat).reshape(k, r, k, r).transpose(2, 0, 1, 3).reshape(k * k, r * r)
 
 
+def _grams(f: np.ndarray) -> np.ndarray:
+    """The per-index Gram blocks G[x] = f_x^dag f_x of a stack f of shape
+    (n, k, r), f_x = f[x], in any memory layout: one batched product."""
+    return f.conj().swapaxes(1, 2) @ f
+
+
+def _trace_form(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The real part of t[x, y] = sum_ab c[x, a, b] d[y, b, a] = tr(c_x d_y)
+    of two stacks of r x r blocks: one matrix product."""
+    return (c.reshape(len(c), -1) @ d.swapaxes(1, 2).reshape(len(d), -1).T).real
+
+
 def _sq_norm(a: np.ndarray, b: np.ndarray) -> float:
     """Squared norm of sum_i a[:, :, i] (x) b[:, :, i]: sum_ij (a^dag a)_ij
     (b^dag b)_ij, from the two r x r Grams."""
@@ -443,8 +472,10 @@ def comp_reduction(a: np.ndarray, b: np.ndarray) -> tuple[DensityMatrix, float]:
 
     * diagonal, when every acting aux slice touches one computational
       index per side (aux registers that copy x and y): every Gram block
-      off x = x' and y = y' is then exactly zero, and p is read off the
-      diagonal rows of the two ``_cut_grams`` halves;
+      off x = x' and y = y' is then exactly zero, and
+      p[x, y] = sum_ij (a_x^dag a_x)[j, i] (b_y^dag b_y)[j, i] is the trace
+      form of the n + m per-index Grams (``_grams``), read from the pair
+      in the layout it was given;
     * factor, with at most n m acting aux pairs:
       W[(x, y), (alpha, beta)] = sum_i a[x, alpha, i] b[y, beta, i];
     * dense otherwise, contracted by ``_contract_cut`` with an exactly real
@@ -456,14 +487,14 @@ def comp_reduction(a: np.ndarray, b: np.ndarray) -> tuple[DensityMatrix, float]:
     trace = _sq_norm(a, b)
     if not trace > 0.0:
         raise InvalidInput("factor pair encodes the zero state")
+    touch_a, touch_b = a.any(axis=2), b.any(axis=2)  # (comp, aux) index pairs
+    if touch_a.sum(axis=0).max() <= 1 and touch_b.sum(axis=0).max() <= 1:
+        p = _trace_form(_grams(a) / trace, _grams(b).swapaxes(1, 2))
+        return DensityMatrix._of_diagonal(n, m, p.reshape(-1)), trace
     # Aux-major, one contiguous block per aux slice; a pair built that way,
     # as the simulator's is, is read without a copy.
     fa, fb = (np.ascontiguousarray(f.transpose(1, 0, 2)) for f in (a, b))
-    touch_a, touch_b = fa.any(axis=2), fb.any(axis=2)  # (aux, comp) index pairs
-    if touch_a.sum(axis=1).max() <= 1 and touch_b.sum(axis=1).max() <= 1:
-        p = (_cut_grams(fa)[::n + 1] / trace) @ _cut_grams(fb)[::m + 1].T
-        return DensityMatrix._of_diagonal(n, m, p.real.reshape(-1)), trace
-    acting_a, acting_b = touch_a.any(axis=1), touch_b.any(axis=1)
+    acting_a, acting_b = touch_a.any(axis=0), touch_b.any(axis=0)
     ka, kb = np.count_nonzero(acting_a), np.count_nonzero(acting_b)
     if ka * kb <= n * m:
         w = (fa[acting_a] / np.sqrt(trace)).reshape(-1, r) @ fb[acting_b].reshape(-1, r).T

@@ -10,7 +10,7 @@ import numpy as np
 
 from .classical import DistMatrix, PsdFactorization
 from .general import GeneralFactorization, factorization_norm
-from .linalg import DensityMatrix, RegisterState, hermitize
+from .linalg import DensityMatrix, RegisterState, _trace_form, hermitize
 from .pure import PureState
 
 
@@ -58,11 +58,11 @@ def random_psd_factorization(
     generates; the residual is zero up to roundoff."""
     cs = [random_psd(rng, r) for _ in range(n)]
     ds = [random_psd(rng, r) for _ in range(m)]
-    t = np.einsum("xab,yba->xy", np.stack(cs), np.stack(ds)).real
+    t = _trace_form(np.stack(cs), np.stack(ds))
     total = float(t.sum())
     cs = [c / total for c in cs]
     p = t / total
-    scaled = np.einsum("xab,yba->xy", np.stack(cs), np.stack(ds)).real
+    scaled = _trace_form(np.stack(cs), np.stack(ds))
     fact = PsdFactorization(
         r=r, cs=tuple(cs), ds=tuple(ds),
         residual=float(np.linalg.norm(scaled - p)),

@@ -11,6 +11,7 @@ from qcorr.classical import (
     DistMatrix,
     PsdFactorization,
     SolverConfig,
+    _best_subset_ratio,
     _descend,
     _grams,
     _jacobian,
@@ -131,6 +132,37 @@ def test_psd_rank_lower_bound_symmetries(n, m, seed):
         permuted = dist.p[rng.permutation(n)][:, rng.permutation(m)]
         assert psd_rank_lower_bound(validate_dist(permuted)) == lower
         assert psd_rank_lower_bound(validate_dist(permuted.T)) == lower
+
+
+def _best_subset_ratio_reference(g):
+    # The greedy growth written with a chosen mask and the load itself.
+    k = g.shape[0]
+    seeds = np.arange(k)
+    chosen = np.eye(k, dtype=bool)
+    load = g.copy()
+    totals = np.ones(k)
+    best = 1.0
+    for size in range(2, k + 1):
+        cost = np.where(chosen, np.inf, 2.0 * load + 1.0)
+        add = cost.argmin(axis=1)
+        totals += cost[seeds, add]
+        chosen[seeds, add] = True
+        load += g[add]
+        best = max(best, size * size / float(totals.min()))
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 20))
+def test_best_subset_ratio_matches_the_reference_bit_for_bit(data, k):
+    # Symmetric g with unit diagonal; hypothesis's floats bring ties and
+    # extreme values (0, 1, subnormals) that the argmin must break alike.
+    upper = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k * (k - 1) // 2,
+                               max_size=k * (k - 1) // 2))
+    g = np.eye(k)
+    g[np.triu_indices(k, 1)] = upper
+    g = np.maximum(g, g.T)
+    assert _best_subset_ratio(g) == _best_subset_ratio_reference(g)
 
 
 def _sparse_nonneg(rng, n, m, r):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcorr.classical import validate_dist
+from qcorr.classical import psd_rank_search, synth_from_psd, validate_dist
 from qcorr.errors import InvalidInput
 from qcorr.general import (
     GeneralFactorization,
@@ -28,6 +28,7 @@ from qcorr.rand import (
     random_classical_density,
     random_density_matrix,
     random_general_factorization,
+    random_psd_factorization,
     random_pure_state,
     random_register_state,
 )
@@ -208,6 +209,27 @@ def test_q_upper_bound_classical_never_worse_than_spectral():
         spectral = ceil_log2(purif.srank())
         qubits, _ = q_upper_bound(rho)
         assert qubits <= spectral
+
+def test_q_upper_bound_reads_a_diagonal_state_without_its_matrix():
+    # The default target of a planted protocol is held as its diagonal; the
+    # classical test must not form its dense matrix, and the answer is the
+    # psd-rank route on its Born diagonal. A factor-held classical state
+    # takes the off-diagonal scan.
+    p, fact = random_psd_factorization(np.random.default_rng(113), 6, 6, 3)
+    target = protocol_from_purification(synth_from_psd(p, fact)).target
+    assert target.form == "diagonal"
+    qubits, witness = q_upper_bound(target)
+    assert "mat" not in vars(target)
+    dist = validate_dist(target.born_diagonal.reshape(6, 6), renormalize=True)
+    report = psd_rank_search(dist)
+    assert qubits == ceil_log2(report.upper) == 2
+    expected = synth_from_psd(dist, report.witness)
+    np.testing.assert_array_equal(witness.a, expected.a)
+    np.testing.assert_array_equal(witness.b, expected.b)
+    held = DensityMatrix._of_factor(6, 6, np.diag(np.sqrt(target.born_diagonal)))
+    assert held.is_classical and "mat" in vars(held)
+    assert q_upper_bound(held)[0] == 2
+
 
 def test_general_factorization_shape_validation():
     with pytest.raises(InvalidInput):

@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from qcorr.classical import PsdFactorization, synth_from_psd
 from qcorr.errors import InvalidInput, NotNormalized, NotPsd
+from qcorr import linalg
 from qcorr.linalg import (
     DensityMatrix,
     Purification,
     RegisterState,
     _contract_cut,
+    _grams,
+    _trace_form,
     ceil_log2,
     comp_aux_dims,
+    comp_reduction,
     cut_svd,
     density_from_pure,
     eigh,
@@ -428,6 +432,48 @@ def test_contract_cut_matches_the_dense_contraction(n, m, k, zero_a, zero_b, see
     np.testing.assert_allclose(out, ref.reshape(n * m, n * m), rtol=0, atol=1e-13)
     support = on_a.reshape(n, 1, n, 1) & on_b.reshape(1, m, 1, m)
     assert np.all(out[~support.reshape(n * m, n * m)] == 0.0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_block_kernels_match_einsum(r):
+    # Random complex stacks, n != m, and Gram inputs with k != r rows, in
+    # both memory layouts (comp-major and a transposed aux-major view).
+    rng = np.random.default_rng(100 + r)
+
+    def stack(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    n, m, k = 5, 3, r + 2
+    for f in (stack(n, k, r), stack(k, n, r).transpose(1, 0, 2)):
+        np.testing.assert_allclose(_grams(f), np.einsum("xba,xbc->xac", f.conj(), f),
+                                   rtol=0, atol=1e-13)
+    c, d = stack(n, r, r), stack(m, r, r)
+    np.testing.assert_allclose(_trace_form(c, d), np.einsum("xab,yba->xy", c, d).real,
+                               rtol=0, atol=1e-13)
+
+
+def test_diagonal_reduction_reads_per_index_grams(monkeypatch):
+    # A classical reduction needs no Gram half: with _cut_grams refused, a
+    # planted square pair, a rectangular pair and the simulator's aux-major
+    # dilated pair still give the partial-trace diagonal, held as diagonal.
+    def refuse(f):
+        raise AssertionError("_cut_grams called on the diagonal route")
+
+    for n, m, r, seed in ((6, 6, 3, 7), (4, 7, 2, 8)):
+        p, fact = random_psd_factorization(np.random.default_rng(seed), n, m, r)
+        purif = synth_from_psd(p, fact)
+        ref = partial_trace(purif.to_state(), keep=[0, 3]).mat.diagonal().real
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_cut_grams", refuse)
+            rho, trace = comp_reduction(purif.a, purif.b)
+            spec = protocol_from_purification(purif)
+            states = (rho, spec.target, apply_protocol(spec))
+        assert abs(trace - 1.0) <= 1e-12
+        for state in states:
+            assert state.form == "diagonal"
+            np.testing.assert_allclose(state.born_diagonal, ref, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(state.born_diagonal.reshape(n, m), p.p,
+                                       rtol=0, atol=1e-13)
 
 
 def test_cut_svd_zero_state():
