@@ -34,8 +34,10 @@ from .linalg import (
     Purification,
     RegisterState,
     _grams,
+    _require_unit_norm,
     _sq_norm,
     _trace_form,
+    as_complex_array,
     hermitize,
     require_psd,
 )
@@ -51,7 +53,8 @@ WITNESS_TOL = 1e-7
 
 @dataclass(frozen=True)
 class DistMatrix:
-    """Probability matrix: n x m, entries >= 0, summing to 1 within 1e-10."""
+    """Probability matrix: n x m, entries >= 0, summing to 1 within 1e-10,
+    held as a read-only copy of the array given."""
 
     n: int
     m: int
@@ -69,6 +72,8 @@ class DistMatrix:
         total = float(arr.sum())
         if abs(total - 1.0) > 1e-10:
             raise NotNormalized(f"distribution sums to {total!r}, not 1")
+        arr = arr.copy()  # read-only, so the checks above stay true
+        arr.flags.writeable = False
         object.__setattr__(self, "p", arr)
 
 
@@ -139,23 +144,36 @@ def _fidelity_gram(P: np.ndarray, tol: float) -> np.ndarray:
     return g
 
 
-def _best_subset_ratio(g: np.ndarray) -> float:
+def _best_subset_ratio(*grams: np.ndarray) -> float:
     """Largest k^2 / sum(g[S, S]) over the row subsets S of size k grown
-    greedily from each row: each step adds, to every subset at once, the
-    row that raises its sum least. At least 1, the value of one row.
+    greedily from each row of each Gram g: each step adds, to every subset
+    at once, the row of its own g that raises its sum least, ties going to
+    the lowest row. At least 1, the value of one row.
+
+    The Grams are laid out as one block-diagonal matrix with +inf off the
+    blocks and grown in one loop of (largest size - 1) steps. A subset only
+    ever adds a row of its own block, since +inf is never the least cost
+    while a finite one is left; a subset whose block is used up gets total
+    +inf and drops out of the min. The value is the max of the values of
+    the Grams taken alone, bit for bit.
     """
-    k = g.shape[0]
+    sizes = [g.shape[0] for g in grams]
+    k = sum(sizes)
     seeds = np.arange(k)
-    double = 2.0 * g
+    double = np.full((k, k), np.inf)
+    start = 0
+    for g, size in zip(grams, sizes):
+        double[start:start + size, start:start + size] = 2.0 * g
+        start += size
     # twice[s] = 2 x (sum of the rows of g in the subset grown from s), +inf
-    # on the rows already in it; doubling is exact, so cost = twice + 1 is
-    # the raise in the subset's sum, bit for bit.
+    # on the rows already in it and off its block; doubling is exact, so
+    # cost = twice + 1 is the raise in the subset's sum, bit for bit.
     twice = double.copy()
     twice[seeds, seeds] = np.inf
     cost = np.empty_like(twice)
     totals = np.ones(k)
     best = 1.0
-    for size in range(2, k + 1):
+    for size in range(2, max(sizes, default=0) + 1):
         np.add(twice, 1.0, out=cost)
         add = cost.argmin(axis=1)
         totals += cost[seeds, add]
@@ -171,8 +189,8 @@ def _lower_bounds(p: DistMatrix, tol: float) -> tuple[int, int, str]:
     """
     rank = rank_at_tol(p, tol)
     weyl = math.isqrt(rank - 1) + 1 if rank >= 1 else 1
-    fidelity = math.ceil(max(_best_subset_ratio(_fidelity_gram(p.p, tol)),
-                             _best_subset_ratio(_fidelity_gram(p.p.T, tol))))
+    fidelity = math.ceil(_best_subset_ratio(_fidelity_gram(p.p, tol),
+                                            _fidelity_gram(p.p.T, tol)))
     if weyl >= fidelity:
         return rank, weyl, "rank"
     return rank, fidelity, "fidelity"
@@ -684,16 +702,24 @@ def gram_extract(purif: Purification | RegisterState) -> PsdFactorization:
     i-th left vector at computational index x) and w_y^i on the right, the
     Gram families C_x(j, i) = <v_x^j|v_x^i> and D_y(i, j) = <w_y^j|w_y^i>
     are psd and reproduce the computational-basis outcome probabilities as
-    tr(C_x D_y). The residual is taken against the distribution of the held
-    pair, P(x, y) = sum_ij (a_x^dag a_x)[j, i] (b_y^dag b_y)[j, i], so it
-    cross-checks the Schmidt form. A RegisterState goes through
-    ``Purification.from_state``: it must have unit norm within 1e-10
-    (NotNormalized otherwise) and be nonzero (InvalidInput).
+    tr(C_x D_y). The vectors are read straight off ``purif.schmidt``
+    (v = left sqrt(s), w = right sqrt(s), the pair of ``schmidt_pair`` with
+    Bob's side conjugated) and checked as that pair would be: finite, and of
+    unit norm within 1e-10 (NotNormalized otherwise). The residual is taken
+    against the distribution of the held pair, P(x, y) = sum_ij
+    (a_x^dag a_x)[j, i] (b_y^dag b_y)[j, i], so it cross-checks the Schmidt
+    form. A RegisterState goes through ``Purification.from_state``: it must
+    have unit norm within 1e-10 (NotNormalized otherwise) and be nonzero
+    (InvalidInput).
     """
     if isinstance(purif, RegisterState):
         purif = Purification.from_state(purif)
     # P(x, y) = tr(G_x G'_y^T) with G_x = a_x^dag a_x and G'_y = b_y^dag b_y.
     P = _trace_form(_grams(purif.a), _grams(purif.b).swapaxes(1, 2))
-    vw = purif.schmidt_pair()
-    # D_y(i, j) = <w_y^j|w_y^i> is the Gram matrix of conj(w_y).
-    return _witness(vw.a, vw.b.conj(), P)
+    res = purif.schmidt
+    root = np.sqrt(res.singulars)
+    v = as_complex_array(res.left * root, "Schmidt vectors").reshape(*purif.a.shape[:2], -1)
+    w = as_complex_array(res.right * root, "Schmidt vectors").reshape(*purif.b.shape[:2], -1)
+    _require_unit_norm(v, w.conj())
+    # D_y(i, j) = <w_y^j|w_y^i> is the Gram matrix of w_y.
+    return _witness(v, w, P)

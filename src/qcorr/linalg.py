@@ -38,10 +38,11 @@ Conventions
   through a computed factor's rank cutoff; two diagonal states are read
   off their diagonals.
 * One representation of a purification: the pair (a, b) of
-  ``Purification``, whose Schmidt form comes from two thin QRs and an
-  r x r SVD, or is kept from the decomposition that made the pair. A
-  dense ``RegisterState`` is decomposed once, by
-  ``Purification.from_state``, and built only for files and tests.
+  ``Purification``, whose Schmidt form comes from thin QRs of the nonzero
+  rows of its two factors and an r x r SVD, or is kept from the
+  decomposition that made the pair. A dense ``RegisterState`` is
+  decomposed once, by ``Purification.from_state``, and built only for
+  files and tests.
 """
 
 from __future__ import annotations
@@ -459,6 +460,23 @@ def _sq_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(ga.conj(), gb).real)
 
 
+def _nonzero_rows(f: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a finite 2-D complex matrix that are not
+    exactly zero: those whose sum of absolute real and imaginary parts, one
+    matrix-vector product, is positive. A sum of nonnegative terms is
+    positive iff one of them is, whatever the rounding."""
+    parts = np.ascontiguousarray(f).view(np.float64)
+    return np.flatnonzero(np.abs(parts) @ np.ones(parts.shape[1]))
+
+
+def _require_unit_norm(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise NotNormalized unless sum_i a[:, :, i] (x) b[:, :, i] has unit
+    norm within 1e-10."""
+    norm = float(np.sqrt(max(_sq_norm(a, b), 0.0)))
+    if abs(norm - 1.0) > 1e-10:
+        raise NotNormalized(f"purification norm {norm!r} deviates from 1")
+
+
 def comp_reduction(a: np.ndarray, b: np.ndarray) -> tuple[DensityMatrix, float]:
     """The reduction to the computational registers of the state
     sum_i a[:, :, i] (x) b[:, :, i], scaled to unit trace, and that state's
@@ -542,9 +560,7 @@ class Purification:
             if dims[:1] != f.shape[:1] or int(np.prod(dims[1:])) != f.shape[1]:
                 raise InvalidInput(f"registers {dims} do not lay out a factor of shape {f.shape}")
             object.__setattr__(self, field, dims)
-        norm = float(np.sqrt(max(_sq_norm(a, b), 0.0)))
-        if abs(norm - 1.0) > 1e-10:
-            raise NotNormalized(f"purification norm {norm!r} deviates from 1")
+        _require_unit_norm(a, b)
 
     @classmethod
     def _of_schmidt(cls, res: SvdResult, n: int, ka: int, m: int, kb: int,
@@ -578,16 +594,22 @@ class Purification:
     def schmidt(self) -> SvdResult:
         """Schmidt form across the cut, one column per counted coefficient:
         the (n ka) x (m kb) cut matrix a b^T equals left diag(singulars)
-        right^dag. From thin QRs a = Q_a R_a, b = Q_b R_b and an SVD of the
-        r x r matrix R_a R_b^T, unless the pair was made from a Schmidt
-        form (``from_state``), which it then keeps."""
-        (n, ka, r), (m, kb, _) = self.a.shape, self.b.shape
-        qa, ra = np.linalg.qr(self.a.reshape(n * ka, r))
-        qb, rb = np.linalg.qr(self.b.reshape(m * kb, r))
+        right^dag. From thin QRs a = Q_a R_a, b = Q_b R_b of the rows of
+        the flattened factors that are not exactly zero, and an SVD of the
+        small matrix R_a R_b^T; ``left`` and ``right`` are exactly zero on
+        the zero rows. A pair made from a Schmidt form (``from_state``)
+        keeps that form instead."""
+        fa, fb = self.a.reshape(-1, self.a.shape[2]), self.b.reshape(-1, self.b.shape[2])
+        rows_a, rows_b = _nonzero_rows(fa), _nonzero_rows(fb)
+        qa, ra = np.linalg.qr(fa[rows_a])
+        qb, rb = np.linalg.qr(fb[rows_b])
         u, s, vh = np.linalg.svd(ra @ rb.T)
         t = rank_from_singulars(s)
-        return SvdResult(left=qa @ u[:, :t], singulars=s[:t],
-                         right=qb.conj() @ vh[:t].conj().T)
+        left = np.zeros((fa.shape[0], t), dtype=np.complex128)
+        right = np.zeros((fb.shape[0], t), dtype=np.complex128)
+        left[rows_a] = qa @ u[:, :t]
+        right[rows_b] = qb.conj() @ vh[:t].conj().T
+        return SvdResult(left=left, singulars=s[:t], right=right)
 
     def srank(self) -> int:
         return self.schmidt.rank

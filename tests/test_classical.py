@@ -13,8 +13,10 @@ from qcorr.classical import (
     SolverConfig,
     _best_subset_ratio,
     _descend,
+    _fidelity_gram,
     _grams,
     _jacobian,
+    _lower_bounds,
     _random_start,
     _trace_form,
     _witness,
@@ -27,7 +29,14 @@ from qcorr.classical import (
     validate_dist,
 )
 from qcorr.errors import FactorizationMismatch, InvalidInput, NotNormalized
-from qcorr.linalg import ceil_log2, partial_trace, schmidt_rank
+from qcorr.linalg import (
+    Purification,
+    RegisterState,
+    SvdResult,
+    ceil_log2,
+    partial_trace,
+    schmidt_rank,
+)
 from qcorr.rand import random_psd_factorization
 
 UNIFORM = validate_dist([[0.25, 0.25], [0.25, 0.25]])
@@ -152,17 +161,66 @@ def _best_subset_ratio_reference(g):
     return best
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), k=st.integers(1, 20))
-def test_best_subset_ratio_matches_the_reference_bit_for_bit(data, k):
+def _draw_gram(data, k):
     # Symmetric g with unit diagonal; hypothesis's floats bring ties and
     # extreme values (0, 1, subnormals) that the argmin must break alike.
     upper = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k * (k - 1) // 2,
                                max_size=k * (k - 1) // 2))
     g = np.eye(k)
     g[np.triu_indices(k, 1)] = upper
-    g = np.maximum(g, g.T)
-    assert _best_subset_ratio(g) == _best_subset_ratio_reference(g)
+    return np.maximum(g, g.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 20), k2=st.integers(0, 20))
+def test_best_subset_ratio_matches_the_reference_bit_for_bit(data, k, k2):
+    # One block, and two blocks grown in one loop: the value of the pair is
+    # the larger of the two blocks' values, whatever their sizes (the second
+    # may be empty or a single row, and used up long before the first).
+    g, g2 = _draw_gram(data, k), _draw_gram(data, k2)
+    want = _best_subset_ratio_reference(g)
+    assert _best_subset_ratio(g) == want
+    assert _best_subset_ratio(g, g2) == max(want, _best_subset_ratio_reference(g2))
+    assert _best_subset_ratio(g2, g) == max(want, _best_subset_ratio_reference(g2))
+    for small in (np.eye(0), np.eye(1)):
+        assert _best_subset_ratio(small, g) == want
+        assert _best_subset_ratio(g, small) == want
+    assert _best_subset_ratio(np.eye(0), np.eye(0)) == 1.0
+
+
+def test_lower_bounds_keep_value_and_lower_by():
+    # The bound and the name of the bound that set it, against the rows and
+    # the columns grown one Gram at a time by the reference.
+    rng = np.random.default_rng(18)
+    seen = set()
+    for tol in (WITNESS_TOL, 1e-12, 1e-3) * 40:
+        n, m = (int(d) for d in rng.integers(1, 13, size=2))
+        raw = rng.uniform(0.0, 1.0, (n, m)) * (rng.uniform(0.0, 1.0, (n, m)) >= 0.5)
+        raw[np.arange(min(n, m)), np.arange(min(n, m))] += rng.uniform(0.0, 3.0)
+        dist = validate_dist(raw, renormalize=True)
+        rank, lower, lower_by = _lower_bounds(dist, tol)
+        fidelity = int(np.ceil(max(_best_subset_ratio_reference(_fidelity_gram(dist.p, tol)),
+                                   _best_subset_ratio_reference(_fidelity_gram(dist.p.T, tol)))))
+        weyl = int(np.floor(np.sqrt(rank - 1))) + 1 if rank >= 1 else 1
+        want = (weyl, "rank") if weyl >= fidelity else (fidelity, "fidelity")
+        assert (lower, lower_by) == want
+        assert psd_rank_lower_bound(dist, tol) == lower
+        seen.add(lower_by)
+    assert seen == {"rank", "fidelity"}
+
+
+def test_dist_matrix_holds_a_read_only_copy():
+    # Mutating the source array after construction changes nothing: the
+    # held p stays the checked distribution and its witness still fits it.
+    src = np.full((2, 2), 0.25)
+    dist = DistMatrix(2, 2, src)
+    src[0, 0] = -5.0
+    np.testing.assert_array_equal(dist.p, np.full((2, 2), 0.25))
+    with pytest.raises(ValueError):
+        dist.p[0, 0] = -5.0
+    report = psd_rank_search(dist)
+    assert (report.lower, report.upper, report.status) == (1, 1, "certified")
+    assert report.witness.residual < WITNESS_TOL
 
 
 def _sparse_nonneg(rng, n, m, r):
@@ -461,8 +519,6 @@ def test_witness_matches_the_checked_constructor():
 
 
 def test_gram_extract_product_state():
-    from qcorr.linalg import RegisterState
-
     amps = np.zeros(4)
     amps[0] = 1.0  # |0>|0>
     fact = gram_extract(RegisterState(amps, (2, 2), ("A", "B")))
@@ -490,10 +546,44 @@ def test_gram_extract_matches_measured_distribution():
 
 
 def test_gram_extract_rejects_unnormalized():
-    from qcorr.linalg import RegisterState
-
     with pytest.raises(NotNormalized):
         gram_extract(RegisterState(np.ones(4), (2, 2), ("A", "B")))
+
+
+def _gram_extract_via_schmidt_pair(purif):
+    # The extraction as a second Purification held as the Schmidt pair.
+    P = _trace_form(_grams(purif.a), _grams(purif.b).swapaxes(1, 2))
+    vw = purif.schmidt_pair()
+    return _witness(vw.a, vw.b.conj(), P)
+
+
+def test_gram_extract_matches_the_schmidt_pair_path():
+    rng = np.random.default_rng(18)
+    pairs = []
+    for n, m, r in ((3, 3, 2), (6, 6, 3), (5, 4, 2), (16, 16, 4)):
+        dist, fact = random_psd_factorization(rng, n, m, r)
+        purif = synth_from_psd(dist, fact)
+        pairs += [purif, Purification.from_state(purif.to_state())]
+    for purif in pairs:
+        got, want = gram_extract(purif), _gram_extract_via_schmidt_pair(purif)
+        assert (got.r, got.n, got.m) == (want.r, want.n, want.m)
+        for c, d in zip(got.cs + got.ds, want.cs + want.ds):
+            np.testing.assert_allclose(c, d, rtol=0, atol=1e-14)
+        assert abs(got.residual - want.residual) <= 1e-14
+
+
+def test_gram_extract_checks_the_schmidt_vectors(monkeypatch):
+    # The Schmidt vectors are checked as the Schmidt pair's constructor
+    # would check them: unit norm within 1e-10, and finite.
+    dist, fact = random_psd_factorization(np.random.default_rng(5), 4, 4, 2)
+    held = synth_from_psd(dist, fact).schmidt
+    for scale, error in ((1.0 + 1e-8, NotNormalized), (np.nan, InvalidInput)):
+        with monkeypatch.context() as patch:
+            patch.setattr(Purification, "schmidt", property(
+                lambda self, s=scale: SvdResult(held.left, held.singulars * s, held.right)))
+            with pytest.raises(error):
+                gram_extract(synth_from_psd(dist, fact))
+    assert gram_extract(synth_from_psd(dist, fact)).residual <= 1e-12
 
 
 def test_nonneg_rank_rank1():

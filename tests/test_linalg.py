@@ -16,6 +16,7 @@ from qcorr.linalg import (
     RegisterState,
     _contract_cut,
     _grams,
+    _nonzero_rows,
     _trace_form,
     ceil_log2,
     comp_aux_dims,
@@ -502,6 +503,72 @@ def test_purification_validates_pair_layout_and_norm():
         Purification(2 * a, b)
     with pytest.raises(NotNormalized):
         Purification(0 * a, b)
+
+
+def _schmidt_cases():
+    # Planted pairs from synth_from_psd (15/16 of the rows zero at (16, 4)),
+    # random pairs with zeroed (x, alpha) rows, and a pair of size r = 3
+    # whose state has Schmidt rank 2.
+    rng = np.random.default_rng(18)
+    cases = []
+    for n, r in ((3, 2), (6, 3), (16, 4)):
+        cases.append(synth_from_psd(*random_psd_factorization(rng, n, n, r)))
+
+    def stack(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for n, ka, m, kb, r in ((4, 3, 5, 2, 3), (3, 5, 2, 4, 4), (2, 2, 3, 1, 5)):
+        zero_a, zero_b = rng.random((n, ka)) < 0.5, rng.random((m, kb)) < 0.5
+        zero_a[0, 0] = zero_a[-1, -1] = zero_b[-1, -1] = True
+        zero_a[0, 1] = zero_b[0, 0] = False
+        a, b = stack(n, ka, r), stack(m, kb, r)
+        a[zero_a] = 0.0
+        b[zero_b] = 0.0
+        cases.append((a, b))
+    a, b = stack(3, 4, 3), stack(2, 5, 3)
+    a[:, :, 2] = a[:, :, 0]  # sum_i a_i (x) b_i = a_0 (x) (b_0 + b_2) + a_1 (x) b_1
+    a[1, 2] = b[1, 3] = 0.0
+    cases.append((a, b))
+    out = []
+    for case in cases:
+        if not isinstance(case, Purification):
+            a, b = case
+            scale = np.sqrt(np.linalg.norm(a.reshape(-1, a.shape[2]) @ b.reshape(-1, b.shape[2]).T))
+            a, b = a / scale, b / scale
+            if not a[-1, -1].any():
+                a[-1, -1, 0] = 5e-324  # a subnormal entry keeps its row
+            case = Purification(a, b)
+        out.append(case)
+    return out
+
+
+def test_schmidt_form_on_the_nonzero_rows():
+    for purif in _schmidt_cases():
+        r = purif.a.shape[2]
+        fa, fb = purif.a.reshape(-1, r), purif.b.reshape(-1, r)
+        cut = fa @ fb.T
+        res = purif.schmidt
+        t = res.singulars.size
+        # Zero rows and columns of the cut carry no singular value.
+        support = cut[np.ix_(cut.any(axis=1), cut.any(axis=0))]
+        dense = np.linalg.svd(support, compute_uv=False)
+        assert t == matrix_rank(support)
+        np.testing.assert_allclose(res.singulars, dense[:t], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.reconstruct(), cut, rtol=0, atol=1e-12)
+        for vecs in (res.left, res.right):
+            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(t), rtol=0, atol=1e-12)
+        zero_a, zero_b = ~fa.any(axis=1), ~fb.any(axis=1)
+        assert zero_a.any() and zero_b.any()
+        assert np.all(res.left[zero_a] == 0.0) and np.all(res.right[zero_b] == 0.0)
+        np.testing.assert_array_equal(_nonzero_rows(fa), np.flatnonzero(~zero_a))
+    assert purif.srank() == 2  # the last case, of size 3
+
+
+def test_planted_targets_and_outputs_stay_diagonal():
+    for purif in _schmidt_cases()[:3]:
+        spec = protocol_from_purification(purif)
+        assert spec.target.form == "diagonal"
+        assert apply_protocol(spec).form == "diagonal"
 
 
 def test_comp_aux_dims():
