@@ -38,7 +38,9 @@ from .linalg import (
     _sq_norm,
     _trace_form,
     as_complex_array,
+    as_complex_stack,
     hermitize,
+    read_only_copy,
     require_psd,
 )
 
@@ -72,9 +74,7 @@ class DistMatrix:
         total = float(arr.sum())
         if abs(total - 1.0) > 1e-10:
             raise NotNormalized(f"distribution sums to {total!r}, not 1")
-        arr = arr.copy()  # read-only, so the checks above stay true
-        arr.flags.writeable = False
-        object.__setattr__(self, "p", arr)
+        object.__setattr__(self, "p", read_only_copy(arr))
 
 
 def validate_dist(p, renormalize: bool = False) -> DistMatrix:
@@ -290,21 +290,21 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass(frozen=True)
 class PsdFactorization:
-    """Families {C_x}, {D_y} of r x r Hermitian psd matrices with the
-    Frobenius residual of [tr(C_x D_y) - P(x, y)] against their target.
+    """Nonempty families {C_x}, {D_y} of r x r Hermitian psd matrices, each
+    held as one read-only complex stack (``linalg.as_complex_stack``), with
+    the Frobenius residual of [tr(C_x D_y) - P(x, y)] against their target.
     """
 
     r: int
-    cs: tuple[np.ndarray, ...]
-    ds: tuple[np.ndarray, ...]
+    cs: np.ndarray
+    ds: np.ndarray
     residual: float
 
     def __post_init__(self):
         self._settle(psd=True)
 
     @classmethod
-    def _built(cls, r: int, cs: tuple[np.ndarray, ...], ds: tuple[np.ndarray, ...],
-               residual: float) -> "PsdFactorization":
+    def _built(cls, r: int, cs: np.ndarray, ds: np.ndarray, residual: float) -> "PsdFactorization":
         """A factorization the library built psd, without the psd check.
 
         Every caller must pass complex Hermitian matrices of the form
@@ -323,15 +323,14 @@ class PsdFactorization:
     def _settle(self, psd: bool) -> None:
         if self.r < 1:
             raise InvalidInput("factorization size r must be positive")
-        cs, ds = self.cs, self.ds
-        if psd:
-            cs = tuple(require_psd(c, name=f"C[{x}]") for x, c in enumerate(cs))
-            ds = tuple(require_psd(d, name=f"D[{y}]") for y, d in enumerate(ds))
+        cs, ds = as_complex_stack(self.cs, "C"), as_complex_stack(self.ds, "D")
         for fam, tag in ((cs, "C"), (ds, "D")):
-            for idx, mat in enumerate(fam):
-                if mat.shape != (self.r, self.r):
-                    raise InvalidInput(f"{tag}[{idx}] has shape {mat.shape}, "
-                                       f"expected {(self.r, self.r)}")
+            if fam.shape[1:] != (self.r, self.r):
+                raise InvalidInput(f"{tag}[0] has shape {fam.shape[1:]}, "
+                                   f"expected {(self.r, self.r)}")
+            if psd:
+                for idx, mat in enumerate(fam):
+                    require_psd(mat, name=f"{tag}[{idx}]")
         if self.residual < 0.0 or not math.isfinite(self.residual):
             raise InvalidInput("residual must be finite and nonnegative")
         object.__setattr__(self, "cs", cs)
@@ -347,7 +346,7 @@ class PsdFactorization:
 
     def trace_products(self) -> np.ndarray:
         """The bilinear form t[x, y] = tr(C_x D_y), real nonnegative."""
-        return _trace_form(np.stack(self.cs), np.stack(self.ds))
+        return _trace_form(self.cs, self.ds)
 
 
 @dataclass(frozen=True)
@@ -382,18 +381,18 @@ def _jacobian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian of t[x, y] = tr(C_x D_y) with respect to E and F.
 
-    Returns (je, jf), both of shape (n, m, r, r): je[x, y] = 2 E_x D_y is
-    the derivative of t[x, y] with respect to E_x and jf[x, y] = 2 F_y C_x
-    the one with respect to F_y. The real part holds the derivatives with
-    respect to the real coordinates, the imaginary part those with respect
-    to the imaginary coordinates. t[x, y] does not depend on E_x' or F_y'
-    for x' != x, y' != y. Both come from broadcast products; jf is laid out
-    y-major in memory (a transposed view), so that each F_y's block set is
-    contiguous.
+    Returns (je, jf) of shapes (n, m, r, r) and (m, n, r, r):
+    je[x, y] = 2 E_x D_y is the derivative of t[x, y] with respect to E_x
+    and jf[y, x] = 2 F_y C_x the one with respect to F_y. The real part
+    holds the derivatives with respect to the real coordinates, the
+    imaginary part those with respect to the imaginary coordinates.
+    t[x, y] does not depend on E_x' or F_y' for x' != x, y' != y. Both come
+    from broadcast products, each laid out by the factor it differentiates,
+    so that each E_x's and each F_y's block set is contiguous.
     """
     je = 2.0 * (e[:, None] @ d[None])
     jf = 2.0 * (f[:, None] @ c[None])
-    return je, jf.swapaxes(0, 1)
+    return je, jf
 
 
 def _descend(
@@ -436,7 +435,7 @@ def _descend(
             # (x', y')] couples residuals through a shared E_x (x = x') or a
             # shared F_y (y = y'): one batched product per block set.
             ja = je.reshape(n, m, -1).view(np.float64)
-            jb = jf.swapaxes(0, 1).reshape(m, n, -1).view(np.float64)
+            jb = jf.reshape(m, n, -1).view(np.float64)
             jjt = np.zeros((n, m, n, m))
             jjt[rows, :, rows, :] = ja @ ja.swapaxes(1, 2)
             jjt[:, cols, :, cols] += jb @ jb.swapaxes(1, 2)
@@ -482,7 +481,7 @@ def _witness(e: np.ndarray, f: np.ndarray, P: np.ndarray) -> PsdFactorization:
     n = e.shape[0]
     grams = hermitize(np.concatenate([_grams(e), _grams(f)]))
     residual = float(np.linalg.norm(_trace_form(grams[:n], grams[n:]) - P))
-    return PsdFactorization._built(e.shape[-1], tuple(grams[:n]), tuple(grams[n:]), residual)
+    return PsdFactorization._built(e.shape[-1], grams[:n], grams[n:], residual)
 
 
 def _random_start(
@@ -676,8 +675,7 @@ def synth_from_psd(p: DistMatrix, f: PsdFactorization) -> Purification:
     n, m, r = p.n, p.m, f.r
     # One stacked eigh for the square roots of every C_x^T and D_y, each
     # checked psd when the factorization was built: clamp and take roots.
-    vals, vecs = np.linalg.eigh(np.concatenate([np.stack(f.cs).transpose(0, 2, 1),
-                                                np.stack(f.ds)]))
+    vals, vecs = np.linalg.eigh(np.concatenate([f.cs.transpose(0, 2, 1), f.ds]))
     roots = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     v, w = roots[:n], roots[n:]  # v[x, :, i] = i-th column of sqrt(C_x^T)
     # The norm of sum_i v[:, :, i] (x) w[:, :, i], from its two r x r Grams.

@@ -24,7 +24,7 @@ from .linalg import (
     DensityMatrix,
     Purification,
     _sq_norm,
-    as_complex_array,
+    as_complex_stack,
     ceil_log2,
     comp_reduction,
 )
@@ -33,29 +33,22 @@ from .linalg import (
 @dataclass(frozen=True)
 class GeneralFactorization:
     """Families {A_x} (dim_a of them, each k_a x r) and {B_y} (dim_b of
-    them, each k_b x r). Normalized when the induced purification has
-    unit norm; unnormalized inputs are accepted and rescaled downstream.
+    them, each k_b x r), each held as one read-only complex stack
+    (``linalg.as_complex_stack``). Normalized when the induced purification
+    has unit norm; unnormalized inputs are accepted and rescaled downstream.
     """
 
     r: int
-    a_mats: tuple[np.ndarray, ...]
-    b_mats: tuple[np.ndarray, ...]
+    a_mats: np.ndarray
+    b_mats: np.ndarray
 
     def __post_init__(self):
         if self.r < 1:
             raise InvalidInput("factorization size r must be positive")
-        a_mats = tuple(as_complex_array(a, f"A[{x}]") for x, a in enumerate(self.a_mats))
-        b_mats = tuple(as_complex_array(b, f"B[{y}]") for y, b in enumerate(self.b_mats))
-        if not a_mats or not b_mats:
-            raise InvalidInput("both factor families must be nonempty")
+        a_mats, b_mats = as_complex_stack(self.a_mats, "A"), as_complex_stack(self.b_mats, "B")
         for fam, tag in ((a_mats, "A"), (b_mats, "B")):
-            shape = fam[0].shape
-            if len(shape) != 2 or shape[1] != self.r:
-                raise InvalidInput(f"{tag} factors must be 2-D with {self.r} columns")
-            for idx, mat in enumerate(fam):
-                if mat.shape != shape:
-                    raise InvalidInput(f"{tag}[{idx}] shape {mat.shape} differs "
-                                       f"from {shape}")
+            if fam.shape[2] != self.r:
+                raise InvalidInput(f"{tag}[0] has {fam.shape[2]} columns, expected {self.r}")
         object.__setattr__(self, "a_mats", a_mats)
         object.__setattr__(self, "b_mats", b_mats)
 
@@ -69,17 +62,17 @@ class GeneralFactorization:
 
     @property
     def rows_a(self) -> int:
-        return self.a_mats[0].shape[0]
+        return self.a_mats.shape[1]
 
     @property
     def rows_b(self) -> int:
-        return self.b_mats[0].shape[0]
+        return self.b_mats.shape[1]
 
 
 def factorization_norm(f: GeneralFactorization) -> float:
     """sum_xy tr((A_x^dag A_x)^T (B_y^dag B_y)); the squared norm of the
     purification assembled from the factors."""
-    return _sq_norm(np.stack(f.a_mats), np.stack(f.b_mats))
+    return _sq_norm(f.a_mats, f.b_mats)
 
 
 def reconstruct_from_factors(f: GeneralFactorization) -> DensityMatrix:
@@ -91,7 +84,7 @@ def reconstruct_from_factors(f: GeneralFactorization) -> DensityMatrix:
     rescaled to unit trace, with a warning when the input deviates from
     normalization beyond 1e-8. A zero factorization raises InvalidInput.
     """
-    rho, trace = comp_reduction(np.stack(f.a_mats), np.stack(f.b_mats))
+    rho, trace = comp_reduction(f.a_mats, f.b_mats)
     if abs(trace - 1.0) > 1e-8:
         warnings.warn(
             f"factorization norm {trace!r} deviates from 1; renormalizing",
@@ -129,7 +122,7 @@ def factor_from_purification(p: Purification) -> GeneralFactorization:
     reduction.
     """
     pair = p.schmidt_pair()
-    return GeneralFactorization(r=pair.a.shape[2], a_mats=tuple(pair.a), b_mats=tuple(pair.b))
+    return GeneralFactorization(r=pair.a.shape[2], a_mats=pair.a, b_mats=pair.b)
 
 
 def q_upper_bound(

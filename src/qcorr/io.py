@@ -176,7 +176,7 @@ def psd_factorization_from_obj(obj: dict, where: str = "psd_factorization") -> P
     ds = [_matrix_from_obj(d, f"{where}.ds[{i}]")
           for i, d in enumerate(_list(obj, "ds", where))]
     residual = _real(obj, "residual", where)
-    return PsdFactorization(r=r, cs=tuple(cs), ds=tuple(ds), residual=residual)
+    return PsdFactorization(r=r, cs=cs, ds=ds, residual=residual)
 
 
 def general_factorization_to_obj(f: GeneralFactorization) -> dict:
@@ -199,7 +199,7 @@ def general_factorization_from_obj(
               for i, a in enumerate(_list(obj, "a_mats", where))]
     b_mats = [_matrix_from_obj(b, f"{where}.b_mats[{i}]")
               for i, b in enumerate(_list(obj, "b_mats", where))]
-    return GeneralFactorization(r=r, a_mats=tuple(a_mats), b_mats=tuple(b_mats))
+    return GeneralFactorization(r=r, a_mats=a_mats, b_mats=b_mats)
 
 
 def channel_to_obj(ch: LocalChannel) -> dict:
@@ -211,9 +211,8 @@ def channel_to_obj(ch: LocalChannel) -> dict:
 
 
 def channel_from_obj(obj: dict, where: str = "channel") -> LocalChannel:
-    kraus = [_matrix_from_obj(k, f"{where}.kraus[{i}]")
-             for i, k in enumerate(_list(obj, "kraus", where))]
-    return LocalChannel(tuple(kraus))
+    return LocalChannel([_matrix_from_obj(k, f"{where}.kraus[{i}]")
+                         for i, k in enumerate(_list(obj, "kraus", where))])
 
 
 def protocol_to_obj(spec: ProtocolSpec) -> dict:

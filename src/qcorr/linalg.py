@@ -71,6 +71,39 @@ def as_complex_array(a, name: str = "input") -> np.ndarray:
     return arr
 
 
+def read_only_copy(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``arr``, so that the checks run on it stay true."""
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def as_complex_stack(mats, name: str) -> np.ndarray:
+    """One read-only complex128 (K, rows, cols) copy of a family of K >= 1
+    equally shaped matrices ``name[0]``, ``name[1]``, ... A family that is
+    empty or does not stack raises InvalidInput, naming the first member at
+    fault: not 2-D, of a shape that differs from ``name[0]``'s, or with a
+    non-finite entry."""
+    if not len(mats):
+        raise InvalidInput(f"{name} family is empty")
+    try:
+        arr = np.array(mats, dtype=np.complex128)  # always a copy
+        stacked = arr.ndim == 3 and bool(np.all(np.isfinite(arr)))
+    except (TypeError, ValueError):  # ragged or non-numeric
+        stacked = False
+    if not stacked:
+        for i, mat in enumerate(mats):
+            if len(np.shape(mat)) != 2:
+                raise InvalidInput(f"{name}[{i}] must be 2-D, got shape {np.shape(mat)}")
+            if np.shape(mat) != np.shape(mats[0]):
+                raise InvalidInput(f"{name}[{i}] shape {np.shape(mat)} differs from "
+                                   f"{np.shape(mats[0])}")
+            as_complex_array(mat, f"{name}[{i}]")
+        raise InvalidInput(f"{name} family does not stack into one complex array")
+    arr.flags.writeable = False
+    return arr
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (a + a^dag) / 2 of a matrix, or of each
     matrix in a stack over the leading axes."""
@@ -188,11 +221,12 @@ class DensityMatrix:
     A system without a declared bipartition uses ``dim_b = 1``.
 
     ``form`` records the one form the state is held in. The constructor
-    takes a dense matrix and runs the psd check; it holds an exactly
-    diagonal input (every off-diagonal entry 0.0) as ``"diagonal"`` and
-    any other as ``"dense"``. A state the library builds psd by form comes
-    from ``_of_factor`` (``"factor"``) or ``_of_diagonal``
-    (``"diagonal"``), and forms ``mat`` only when it is first read.
+    takes a dense matrix, runs the psd check and keeps a read-only copy as
+    ``mat``; it holds an exactly diagonal input (every off-diagonal entry
+    0.0) as ``"diagonal"`` and any other as ``"dense"``. A state the
+    library builds psd by form comes from ``_of_factor`` (``"factor"``) or
+    ``_of_diagonal`` (``"diagonal"``), and forms ``mat`` only when it is
+    first read.
     """
 
     dim_a: int
@@ -234,7 +268,7 @@ class DensityMatrix:
         d = self.dim_a * self.dim_b
         name = "density matrix" if form == "dense" else f"density {form}"
         if form == "dense":
-            arr = require_psd(arr, name=name)
+            arr = read_only_copy(require_psd(arr, name=name))
             shaped, tr = arr.shape == (d, d), np.trace(arr).real
         elif form == "factor":
             arr = as_complex_array(arr, name)
@@ -532,7 +566,8 @@ class Purification:
     i-th term's amplitude at Alice's computational index x and aux index
     alpha, and b the same for Bob, so the Schmidt rank is at most r. The
     reduction to the computational registers is the state purified.
-    Construction checks the shapes, finiteness and unit norm within 1e-10.
+    Construction checks the shapes, finiteness and unit norm within 1e-10,
+    and holds read-only copies of the two factors.
 
     ``dims_a`` and ``dims_b`` are each side's register dims, the
     computational register first, by default (n, ka) and (m, kb);
@@ -553,8 +588,8 @@ class Purification:
         if a.ndim != 3 or b.ndim != 3 or a.shape[2] != b.shape[2] or 0 in a.shape + b.shape:
             raise InvalidInput(f"factor shapes {a.shape} and {b.shape} are not "
                                "nonempty (n, ka, r) and (m, kb, r)")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", read_only_copy(a))
+        object.__setattr__(self, "b", read_only_copy(b))
         for field, f in (("dims_a", a), ("dims_b", b)):
             dims = f.shape[:2] if getattr(self, field) is None else tuple(getattr(self, field))
             if dims[:1] != f.shape[:1] or int(np.prod(dims[1:])) != f.shape[1]:

@@ -24,6 +24,7 @@ from .linalg import (
     ceil_log2,
     density_from_pure,
     rank_from_singulars,
+    read_only_copy,
     svd,
 )
 
@@ -56,9 +57,8 @@ class PureState:
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-10:
             raise NotNormalized(f"state norm {norm!r} deviates from 1 beyond 1e-10")
-        vec = vec.copy()  # read-only, so the cached Schmidt form stays valid
-        vec.flags.writeable = False
-        object.__setattr__(self, "amps", vec)
+        # Read-only, so that the cached Schmidt form stays valid.
+        object.__setattr__(self, "amps", read_only_copy(vec))
 
     def to_density(self) -> DensityMatrix:
         return density_from_pure(self.amps, self.dim_a, self.dim_b)

@@ -56,17 +56,14 @@ def random_psd_factorization(
 ) -> tuple[DistMatrix, PsdFactorization]:
     """Random exact psd factorization together with the distribution it
     generates; the residual is zero up to roundoff."""
-    cs = [random_psd(rng, r) for _ in range(n)]
-    ds = [random_psd(rng, r) for _ in range(m)]
-    t = _trace_form(np.stack(cs), np.stack(ds))
+    cs = np.array([random_psd(rng, r) for _ in range(n)])
+    ds = np.array([random_psd(rng, r) for _ in range(m)])
+    t = _trace_form(cs, ds)
     total = float(t.sum())
-    cs = [c / total for c in cs]
+    cs = cs / total
     p = t / total
-    scaled = _trace_form(np.stack(cs), np.stack(ds))
-    fact = PsdFactorization(
-        r=r, cs=tuple(cs), ds=tuple(ds),
-        residual=float(np.linalg.norm(scaled - p)),
-    )
+    fact = PsdFactorization(r=r, cs=cs, ds=ds,
+                            residual=float(np.linalg.norm(_trace_form(cs, ds) - p)))
     return DistMatrix(n, m, p), fact
 
 
@@ -74,18 +71,10 @@ def random_general_factorization(
     rng: np.random.Generator, dim_a: int, dim_b: int, ka: int, kb: int, r: int
 ) -> GeneralFactorization:
     """Random normalized factorization (unit purification norm)."""
-    a_mats = [
-        rng.standard_normal((ka, r)) + 1j * rng.standard_normal((ka, r))
-        for _ in range(dim_a)
-    ]
-    b_mats = [
-        rng.standard_normal((kb, r)) + 1j * rng.standard_normal((kb, r))
-        for _ in range(dim_b)
-    ]
-    fact = GeneralFactorization(r=r, a_mats=tuple(a_mats), b_mats=tuple(b_mats))
+    a_mats = [rng.standard_normal((ka, r)) + 1j * rng.standard_normal((ka, r))
+              for _ in range(dim_a)]
+    b_mats = [rng.standard_normal((kb, r)) + 1j * rng.standard_normal((kb, r))
+              for _ in range(dim_b)]
+    fact = GeneralFactorization(r=r, a_mats=a_mats, b_mats=b_mats)
     scale = factorization_norm(fact) ** -0.25
-    return GeneralFactorization(
-        r=r,
-        a_mats=tuple(a * scale for a in a_mats),
-        b_mats=tuple(b * scale for b in b_mats),
-    )
+    return GeneralFactorization(r=r, a_mats=fact.a_mats * scale, b_mats=fact.b_mats * scale)

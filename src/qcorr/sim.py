@@ -8,10 +8,10 @@ double the Schmidt rank per qubit moved. Simulation is exact: "the
 distribution produced" always means the exact Born-rule diagonal, so
 acceptance checks carry no statistical noise.
 
-A channel holds its Kraus operators as one stacked (K, out, in) array,
-checked once and read whole by the simulator. A pure seed with amplitude
-matrix Psi pushed through Kraus stacks is itself a purification: its
-output is the reduction (``linalg.comp_reduction``) of the dilated pair
+A channel holds its Kraus operators as one read-only stacked (K, out, in)
+array, checked once and read whole by the simulator. A pure seed with
+amplitude matrix Psi pushed through Kraus stacks is itself a
+purification: its output is the reduction (``linalg.comp_reduction``) of the dilated pair
 a[x, alpha, j] = (K_alpha Psi)[x, j] and b[y, beta, j] = K_beta[y, j]:
 held as its diagonal when the channels copy x and y (a classical
 output), as its factor W when few Kraus pairs act, and contracted
@@ -37,7 +37,7 @@ the state's density matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -50,7 +50,7 @@ from .linalg import (
     RegisterState,
     _contract_cut,
     _cut_grams,
-    as_complex_array,
+    as_complex_stack,
     ceil_log2,
     comp_reduction,
     fidelity,
@@ -68,52 +68,31 @@ class LocalChannel:
     """Completely positive trace-preserving map given by Kraus operators,
     each out_dim x in_dim; a single-Kraus channel is an isometry.
 
-    The operators are checked and held as one complex (K, out_dim, in_dim)
-    array; ``kraus`` is the tuple of its K views."""
+    ``kraus`` holds the operators as one read-only complex
+    (K, out_dim, in_dim) array (``linalg.as_complex_stack``)."""
 
-    kraus: tuple[np.ndarray, ...]
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    kraus: np.ndarray
 
     def __post_init__(self):
         if not len(self.kraus):
             raise InvalidInput("channel needs at least one Kraus operator")
-        try:
-            ops = as_complex_array(self.kraus, "Kraus operators")
-            if ops.ndim != 3:
-                raise InvalidInput("Kraus operators must be 2-D")
-        except (InvalidInput, TypeError, ValueError):  # ragged, non-numeric or non-finite
-            _name_the_fault(self.kraus)
-            raise
+        ops = as_complex_stack(self.kraus, "Kraus")
         flat = ops.reshape(-1, ops.shape[2])
         if float(np.abs(flat.conj().T @ flat - np.eye(ops.shape[2])).max()) > 1e-9:
             raise InvalidInput("channel is not trace preserving within 1e-9")
-        object.__setattr__(self, "_stack", ops)
-        object.__setattr__(self, "kraus", tuple(ops))
+        object.__setattr__(self, "kraus", ops)
 
     @property
     def in_dim(self) -> int:
-        return self._stack.shape[2]
+        return self.kraus.shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self._stack.shape[1]
+        return self.kraus.shape[1]
 
     @classmethod
     def identity(cls, dim: int) -> "LocalChannel":
         return cls(np.eye(dim, dtype=np.complex128)[None])
-
-
-def _name_the_fault(kraus) -> None:
-    """Raise the error that names the first Kraus operator at fault, for
-    operators that do not stack into one finite (K, out, in) array."""
-    shape = np.shape(kraus[0])
-    if len(shape) != 2:
-        raise InvalidInput("Kraus operators must be 2-D")
-    for i, k in enumerate(kraus):
-        if np.shape(k) != shape:
-            raise InvalidInput(f"Kraus[{i}] shape {np.shape(k)} differs from {shape}")
-    for i, k in enumerate(kraus):
-        as_complex_array(k, f"Kraus[{i}]")
 
 
 Seed = Union[PureState, DensityMatrix]
@@ -193,7 +172,7 @@ def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
     oa, ob = spec.target.dim_a, spec.target.dim_b
     if spec.alice.out_dim != oa or spec.bob.out_dim != ob:
         raise InvalidInput("channel output dims do not match the target")
-    alice, bob = spec.alice._stack, spec.bob._stack  # aux-major (K, out, in)
+    alice, bob = spec.alice.kraus, spec.bob.kraus  # aux-major (K, out, in)
     if isinstance(seed, PureState):
         psi = seed.amps.reshape(seed.dim_a, seed.dim_b)
         on = psi.any(axis=0)  # Bob's seed support

@@ -30,10 +30,12 @@ from qcorr.classical import (
 )
 from qcorr.errors import FactorizationMismatch, InvalidInput, NotNormalized
 from qcorr.linalg import (
+    DensityMatrix,
     Purification,
     RegisterState,
     SvdResult,
     ceil_log2,
+    fidelity,
     partial_trace,
     schmidt_rank,
 )
@@ -223,6 +225,38 @@ def test_dist_matrix_holds_a_read_only_copy():
     assert report.witness.residual < WITNESS_TOL
 
 
+def test_dense_density_matrix_holds_a_read_only_copy():
+    # A dense state passes its psd check; overwriting the source's diagonal
+    # with -5/5 afterwards must not reach the state or its fidelity.
+    src = np.full((4, 4), 0.1, dtype=complex)
+    np.fill_diagonal(src, 0.25)
+    rho = DensityMatrix(2, 2, src)
+    assert rho.form == "dense"
+    src[np.arange(4), np.arange(4)] = [-5.0, 5.0, -5.0, 5.0]
+    want = np.full((4, 4), 0.1)
+    np.fill_diagonal(want, 0.25)
+    np.testing.assert_array_equal(rho.mat, want)
+    with pytest.raises(ValueError):
+        rho.mat[0, 0] = -5.0
+    assert fidelity(rho, DensityMatrix(2, 2, np.eye(4) / 4)) <= 1.0 + 1e-12
+
+
+def test_purification_holds_read_only_copies():
+    a = np.zeros((2, 1, 2), dtype=complex)
+    b = np.zeros((2, 1, 2), dtype=complex)
+    a[[0, 1], 0, [0, 1]] = b[[0, 1], 0, [0, 1]] = 2 ** -0.25
+    purif = Purification(a, b)
+    want_a, want_b = a.copy(), b.copy()
+    a *= 5.0
+    b[0] = 7.0
+    np.testing.assert_array_equal(purif.a, want_a)
+    np.testing.assert_array_equal(purif.b, want_b)
+    assert abs(np.linalg.norm(purif.amps) - 1.0) <= 1e-12
+    for held in (purif.a, purif.b):
+        with pytest.raises(ValueError):
+            held[0, 0, 0] = 5.0
+
+
 def _sparse_nonneg(rng, n, m, r):
     # P = W H with about 30% of the entries of W and H zeroed.
     w = rng.uniform(0.0, 1.0, (n, r)) * (rng.uniform(0.0, 1.0, (n, r)) >= 0.3)
@@ -280,7 +314,7 @@ def test_jacobian_matches_central_differences():
                     bump = np.zeros_like(f)
                     bump[k, a, b] = step
                     num = (trace_form(e, f + bump) - trace_form(e, f - bump)) / (2 * h)
-                    ana[:, k] = part(jf[:, k, a, b])  # only column k moves with F_k
+                    ana[:, k] = part(jf[k, :, a, b])  # only column k moves with F_k
                 np.testing.assert_allclose(num, ana, rtol=1e-6, atol=1e-9)
 
 
@@ -503,7 +537,8 @@ def test_witness_matches_the_checked_constructor():
     wit = _witness(e, f, p)
     checked = PsdFactorization(r=wit.r, cs=wit.cs, ds=wit.ds, residual=wit.residual)
     assert (wit.r, wit.n, wit.m) == (2, 3, 4)
-    for got, want in zip(wit.cs + wit.ds, checked.cs + checked.ds):
+    for got, want in zip(np.concatenate([wit.cs, wit.ds]),
+                         np.concatenate([checked.cs, checked.ds])):
         np.testing.assert_array_equal(got, want)
     for x, ex in enumerate(e):
         np.testing.assert_allclose(wit.cs[x], ex.conj().T @ ex, rtol=0, atol=1e-12)
@@ -567,7 +602,7 @@ def test_gram_extract_matches_the_schmidt_pair_path():
     for purif in pairs:
         got, want = gram_extract(purif), _gram_extract_via_schmidt_pair(purif)
         assert (got.r, got.n, got.m) == (want.r, want.n, want.m)
-        for c, d in zip(got.cs + got.ds, want.cs + want.ds):
+        for c, d in zip(np.concatenate([got.cs, got.ds]), np.concatenate([want.cs, want.ds])):
             np.testing.assert_allclose(c, d, rtol=0, atol=1e-14)
         assert abs(got.residual - want.residual) <= 1e-14
 
@@ -639,7 +674,7 @@ def test_planted_nonneg_rank_bounds_psd_rank(n, m, r, seed):
     nn = nonneg_rank_bounds(dist)
     assert nn.upper <= r
     assert nn.witness.residual < SolverConfig().tol
-    for mat in nn.witness.cs + nn.witness.ds:
+    for mat in np.concatenate([nn.witness.cs, nn.witness.ds]):
         assert np.array_equal(mat, np.diag(np.diag(mat)))
     assert psd_rank_search(dist).upper <= nn.upper
 
@@ -647,7 +682,7 @@ def test_planted_nonneg_rank_bounds_psd_rank(n, m, r, seed):
 def test_psd_fit_without_starts_returns_zero_factors():
     # No random starts and r < min(n, m): nothing to run.
     fact = psd_fit(THIRD_I3, 2, SolverConfig(starts=0))
-    assert not any(mat.any() for mat in fact.cs + fact.ds)
+    assert not np.concatenate([fact.cs, fact.ds]).any()
     assert fact.residual == np.linalg.norm(THIRD_I3.p)
     report = psd_rank_search(THIRD_I3, SolverConfig(starts=0))
     assert (report.lower, report.upper, report.status) == (3, 3, "certified")

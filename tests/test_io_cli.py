@@ -108,7 +108,7 @@ def _assert_bit_identical(a, b):
     elif isinstance(a, PsdFactorization):
         assert (a.r, a.residual) == (b.r, b.residual)
         assert len(a.cs) == len(b.cs) and len(a.ds) == len(b.ds)
-        for x, y in zip(a.cs + a.ds, b.cs + b.ds):
+        for x, y in zip(np.concatenate([a.cs, a.ds]), np.concatenate([b.cs, b.ds])):
             np.testing.assert_array_equal(x, y)
     else:
         assert isinstance(a, ProtocolSpec)

@@ -20,7 +20,7 @@ from qcorr.linalg import (
     require_psd,
     schmidt_rank,
 )
-from qcorr.general import Purification
+from qcorr.general import GeneralFactorization, Purification
 from qcorr.pure import PureState, build_approximant, q_eps
 from qcorr.rand import (
     random_density_matrix,
@@ -60,21 +60,77 @@ def test_channel_requires_trace_preservation():
         LocalChannel((np.array([[1.0, 0.0], [0.0, 0.5]]),))
 
 
+HALF = np.eye(2) / np.sqrt(2)
+
+#: For each matrix family: its constructor from the family's members, and
+#: the stacked array the constructed object holds them in.
+FAMILIES = {
+    "Kraus": (LocalChannel, lambda ch: ch.kraus),
+    "C": (lambda mats: PsdFactorization(r=2, cs=mats, ds=[np.eye(2) / 2], residual=0.0),
+          lambda fact: fact.cs),
+    "A": (lambda mats: GeneralFactorization(r=2, a_mats=mats, b_mats=[np.eye(2)]),
+          lambda fact: fact.a_mats),
+}
+
+
 def test_channel_validation_messages():
-    half = np.eye(2) / np.sqrt(2)
-    cases = [
-        ((), "at least one Kraus operator"),
-        ((np.ones(2),), "must be 2-D"),
-        ((half, np.eye(3)), r"Kraus\[1\] shape \(3, 3\) differs from \(2, 2\)"),
-        ((half, np.diag([np.nan, 1.0])), r"Kraus\[1\] contains non-finite entries"),
-        ((half, half, half), "not trace preserving within 1e-9"),
-    ]
-    for kraus, message in cases:
+    # The family checks of the Kraus operators are in the table below.
+    for kraus, message in [((), "channel needs at least one Kraus operator"),
+                           ((HALF, HALF, HALF), "not trace preserving within 1e-9")]:
         with pytest.raises(InvalidInput, match=message):
             LocalChannel(kraus)
-    ch = LocalChannel([half, np.array([[0, 1j], [1j, 0]]) / np.sqrt(2)])
-    assert isinstance(ch.kraus, tuple) and len(ch.kraus) == 2
-    assert all(k.dtype == np.complex128 and k.shape == (2, 2) for k in ch.kraus)
+    ch = LocalChannel([HALF, np.array([[0, 1j], [1j, 0]]) / np.sqrt(2)])
+    assert ch.kraus.shape == (2, 2, 2) and ch.kraus.dtype == np.complex128
+    assert not ch.kraus.flags.writeable
+    assert (len(ch.kraus), ch.in_dim, ch.out_dim) == (2, 2, 2)
+
+
+@pytest.mark.parametrize("tag", list(FAMILIES))
+@pytest.mark.parametrize("members, message", [
+    ((HALF, np.eye(3)), r"{tag}\[1\] shape \(3, 3\) differs from \(2, 2\)"),
+    ((HALF, np.diag([np.nan, 1.0])), r"{tag}\[1\] contains non-finite entries"),
+    ((np.ones(2), np.ones(2)), r"{tag}\[0\] must be 2-D"),
+    ((HALF, np.ones(2)), r"{tag}\[1\] must be 2-D"),
+    ((), "{empty}"),
+], ids=["ragged", "non-finite", "1-D", "1-D-second", "empty"])
+def test_family_validation_messages(tag, members, message):
+    build, _ = FAMILIES[tag]
+    empty = "at least one Kraus operator" if tag == "Kraus" else f"{tag} family is empty"
+    with pytest.raises(InvalidInput, match=message.format(tag=tag, empty=empty)):
+        build(members)
+
+
+@pytest.mark.parametrize("tag", list(FAMILIES))
+def test_families_hold_read_only_copies(tag):
+    # Mutating the members, or the stacked array, given to a constructor
+    # changes nothing the constructor checked, and the held stack is not
+    # writeable.
+    build, held = FAMILIES[tag]
+    want = np.stack([HALF, HALF])
+    members = [HALF.copy(), HALF.copy()]
+    stacked = want.astype(complex)
+    for source in (members, stacked):
+        got = held(build(source))
+        source[0][0, 0] = 5.0
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == np.complex128 and not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0, 0] = 5.0
+
+
+def test_overwritten_factor_leaves_the_witness():
+    # Overwriting C[0] of the source after construction leaves the witness,
+    # its residual and the protocol synthesized from it as they were.
+    dist, planted = random_psd_factorization(np.random.default_rng(19), 4, 4, 2)
+    cs = [c.copy() for c in planted.cs]
+    fact = PsdFactorization(r=2, cs=cs, ds=planted.ds, residual=planted.residual)
+    cs[0][:] = 25.0 * np.eye(2)
+    np.testing.assert_array_equal(fact.cs, planted.cs)
+    assert np.linalg.norm(fact.trace_products() - dist.p) <= 1e-12
+    spec = protocol_from_purification(synth_from_psd(dist, fact))
+    assert verify_generation(spec).passed
+    measured = measure_computational(apply_protocol(spec))
+    np.testing.assert_allclose(measured.p, dist.p, rtol=0, atol=1e-12)
 
 
 def test_protocol_spec_rejects_nan_and_negative_eps():
