@@ -183,17 +183,27 @@ def _best_subset_ratio(*grams: np.ndarray) -> float:
     return best
 
 
+def _with_fidelity(bound: int, p: DistMatrix, tol: float) -> tuple[int, str]:
+    """The larger of a rank ``bound`` and the fidelity bound at ``tol``, and
+    the name of the one that set it ("rank" on ties). No bound can prove more
+    than min(n, m), the size of the exact diagonal construction, so at that
+    cap the fidelity bound is not computed.
+    """
+    if bound < min(p.n, p.m):
+        fidelity = math.ceil(_best_subset_ratio(_fidelity_gram(p.p, tol),
+                                                _fidelity_gram(p.p.T, tol)))
+        if fidelity > bound:
+            return fidelity, "fidelity"
+    return bound, "rank"
+
+
 def _lower_bounds(p: DistMatrix, tol: float) -> tuple[int, int, str]:
     """The rank of P at ``tol``, the psd-rank lower bound at ``tol`` and the
     bound that set it ("rank" or "fidelity"); see ``psd_rank_lower_bound``.
     """
     rank = rank_at_tol(p, tol)
     weyl = math.isqrt(rank - 1) + 1 if rank >= 1 else 1
-    fidelity = math.ceil(_best_subset_ratio(_fidelity_gram(p.p, tol),
-                                            _fidelity_gram(p.p.T, tol)))
-    if weyl >= fidelity:
-        return rank, weyl, "rank"
-    return rank, fidelity, "fidelity"
+    return (rank, *_with_fidelity(weyl, p, tol))
 
 
 def psd_rank_lower_bound(p: DistMatrix, tol: float = WITNESS_TOL) -> int:
@@ -231,6 +241,9 @@ def psd_rank_lower_bound(p: DistMatrix, tol: float = WITNESS_TOL) -> int:
 
     Subsets. Any S gives a valid bound. The subsets tried are those grown
     greedily from each row of P and of P^T; each ends at the full row set.
+
+    Cap. The psd-rank is at most min(n, m), so when the rank bound reaches
+    it the fidelity bound is not computed.
     """
     return _lower_bounds(p, tol)[1]
 
@@ -417,17 +430,17 @@ def _descend(
     """
     e = e0.astype(np.complex128).copy()
     f = f0.astype(np.complex128).copy()
-    n, m = P.shape
-    rows, cols, eye = np.arange(n), np.arange(m), np.eye(n * m)
     c, d = _grams(e), _grams(f)
     resid = _trace_form(c, d) - P
     history = [float((resid * resid).sum())]
+    if history[-1] < VALUE_FLOOR:  # an exact start: no solver state to build
+        return e, f, history
+    n, m = P.shape
+    rows, cols, diag = np.arange(n), np.arange(m), np.arange(n * m)
     lam = floor = cap = None
     accepted = True
 
     for _ in range(cfg.max_iters):
-        if history[-1] < VALUE_FLOOR:
-            break
         if accepted:
             je, jf = _jacobian(e, f, c, d)
             # The rows of J in real coordinates (real and imaginary parts
@@ -446,8 +459,10 @@ def _descend(
                     break
                 lam = LM_LAMBDA0 * scale
                 floor, cap = LM_LAMBDA_FLOOR * lam, LM_LAMBDA_CAP * lam
+        shifted = jjt.copy()
+        shifted[diag, diag] += lam
         try:
-            w = np.linalg.solve(jjt + lam * eye, resid.reshape(-1)).reshape(n, m)
+            w = np.linalg.solve(shifted, resid.reshape(-1)).reshape(n, m)
         except np.linalg.LinAlgError:
             # J J^T can be singular (diagonal starts have at most r(n+m-1)
             # independent columns), and lam near its floor is lost in
@@ -465,7 +480,8 @@ def _descend(
             e, f, c, d, resid = e_try, f_try, c_try, d_try, r_try
             history.append(value)
             lam = max(lam / LM_DOWN, floor)
-            if (len(history) > STALL_WINDOW
+            if value < VALUE_FLOOR or (
+                    len(history) > STALL_WINDOW
                     and value > (1.0 - STALL_DROP) * history[-1 - STALL_WINDOW]):
                 break
         else:
@@ -507,12 +523,21 @@ def _random_diagonal_start(
     return e, f
 
 
-def _diagonal_exact_start(P: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Exact factorization available whenever r >= min(n, m): the smaller
+def _exact_start(P: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The closed-form size-r factorization, real diagonal so that the
+    nonnegative fits share it, or None when 1 < r < min(n, m).
+
+    At r = 1 the square roots of the marginals, E_x = sqrt(P_A(x)) and
+    F_y = sqrt(P_B(y)), exact on every rank-one P, which is P_A (x) P_B;
+    ``_bracket`` tries r = 1 only when P is within ``tol`` of rank one. At
+    r >= min(n, m) the diagonal construction, exact on every P: the smaller
     side gets basis projectors, the other diagonal square roots of its
     rows/columns of P.
     """
     n, m = P.shape
+    if r == 1 < min(n, m):
+        return (np.sqrt(P.sum(axis=1)).reshape(n, 1, 1).astype(np.complex128),
+                np.sqrt(P.sum(axis=0)).reshape(m, 1, 1).astype(np.complex128))
     if r < min(n, m):
         return None
     e = np.zeros((n, r, r), dtype=np.complex128)
@@ -534,11 +559,12 @@ def _multistart(
     cfg: SolverConfig,
     random_start,
 ) -> PsdFactorization:
-    """Best size-r factorization over the exact diagonal start (when
-    r >= min(n, m)) and ``cfg.starts`` draws of ``random_start``, in that
-    order. Stops at the first start whose residual is below ``cfg.tol``;
-    otherwise the best start wins, ties going to the lowest start index.
-    With no start to run it returns the zero factors, whose residual is
+    """Best size-r factorization over the closed-form start of
+    ``_exact_start`` (when r = 1 or r >= min(n, m)) and ``cfg.starts``
+    draws of ``random_start``, in that order. Stops at the first start whose
+    residual is below ``cfg.tol``; otherwise the best start wins, ties going
+    to the lowest start index. With no start to run (``cfg.starts == 0``
+    and 1 < r < min(n, m)) it returns the zero factors, whose residual is
     the norm of P.
     """
     n, m = P.shape
@@ -547,7 +573,7 @@ def _multistart(
 
     def starts():
         # Built lazily: the search often stops before the later starts.
-        exact = _diagonal_exact_start(P, r)
+        exact = _exact_start(P, r)
         if exact is not None:
             yield exact
         rng = np.random.default_rng(cfg.seed)
@@ -581,13 +607,15 @@ def psd_fit(
     factors psd without any projection; each start runs a
     Levenberg-Marquardt least-squares solve on the n*m residuals
     tr(C_x D_y) - P(x, y) until its squared residual is below 1e-28, it
-    stalls, or it has taken ``cfg.max_iters`` trial steps. The exact
-    diagonal construction (available whenever r >= min(n, m)) is tried
-    first, then ``cfg.starts`` random complex starts. The search stops at
-    the first start whose residual is below ``cfg.tol``; otherwise the
-    best start wins, ties going to the lowest start index. With no start
-    to run (``cfg.starts == 0`` and r < min(n, m)) the zero factors are
-    returned. Deterministic given ``cfg.seed``.
+    stalls, or it has taken ``cfg.max_iters`` trial steps. A closed-form
+    start is tried first: the exact diagonal construction when
+    r >= min(n, m), the square roots of the marginals (exact on a product
+    distribution) when r = 1; then ``cfg.starts`` random complex starts.
+    The search stops at the first start whose residual is below
+    ``cfg.tol``; otherwise the best start wins, ties going to the lowest
+    start index. With no start to run (``cfg.starts == 0`` and
+    1 < r < min(n, m)) the zero factors are returned. Deterministic given
+    ``cfg.seed``.
     """
     if not isinstance(p, DistMatrix):
         raise InvalidInput("expected a DistMatrix")
@@ -621,7 +649,8 @@ def psd_rank_search(p: DistMatrix, cfg: SolverConfig | None = None) -> RankRepor
 
     Sizes are tried upward from the lower bound; a size succeeds when the
     residual drops below ``cfg.tol``. The exact diagonal construction
-    guarantees success at r = min(n, m). The report is certified only when
+    guarantees success at r = min(n, m), and the marginal start settles a
+    product distribution at r = 1. The report is certified only when
     the first success equals the lower bound; the generation complexity in
     seed qubits is ceil(log2(upper)).
     """
@@ -636,18 +665,22 @@ def nonneg_rank_bounds(p: DistMatrix, cfg: SolverConfig | None = None) -> RankRe
 
     A nonnegative factorization is a psd factorization with diagonal
     factors, so the fits are the Levenberg-Marquardt starts of ``psd_fit``
-    from ``cfg.starts`` random real diagonal starts, which stay diagonal
-    (see ``_descend``); ``max_iters`` and ``tol`` apply as there. The lower
-    bound holds at ``cfg.tol``: the larger of ``rank_at_tol(p, cfg.tol)``
-    and ``psd_rank_lower_bound(p, cfg.tol)``, since the nonnegative rank is
-    at least the psd-rank. Sizes are tried upward from it, and the exact
-    diagonal construction guarantees success at min(n, m). The witness has
-    diagonal C_x and D_y. The randomized generation complexity in seed bits
-    is ceil(log2(upper)).
+    from the closed-form starts of ``psd_fit`` (real diagonal too) and
+    ``cfg.starts`` random real diagonal starts, all of which stay diagonal
+    (see ``_descend``); ``max_iters`` and ``tol`` apply as there. With no
+    start to run (``cfg.starts == 0`` and 1 < r < min(n, m)) a size gets
+    the zero factors. The lower bound holds at ``cfg.tol``: the larger of
+    ``rank_at_tol(p, cfg.tol)`` and ``psd_rank_lower_bound(p, cfg.tol)``,
+    since the nonnegative rank is at least the psd-rank; at min(n, m) the
+    fidelity bound is not computed. Sizes are tried upward from it, and the
+    exact diagonal construction guarantees success at min(n, m). The witness
+    has diagonal C_x and D_y. The randomized generation complexity in seed
+    bits is ceil(log2(upper)).
     """
     cfg = cfg or DEFAULT_CONFIG
-    rank, psd_lower, _ = _lower_bounds(p, cfg.tol)
-    lower, lower_by = (rank, "rank") if rank >= psd_lower else (psd_lower, "fidelity")
+    # The Weyl bound is at most the rank, so the psd-rank bound can only
+    # raise the rank through its fidelity half.
+    lower, lower_by = _with_fidelity(rank_at_tol(p, cfg.tol), p, cfg.tol)
     return _bracket(lower, lower_by, min(p.n, p.m),
                     lambda r: _multistart(p.p, r, cfg, _random_diagonal_start),
                     cfg.tol)

@@ -64,8 +64,12 @@ EIG_CLAMP_TOL = 1e-10
 
 
 def as_complex_array(a, name: str = "input") -> np.ndarray:
-    """Coerce to a complex128 ndarray, rejecting NaN/Inf entries."""
-    arr = np.asarray(a, dtype=np.complex128)
+    """Coerce to a complex128 ndarray, rejecting non-numeric and NaN/Inf
+    entries."""
+    try:
+        arr = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{name} has non-numeric entries") from None
     if arr.size and not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name} contains non-finite entries")
     return arr

@@ -1,6 +1,8 @@
 """Tests for psd-rank bounds, the factorization solver, synthesis and
 Gram extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +27,7 @@ from qcorr.classical import (
     psd_fit,
     psd_rank_lower_bound,
     psd_rank_search,
+    rank_at_tol,
     synth_from_psd,
     validate_dist,
 )
@@ -191,24 +194,42 @@ def test_best_subset_ratio_matches_the_reference_bit_for_bit(data, k, k2):
 
 
 def test_lower_bounds_keep_value_and_lower_by():
-    # The bound and the name of the bound that set it, against the rows and
-    # the columns grown one Gram at a time by the reference.
+    # The psd and the nonnegative lower ends and the names of the bounds
+    # that set them, against the rank bounds and the rows and the columns
+    # grown one Gram at a time by the reference. The reference computes the
+    # fidelity bound even where the rank bound reaches min(n, m), where the
+    # code skips it.
     rng = np.random.default_rng(18)
     seen = set()
-    for tol in (WITNESS_TOL, 1e-12, 1e-3) * 40:
+    capped = {"psd": 0, "nonneg": 0}
+    for i, tol in enumerate((WITNESS_TOL, 1e-12, 1e-3) * 50):
         n, m = (int(d) for d in rng.integers(1, 13, size=2))
-        raw = rng.uniform(0.0, 1.0, (n, m)) * (rng.uniform(0.0, 1.0, (n, m)) >= 0.5)
-        raw[np.arange(min(n, m)), np.arange(min(n, m))] += rng.uniform(0.0, 3.0)
+        kind = i // 3 % 3
+        if kind == 0:  # full rank
+            raw = rng.uniform(0.0, 1.0, (n, m))
+        elif kind == 1:  # rank deficient
+            k = int(rng.integers(1, min(n, m) + 1))
+            raw = rng.uniform(0.0, 1.0, (n, k)) @ rng.uniform(0.0, 1.0, (k, m))
+        else:  # sparse, with a heavy diagonal
+            raw = rng.uniform(0.0, 1.0, (n, m)) * (rng.uniform(0.0, 1.0, (n, m)) >= 0.5)
+            raw[np.arange(min(n, m)), np.arange(min(n, m))] += rng.uniform(0.0, 3.0)
         dist = validate_dist(raw, renormalize=True)
         rank, lower, lower_by = _lower_bounds(dist, tol)
+        assert rank == rank_at_tol(dist, tol)
+        assert psd_rank_lower_bound(dist, tol) == lower
         fidelity = int(np.ceil(max(_best_subset_ratio_reference(_fidelity_gram(dist.p, tol)),
                                    _best_subset_ratio_reference(_fidelity_gram(dist.p.T, tol)))))
         weyl = int(np.floor(np.sqrt(rank - 1))) + 1 if rank >= 1 else 1
-        want = (weyl, "rank") if weyl >= fidelity else (fidelity, "fidelity")
-        assert (lower, lower_by) == want
-        assert psd_rank_lower_bound(dist, tol) == lower
-        seen.add(lower_by)
-    assert seen == {"rank", "fidelity"}
+        sides = [("psd", weyl, (lower, lower_by))]
+        if tol <= WITNESS_TOL:
+            nn = nonneg_rank_bounds(dist, SolverConfig(starts=0, max_iters=1, tol=tol))
+            sides.append(("nonneg", rank, (nn.lower, nn.lower_by)))
+        for side, bound, got in sides:
+            want = (bound, "rank") if bound >= fidelity else (fidelity, "fidelity")
+            assert got == want, (side, n, m, tol)
+            capped[side] += bound == min(n, m)
+            seen.add(want[1])
+    assert seen == {"rank", "fidelity"} and min(capped.values()) >= 10
 
 
 def test_dist_matrix_holds_a_read_only_copy():
@@ -410,6 +431,37 @@ def test_psd_rank_search_third_i3():
     assert (report.lower, report.upper, report.status) == (3, 3, "certified")
     assert report.lower_by == "fidelity"
     assert ceil_log2(report.upper) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       b=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_product_distributions_settle_at_rank_one_without_starts(a, b):
+    # P = P_A (x) P_B is fit at r = 1 by the square roots of its marginals,
+    # so no random start is needed on either bracket.
+    assume(sum(a) > 0.0 and sum(b) > 0.0)
+    dist = validate_dist(np.outer(np.divide(a, sum(a)), np.divide(b, sum(b))),
+                         renormalize=True)
+    cfg = SolverConfig(starts=0)
+    for report in (psd_rank_search(dist, cfg), nonneg_rank_bounds(dist, cfg)):
+        assert (report.lower, report.upper, report.status,
+                report.lower_by) == (1, 1, "certified", "rank")
+        assert report.witness.residual < cfg.tol
+
+
+def test_exact_start_builds_no_solver_state():
+    # A full-rank 64 x 64 is fit at r = 64 by the exact diagonal start with
+    # no step taken, so no n*m x n*m matrix is built: np.eye(4096) alone
+    # would take 134 MB.
+    dist = _uniform_draw(np.random.default_rng(20), 64)
+    tracemalloc.start()
+    try:
+        report = nonneg_rank_bounds(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.lower, report.upper, report.status) == (64, 64, "certified")
+    assert peak < 64 * 2**20
 
 
 def _uniform_draw(rng, n):

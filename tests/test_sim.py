@@ -89,10 +89,11 @@ def test_channel_validation_messages():
 @pytest.mark.parametrize("members, message", [
     ((HALF, np.eye(3)), r"{tag}\[1\] shape \(3, 3\) differs from \(2, 2\)"),
     ((HALF, np.diag([np.nan, 1.0])), r"{tag}\[1\] contains non-finite entries"),
+    ((np.array([["1", "x"], ["0", "1"]]),), r"{tag}\[0\] has non-numeric entries"),
     ((np.ones(2), np.ones(2)), r"{tag}\[0\] must be 2-D"),
     ((HALF, np.ones(2)), r"{tag}\[1\] must be 2-D"),
     ((), "{empty}"),
-], ids=["ragged", "non-finite", "1-D", "1-D-second", "empty"])
+], ids=["ragged", "non-finite", "non-numeric", "1-D", "1-D-second", "empty"])
 def test_family_validation_messages(tag, members, message):
     build, _ = FAMILIES[tag]
     empty = "at least one Kraus operator" if tag == "Kraus" else f"{tag} family is empty"
