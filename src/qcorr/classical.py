@@ -67,7 +67,7 @@ class DistMatrix:
         if arr.shape != (self.n, self.m) or self.n < 1 or self.m < 1:
             raise InvalidInput(f"distribution shape {arr.shape} does not match "
                                f"{self.n} x {self.m}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvalidInput("distribution contains non-finite entries")
         if arr.min() < 0.0:
             raise InvalidInput("distribution contains negative entries")
@@ -88,7 +88,7 @@ def validate_dist(p, renormalize: bool = False) -> DistMatrix:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidInput("distribution must be a nonempty 2-D matrix")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput("distribution contains non-finite entries")
     low = float(arr.min())
     if low < -1e-12:

@@ -37,7 +37,7 @@ from .general import (
     reconstruct_from_factors,
 )
 from .linalg import RegisterState, ceil_log2
-from .pure import PureState, build_approximant, schmidt_decompose, srank_eps
+from .pure import PureState, build_approximant, require_eps, schmidt_decompose, srank_eps
 from .sim import (
     ProtocolSpec,
     apply_protocol,
@@ -146,6 +146,7 @@ def cmd_nnrank(args) -> dict:
 
 
 def cmd_synth(args) -> dict:
+    require_eps(args.eps)  # before the search, which can take seconds
     dist = io.load_dist(args.dist, renormalize=args.renormalize)
     cfg = _solver_config(args)  # checked even when --factors skips the search
     factors = (_load(args.factors, PsdFactorization, "a psd factorization") if args.factors

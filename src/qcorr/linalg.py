@@ -35,8 +35,9 @@ Conventions
 * One factor: ``DensityMatrix.factor`` is a W with mat = W W^dag, which
   fidelity, purification and seed ranks read. Fidelity has one formula,
   the trace norm of sigma.factor^dag rho.factor, which reads low only
-  through a computed factor's rank cutoff; two diagonal states are read
-  off their diagonals.
+  through a computed factor's rank cutoff; a product that is a row or a
+  column is read by its 2-norm, its one singular value, with no SVD, and
+  two diagonal states are read off their diagonals.
 * One representation of a purification: the pair (a, b) of
   ``Purification``, whose Schmidt form comes from thin QRs of the nonzero
   rows of its two factors and an r x r SVD, or is kept from the
@@ -47,6 +48,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -70,7 +72,7 @@ def as_complex_array(a, name: str = "input") -> np.ndarray:
         arr = np.asarray(a, dtype=np.complex128)
     except (TypeError, ValueError):
         raise InvalidInput(f"{name} has non-numeric entries") from None
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     return arr
 
@@ -92,7 +94,7 @@ def as_complex_stack(mats, name: str) -> np.ndarray:
         raise InvalidInput(f"{name} family is empty")
     try:
         arr = np.array(mats, dtype=np.complex128)  # always a copy
-        stacked = arr.ndim == 3 and bool(np.all(np.isfinite(arr)))
+        stacked = arr.ndim == 3 and bool(np.isfinite(arr).all())
     except (TypeError, ValueError):  # ragged or non-numeric
         stacked = False
     if not stacked:
@@ -279,7 +281,7 @@ class DensityMatrix:
             shaped, tr = arr.ndim == 2 and arr.shape[0] == d, np.vdot(arr, arr).real
         else:
             arr = np.asarray(arr, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise InvalidInput(f"{name} contains non-finite entries")
             shaped, tr = arr.shape == (d,), arr.sum()
         if not shaped:
@@ -596,7 +598,7 @@ class Purification:
         object.__setattr__(self, "b", read_only_copy(b))
         for field, f in (("dims_a", a), ("dims_b", b)):
             dims = f.shape[:2] if getattr(self, field) is None else tuple(getattr(self, field))
-            if dims[:1] != f.shape[:1] or int(np.prod(dims[1:])) != f.shape[1]:
+            if dims[:1] != f.shape[:1] or int(math.prod(dims[1:])) != f.shape[1]:
                 raise InvalidInput(f"registers {dims} do not lay out a factor of shape {f.shape}")
             object.__setattr__(self, field, dims)
         _require_unit_norm(a, b)
@@ -651,7 +653,7 @@ class Purification:
         return SvdResult(left=left, singulars=s[:t], right=right)
 
     def srank(self) -> int:
-        return self.schmidt.rank
+        return self.schmidt.singulars.size  # one column per counted coefficient
 
     def schmidt_pair(self) -> "Purification":
         """The same state held as its coefficient-absorbed Schmidt vectors:
@@ -738,6 +740,12 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     can read low, by at most the square root of the trace of the dropped
     part. Beyond rounding it never reads high.
 
+    When the product is a row or a column, as it is whenever either state
+    has a one-column factor (a pure target, a rank-one state, the output
+    of a protocol with one acting Kraus pair), its one singular value is
+    its 2-norm, and ``_vector_norm`` takes it with no SVD: within a few
+    ulps of the SVD's value, and the same bits for a 1 x 1 product.
+
     Two states held as diagonals, as classical states
     sum_xy P(x, y)|xy><xy| are, commute, and the value is the
     Bhattacharyya sum sum_i sqrt(p_i q_i) of their Born diagonals, exact
@@ -750,4 +758,20 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.form == sigma.form == "diagonal":
         return float(np.sqrt(rho.born_diagonal * sigma.born_diagonal).sum())
     inner = sigma.factor.conj().T @ rho.factor
+    if 1 in inner.shape:
+        return _vector_norm(inner)
     return float(np.linalg.svd(inner, compute_uv=False).sum())
+
+
+def _vector_norm(v: np.ndarray) -> float:
+    """2-norm of a C-contiguous complex row or column ``v``, its one
+    singular value: w sqrt(sum_i (p_i / w)^2) over the real and imaginary
+    parts p_i, w the largest |p_i|. For a single entry z this is the
+    sequence of operations LAPACK's dlapy3 applies to (Re z, Im z, 0), so a
+    1 x 1 product reads bit for bit the value its SVD gives."""
+    parts = v.reshape(-1).view(np.float64)
+    w = float(np.abs(parts).max(initial=0.0))
+    if w == 0.0:
+        return 0.0
+    q = parts / w
+    return w * math.sqrt(float((q * q).sum()))

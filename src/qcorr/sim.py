@@ -78,7 +78,9 @@ class LocalChannel:
             raise InvalidInput("channel needs at least one Kraus operator")
         ops = as_complex_stack(self.kraus, "Kraus")
         flat = ops.reshape(-1, ops.shape[2])
-        if float(np.abs(flat.conj().T @ flat - np.eye(ops.shape[2])).max()) > 1e-9:
+        gram = flat.conj().T @ flat
+        gram.reshape(-1)[::ops.shape[2] + 1] -= 1.0  # K^dag K - I, in place
+        if float(np.abs(gram).max()) > 1e-9:
             raise InvalidInput("channel is not trace preserving within 1e-9")
         object.__setattr__(self, "kraus", ops)
 
@@ -275,7 +277,7 @@ def protocol_from_purification(purif: Purification | RegisterState,
             RegisterState(purif.amps / scale, purif.dims, purif.sides, purif.names))
     (n, ka, _), (m, kb, _) = purif.a.shape, purif.b.shape
     res = purif.schmidt
-    t = res.rank
+    t = res.singulars.size  # one column per counted coefficient: the rank
     coeffs = res.singulars / float(np.linalg.norm(res.singulars))
     left, right = res.left, res.right.conj()
     if target is None:

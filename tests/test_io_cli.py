@@ -439,6 +439,20 @@ def test_cli_rejects_out_of_domain_eps(tmp_path, capsys, command, value):
     assert "eps" in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_cli_synth_rejects_out_of_domain_eps_before_the_search(tmp_path, capsys,
+                                                               monkeypatch, value):
+    def no_search(*args, **kwargs):
+        raise AssertionError("psd_rank_search ran before --eps was checked")
+
+    monkeypatch.setattr("qcorr.cli.psd_rank_search", no_search)
+    rc = main(["--json", "synth", "--dist", _write_half_csv(tmp_path), "--eps", value])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eps" in captured.err
+
+
 def test_cli_non_psd_target_names_the_object(tmp_path, capsys):
     proto = tmp_path / "p.json"
     assert main(["--json", "synth", "--dist", _write_half_csv(tmp_path),

@@ -269,6 +269,10 @@ def test_fidelity_exact_for_pure_targets_and_one_sided_for_dense(
     fid = fidelity(rho, psi.to_density())
     assert abs(fid - exact) <= 1e-12
     assert fid <= 1 + 1e-12
+    _assert_vector_route(rho, psi.to_density())
+    _assert_vector_route(psi.to_density(), rho)
+    phi = random_pure_state(rng, da, db).to_density()  # a 1 x 1 product
+    _assert_vector_route(phi, psi.to_density())
     # A dense target drops only eigenvalues at rounding level, which can
     # only lower the fidelity, also against a rank-deficient rho: the trace
     # norm of sigma.factor^dag rho.factor takes no square root of an inner
@@ -291,6 +295,24 @@ def test_fidelity_of_a_rank_one_rho_is_the_closed_form(da, db, sigma_rank, seed)
     exact = math.sqrt(max(np.vdot(w, sigma.mat @ w).real, 0.0))
     assert abs(fidelity(rho, sigma) - exact) <= 1e-12
     assert abs(fidelity(sigma, rho) - exact) <= 1e-12
+    _assert_vector_route(rho, sigma)
+    _assert_vector_route(sigma, rho)
+
+
+def _assert_vector_route(rho, sigma):
+    # A row or column sigma.factor^dag rho.factor is read by its 2-norm, its
+    # one singular value: the SVD trace norm within 1e-14 relative, and bit
+    # for bit on a 1 x 1 product. Two diagonal states take the
+    # Bhattacharyya sum instead.
+    if rho.form == sigma.form == "diagonal":
+        return
+    inner = sigma.factor.conj().T @ rho.factor
+    assert 1 in inner.shape
+    ref = _factor_fidelity(rho, sigma)
+    if inner.size == 1:
+        assert fidelity(rho, sigma) == ref
+    else:
+        assert abs(fidelity(rho, sigma) - ref) <= 1e-14 * ref
 
 
 def _factor_fidelity(rho, sigma) -> float:

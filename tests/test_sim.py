@@ -85,6 +85,22 @@ def test_channel_validation_messages():
     assert (len(ch.kraus), ch.in_dim, ch.out_dim) == (2, 2, 2)
 
 
+@pytest.mark.parametrize("delta, accepted", [(2e-9, False), (5e-10, True)])
+def test_trace_preservation_bound_at_its_edge(delta, accepted):
+    # K^dag K - I is delta on one diagonal entry: above it, from an extra
+    # Kraus operator, and below it, from a scaled isometry.
+    extra = np.zeros((2, 2))
+    extra[0, 0] = np.sqrt(delta)
+    above = (np.eye(2), extra)
+    below = (np.diag([np.sqrt(1.0 - delta), 1.0]),)
+    for kraus in (above, below):
+        if accepted:
+            LocalChannel(kraus)
+        else:
+            with pytest.raises(InvalidInput, match="not trace preserving within 1e-9"):
+                LocalChannel(kraus)
+
+
 @pytest.mark.parametrize("tag", list(FAMILIES))
 @pytest.mark.parametrize("members, message", [
     ((HALF, np.eye(3)), r"{tag}\[1\] shape \(3, 3\) differs from \(2, 2\)"),
@@ -229,6 +245,39 @@ def test_apply_protocol_matches_kraus_pair_sum(alice, bob, mixed, seed):
     )
     np.testing.assert_allclose(apply_protocol(spec).mat, kraus_pair_sum(spec),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alice, bob, columns", [
+    ((3, 3, 2), (3, 3, 3), 6), ((2, 2, 2), (2, 2, 2), 4), ((4, 2, 2), (2, 4, 1), 2),
+    ((2, 3, 1), (2, 2, 1), 1),
+])
+def test_pure_target_against_a_pure_seed_output_is_the_trace_norm(alice, bob, columns):
+    # A pure seed through channels with several acting Kraus operators a
+    # side: the output is held as a factor W with one column per acting
+    # pair, so psi^dag W is a row and W^dag psi a column, each read by its
+    # 2-norm, which is their one singular value. One column gives a 1 x 1
+    # product, read bit for bit.
+    (da, oa, na), (db, ob, nb) = alice, bob
+    rng = np.random.default_rng(157)
+    for _ in range(20):
+        spec = ProtocolSpec(
+            seed=random_pure_state(rng, da, db),
+            seed_size_qubits=ceil_log2(min(da, db)),
+            alice=random_channel(rng, da, oa, na, 0),
+            bob=random_channel(rng, db, ob, nb, 0),
+            target=random_pure_state(rng, oa, ob).to_density(),
+            eps=1.0,
+        )
+        out = apply_protocol(spec)
+        assert out.form == "factor" and out.factor.shape == (oa * ob, columns)
+        psi, w = spec.target.factor, out.factor
+        for rho, sigma, inner in ((out, spec.target, psi.conj().T @ w),
+                                  (spec.target, out, w.conj().T @ psi)):
+            ref = float(np.linalg.svd(inner, compute_uv=False).sum())
+            if columns == 1:
+                assert fidelity(rho, sigma) == ref
+            else:
+                assert abs(fidelity(rho, sigma) - ref) <= 1e-14 * ref
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
