@@ -22,7 +22,6 @@ from .linalg import (
     SvdResult,
     as_complex_array,
     ceil_log2,
-    density_from_pure,
     rank_from_singulars,
     read_only_copy,
     svd,
@@ -61,7 +60,9 @@ class PureState:
         object.__setattr__(self, "amps", read_only_copy(vec))
 
     def to_density(self) -> DensityMatrix:
-        return density_from_pure(self.amps, self.dim_a, self.dim_b)
+        """|psi><psi|, held as its factor: a read-only (d, 1) view of
+        ``amps``, which this state has already checked and copied."""
+        return DensityMatrix._of_factor(self.dim_a, self.dim_b, self.amps[:, None])
 
     @cached_property
     def _schmidt(self) -> SchmidtForm:
@@ -135,8 +136,11 @@ def schmidt_decompose(psi: PureState) -> SchmidtForm:
     largest-magnitude entry is real positive, with the compensating phase
     on the right vector, so decompositions are reproducible. A state is
     decomposed once: every call returns the same form, cached on
-    ``psi``, whose arrays are read-only.
+    ``psi``, whose arrays are read-only. Any input other than a
+    PureState raises InvalidInput.
     """
+    if not isinstance(psi, PureState):
+        raise InvalidInput("expected a PureState")
     return psi._schmidt
 
 
@@ -212,9 +216,10 @@ def q_eps(psi: PureState, eps: float) -> int:
 def _truncation(psi: PureState, eps: float) -> SvdResult:
     """Schmidt form of the approximant of ``build_approximant``: the
     r' = max(srank_eps(psi, eps), 1) leading Schmidt terms of psi with
-    their coefficients renormalized, as the SVD of its amplitude matrix.
-    ``sim.synth_pure_protocol`` reads it as a pair, so psi is decomposed
-    once per protocol."""
+    their coefficients renormalized, as the SVD of its amplitude matrix,
+    one column per kept term. ``sim.synth_pure_protocol`` builds its
+    protocol straight from this form, so psi is decomposed once per
+    protocol."""
     form = schmidt_decompose(psi)
     cum = np.cumsum(form.coeffs)
     r = max(_min_terms(cum, _kept_weight(eps)), 1)
@@ -230,6 +235,7 @@ def build_approximant(psi: PureState, eps: float) -> tuple[PureState, float]:
     the square root of the retained coefficient mass and is >= 1 - eps.
     For eps >= 1 the single leading term is kept.
     """
-    phi = PureState(psi.dim_a, psi.dim_b, _truncation(psi, eps).reconstruct().reshape(-1))
+    amps = _truncation(psi, eps).reconstruct().reshape(-1)
+    phi = PureState(psi.dim_a, psi.dim_b, amps)
     fid = float(abs(np.vdot(psi.amps, phi.amps)))
     return phi, fid

@@ -26,13 +26,15 @@ vector psi, against an output held as W, it is ||W^dag psi||, so a pure
 state stays a vector from target to verdict; a classical target against
 a classical output is the Bhattacharyya sum of their diagonals.
 
-Every protocol is built by one function, ``protocol_from_purification``,
-from the Schmidt decomposition of a purification across the Alice|Bob
-cut, which a ``Purification`` computes from its factor pair without
-forming the dense state. A pure target is generated through its truncated
-Schmidt pair (``synth_pure_protocol``); a mixed or classical target is the
-reduction that the Schmidt factors encode, read off them without forming
-the state's density matrix.
+Every protocol is built by one function, ``_protocol_from_schmidt``, from
+a Schmidt form across the Alice|Bob cut and the layout of each side. A
+pure target is generated straight from its truncated Schmidt form
+(``synth_pure_protocol``), with no purification in between; a mixed or
+classical target comes from the Schmidt form of a purification
+(``protocol_from_purification``), which a ``Purification`` computes from
+its factor pair without forming the dense state, and is the reduction that
+the Schmidt vectors encode, read off them without forming the state's
+density matrix.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .linalg import (
     DensityMatrix,
     Purification,
     RegisterState,
+    SvdResult,
     _contract_cut,
     _cut_grams,
     as_complex_stack,
@@ -242,16 +245,16 @@ def synth_pure_protocol(psi: PureState, eps: float) -> ProtocolSpec:
     smallest possible seed.
 
     The protocol of the approximant of ``build_approximant(psi, eps)``,
-    with ``psi`` as its target, built from the approximant's Schmidt pair,
-    so psi is decomposed once. The seed is the Schmidt-diagonal state of
-    the approximant, padded to full qubits per side, and the local channels
-    rotate the seed basis onto the approximant's Schmidt vectors. The
-    declared seed size is exactly the generation complexity of ``psi`` at
-    accuracy eps. For eps >= 1 the approximant is the leading Schmidt term,
-    generated from no seed qubits.
+    with ``psi`` as its target, built straight from the approximant's
+    truncated Schmidt form, so psi is decomposed once. The seed is the
+    Schmidt-diagonal state of the approximant, padded to full qubits per
+    side, and the local channels rotate the seed basis onto the
+    approximant's Schmidt vectors. The declared seed size is exactly the
+    generation complexity of ``psi`` at accuracy eps. For eps >= 1 the
+    approximant is the leading Schmidt term, generated from no seed qubits.
     """
-    pair = Purification._of_schmidt(_truncation(psi, eps), psi.dim_a, 1, psi.dim_b, 1)
-    return protocol_from_purification(pair, psi.to_density(), eps)
+    return _protocol_from_schmidt(_truncation(psi, eps), psi.dim_a, 1, psi.dim_b, 1,
+                                  psi.to_density(), eps)
 
 
 def protocol_from_purification(purif: Purification | RegisterState,
@@ -259,24 +262,34 @@ def protocol_from_purification(purif: Purification | RegisterState,
                                eps: float = 0.0) -> ProtocolSpec:
     """Protocol realizing the reduction of a purification.
 
-    The seed is the Schmidt-diagonal state of the purification across the
-    Alice|Bob cut, from its pair's ``schmidt`` form; each party's channel
-    rotates its seed register onto its Schmidt vectors and then traces out
-    its aux block, keeping the computational register. The declared seed
-    size is ceil(log2) of the Schmidt rank. The default target is the
-    reduction to the computational registers, (x, y) ordered, read off the
-    same Schmidt vectors by ``comp_reduction``, a diagonal for a classical
-    target. Seed and target both use the Schmidt coefficients divided by
-    their norm, the norm of the state. A RegisterState of any nonzero norm
-    is scaled to unit norm and goes through ``Purification.from_state``,
-    which refuses a zero state.
+    The protocol of the pair's ``schmidt`` form (``_protocol_from_schmidt``),
+    laid out as the pair's factors. A RegisterState of any nonzero norm is
+    scaled to unit norm and goes through ``Purification.from_state``, which
+    refuses a zero state.
     """
     if isinstance(purif, RegisterState):
         scale = purif.norm() or 1.0
         purif = Purification.from_state(
             RegisterState(purif.amps / scale, purif.dims, purif.sides, purif.names))
     (n, ka, _), (m, kb, _) = purif.a.shape, purif.b.shape
-    res = purif.schmidt
+    return _protocol_from_schmidt(purif.schmidt, n, ka, m, kb, target, eps)
+
+
+def _protocol_from_schmidt(res: SvdResult, n: int, ka: int, m: int, kb: int,
+                           target: DensityMatrix | None, eps: float) -> ProtocolSpec:
+    """The one protocol builder: the protocol of a Schmidt form ``res`` of
+    the (n ka) x (m kb) Alice|Bob cut matrix, one column per counted
+    coefficient.
+
+    The seed is the Schmidt-diagonal state; each party's channel rotates
+    its seed register onto its Schmidt vectors and then traces out its aux
+    block, keeping the computational register. The declared seed size is
+    ceil(log2) of the Schmidt rank. The default target is the reduction to
+    the computational registers, (x, y) ordered, read off the same Schmidt
+    vectors by ``comp_reduction``, a diagonal for a classical target. Seed
+    and target both use the Schmidt coefficients divided by their norm,
+    the norm of the state.
+    """
     t = res.singulars.size  # one column per counted coefficient: the rank
     coeffs = res.singulars / float(np.linalg.norm(res.singulars))
     left, right = res.left, res.right.conj()

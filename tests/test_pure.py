@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorr.errors import InvalidInput, NotNormalized
+from qcorr.linalg import RegisterState
 from qcorr.pure import (
     PureState,
     build_approximant,
@@ -18,6 +19,7 @@ from qcorr.pure import (
     vec_inv,
 )
 from qcorr.rand import random_pure_state
+from qcorr.sim import synth_pure_protocol
 
 EPR = PureState(2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2))
 SKEWED = PureState(2, 2, np.array([np.sqrt(0.9), 0, 0, np.sqrt(0.1)]))
@@ -246,3 +248,33 @@ def test_schmidt_form_is_cached_and_read_only():
             getattr(form, name)[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         psi.amps[0] = 0.0
+
+
+@pytest.mark.parametrize("call", [
+    schmidt_decompose,
+    lambda x: srank_eps(x, 0.1),
+    lambda x: q_eps(x, 0.1),
+    lambda x: build_approximant(x, 0.1),
+    lambda x: synth_pure_protocol(x, 0.1),
+], ids=["schmidt_decompose", "srank_eps", "q_eps", "build_approximant", "synth_pure_protocol"])
+@pytest.mark.parametrize("wrong", [
+    np.eye(2) / np.sqrt(2),
+    RegisterState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2), ("A", "B")),
+    EPR.to_density(),
+], ids=["ndarray", "RegisterState", "DensityMatrix"])
+def test_pure_functions_reject_anything_but_a_pure_state(call, wrong):
+    with pytest.raises(InvalidInput, match="expected a PureState"):
+        call(wrong)
+
+
+def test_to_density_holds_the_amplitudes_as_a_read_only_factor():
+    psi = random_pure_state(np.random.default_rng(5), 3, 4)
+    for rho in (psi.to_density(), synth_pure_protocol(psi, 0.1).target):
+        assert rho.form == "factor"
+        w = rho.factor
+        assert w.shape == (12, 1)
+        assert np.array_equal(w[:, 0], psi.amps)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+    assert abs(float(np.trace(psi.to_density().mat).real) - 1.0) <= 1e-12

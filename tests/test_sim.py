@@ -21,7 +21,7 @@ from qcorr.linalg import (
     schmidt_rank,
 )
 from qcorr.general import GeneralFactorization, Purification
-from qcorr.pure import PureState, build_approximant, q_eps
+from qcorr.pure import PureState, _truncation, build_approximant, q_eps, state_from_matrix
 from qcorr.rand import (
     random_density_matrix,
     random_psd_factorization,
@@ -799,3 +799,62 @@ def test_diagonal_seed_rank_matches_the_schmidt_rank():
     assert ProtocolSpec(seed, 1, ident, ident, target, 0.0).seed_size_qubits == 1
     with pytest.raises(InvalidInput, match="does not match"):
         ProtocolSpec(seed, 2, ident, ident, target, 0.0)
+
+
+def _spectrum_state(rng, da, db, kind):
+    """A state on da x db with Schmidt coefficients of the given kind:
+    random, rank-deficient (half the terms, at least one, are zero), flat
+    (all equal, a degenerate spectrum) or geometric."""
+    k = min(da, db)
+    if kind == "random":
+        s = rng.random(k) + 1e-3
+    elif kind == "deficient":
+        s = np.zeros(k)
+        s[:max(k // 2, 1)] = rng.random(max(k // 2, 1)) + 1e-3
+    elif kind == "flat":
+        s = np.ones(k)
+    else:
+        s = 0.5 ** np.arange(k)
+
+    def isometry(d):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return q[:, :k]
+
+    m = (isometry(da) * s) @ isometry(db).conj().T
+    return state_from_matrix(m / np.linalg.norm(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(da=st.integers(1, 8), db=st.integers(1, 8),
+       kind=st.sampled_from(["random", "deficient", "flat", "geometric"]),
+       eps=st.sampled_from([0.0, 1e-3, 0.05, 0.5, 1.0, 2.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pure_protocol_equals_the_protocol_of_its_truncated_pair(da, db, kind, eps, seed):
+    # The protocol built straight from the truncated Schmidt form is, bit
+    # for bit, the one built from the purification that form lays out.
+    psi = _spectrum_state(np.random.default_rng(seed), da, db, kind)
+    spec = synth_pure_protocol(psi, eps)
+    pair = linalg.Purification._of_schmidt(_truncation(psi, eps), da, 1, db, 1)
+    ref = protocol_from_purification(pair, psi.to_density(), eps)
+    assert np.array_equal(spec.seed.amps, ref.seed.amps)
+    assert np.array_equal(spec.alice.kraus, ref.alice.kraus)
+    assert np.array_equal(spec.bob.kraus, ref.bob.kraus)
+    assert np.array_equal(spec.target.factor, ref.target.factor)
+    assert spec.seed_size_qubits == ref.seed_size_qubits
+    assert verify_generation(spec).fidelity == verify_generation(ref).fidelity
+    assert qio.protocol_to_obj(spec) == qio.protocol_to_obj(ref)
+
+
+def test_synth_pure_protocol_builds_no_purification(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a Purification was built")
+
+    monkeypatch.setattr(linalg.Purification, "__post_init__", refuse)
+    rng = np.random.default_rng(163)
+    for da, db, eps in ((1, 1, 0.0), (2, 2, 0.1), (5, 3, 0.0), (12, 24, 0.05), (4, 4, 1.0)):
+        psi = random_pure_state(rng, da, db)
+        spec = synth_pure_protocol(psi, eps)
+        assert verify_generation(spec).passed
+        # The patch is live: the route through a pair would have raised.
+        with pytest.raises(AssertionError, match="Purification"):
+            linalg.Purification._of_schmidt(_truncation(psi, eps), da, 1, db, 1)
