@@ -183,15 +183,41 @@ def _best_subset_ratio(*grams: np.ndarray) -> float:
     return best
 
 
+#: Relative margin by which the closed-form cap of ``_with_fidelity`` must
+#: clear the rank bound before the greedy subset search is skipped; it
+#: covers rounding in the cap and in the greedy's float totals.
+CAP_MARGIN = 1e-9
+
+
+def _subset_ratio_cap(*grams: np.ndarray) -> float:
+    """The largest K / (1 + (K - 1) g_min) over the Grams, K a Gram's row
+    count and g_min its least off-diagonal entry (1 when K <= 1); see
+    ``_with_fidelity``. Entries are at most 1 on a unit diagonal, so g_min
+    is g.min().
+    """
+    return max((g.shape[0] / (1.0 + (g.shape[0] - 1) * float(g.min()))
+                for g in grams if g.shape[0] > 1), default=1.0)
+
+
 def _with_fidelity(bound: int, p: DistMatrix, tol: float) -> tuple[int, str]:
     """The larger of a rank ``bound`` and the fidelity bound at ``tol``, and
     the name of the one that set it ("rank" on ties). No bound can prove more
     than min(n, m), the size of the exact diagonal construction, so at that
     cap the fidelity bound is not computed.
+
+    Cap. A subset S of k <= K rows of a K-row Gram with least off-diagonal
+    entry g_min has sum(g[S, S]) >= k + k (k - 1) g_min, so its ratio is at
+    most k / (1 + (k - 1) g_min), which grows with k since g_min <= 1: no
+    subset, greedy or not, beats K / (1 + (K - 1) g_min). When that cap of
+    both Grams, raised by CAP_MARGIN, is at most ``bound``, the fidelity
+    bound cannot exceed ``bound`` and the greedy search is skipped; the
+    margin covers rounding, so the result is the greedy's, bit for bit.
     """
     if bound < min(p.n, p.m):
-        fidelity = math.ceil(_best_subset_ratio(_fidelity_gram(p.p, tol),
-                                                _fidelity_gram(p.p.T, tol)))
+        grams = _fidelity_gram(p.p, tol), _fidelity_gram(p.p.T, tol)
+        if _subset_ratio_cap(*grams) * (1.0 + CAP_MARGIN) <= bound:
+            return bound, "rank"
+        fidelity = math.ceil(_best_subset_ratio(*grams))
         if fidelity > bound:
             return fidelity, "fidelity"
     return bound, "rank"
@@ -243,7 +269,14 @@ def psd_rank_lower_bound(p: DistMatrix, tol: float = WITNESS_TOL) -> int:
     greedily from each row of P and of P^T; each ends at the full row set.
 
     Cap. The psd-rank is at most min(n, m), so when the rank bound reaches
-    it the fidelity bound is not computed.
+    it the fidelity bound is not computed. Below that, each Gram caps every
+    subset's ratio in closed form: with K rows and least off-diagonal term
+    g_min, sum_{i,j in S} g_ij >= k + k (k - 1) g_min for |S| = k, so
+    k^2 / sum <= k / (1 + (k - 1) g_min) <= K / (1 + (K - 1) g_min), the
+    last step since g_min <= 1. When the larger cap times 1 + CAP_MARGIN is
+    at most the rank bound, no subset can raise the bound and the greedy
+    is not run; the margin covers rounding in the cap and in the greedy's
+    sums, so the bound and the name that set it do not change.
     """
     return _lower_bounds(p, tol)[1]
 

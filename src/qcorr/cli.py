@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -228,6 +229,18 @@ def cmd_verify(args) -> dict:
     }
 
 
+def _finite(text: str) -> float:
+    """argparse type of ``--eps``: a finite float, so that NaN and infinities
+    exit 2 before any work, and no report or file carries a non-JSON number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_solver_flags(sub) -> None:
     sub.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tol,
                      help="solver success tolerance on the Frobenius residual")
@@ -254,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qeps", help="seed qubits needed at fidelity 1 - eps")
     p.add_argument("--state", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite, required=True)
     p.set_defaults(func=cmd_qeps)
 
     p = sub.add_parser("approx", help="emit the optimal low-rank approximant")
     p.add_argument("--state", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_approx)
 
@@ -279,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "psd factorization")
     p.add_argument("--dist", required=True)
     p.add_argument("--factors", help="factorization manifest; searched if omitted")
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--eps", type=_finite, default=0.0)
     p.add_argument("--out-state", dest="out_state")
     p.add_argument("--out-protocol", dest="out_protocol")
     _add_solver_flags(p)

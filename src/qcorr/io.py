@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from typing import Any
 
@@ -63,7 +64,14 @@ def _real(obj: Any, key: str, where: str) -> float:
     val = _require(obj, key, where)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ParseError(f"{where}.{key}: expected a number, got {val!r:.40}")
-    return float(val)
+    try:
+        out = float(val)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        # Python's reader accepts the non-JSON tokens NaN and Infinity.
+        raise ParseError(f"{where}.{key}: expected a finite number, got {val!r:.40}")
+    return out
 
 
 def _list(obj: Any, key: str, where: str) -> list:
@@ -267,15 +275,23 @@ _TO_OBJ = {
 
 
 def save(path: str, obj) -> None:
-    """Write a domain object (or a DistMatrix, as CSV) to ``path``."""
+    """Write a domain object (or a DistMatrix, as CSV) to ``path``; an
+    object holding a NaN or an infinity raises InvalidInput and writes
+    nothing."""
     if isinstance(obj, DistMatrix):
         save_dist(path, obj)
         return
     for cls, encode in _TO_OBJ.items():
         if isinstance(obj, cls):
+            # Encoded before the file is opened, so a refused object leaves
+            # no file behind.
+            try:
+                text = json.dumps(encode(obj), indent=2, sort_keys=True, allow_nan=False)
+            except ValueError as exc:
+                raise InvalidInput(f"{path}: cannot write a non-finite number "
+                                   f"as JSON ({exc})") from exc
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(encode(obj), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(text + "\n")
             return
     raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qcorr import classical
 from qcorr.classical import (
+    CAP_MARGIN,
     WITNESS_TOL,
     DistMatrix,
     PsdFactorization,
@@ -20,6 +22,7 @@ from qcorr.classical import (
     _jacobian,
     _lower_bounds,
     _random_start,
+    _subset_ratio_cap,
     _trace_form,
     _witness,
     gram_extract,
@@ -166,10 +169,10 @@ def _best_subset_ratio_reference(g):
     return best
 
 
-def _draw_gram(data, k):
+def _draw_gram(data, k, low=0.0):
     # Symmetric g with unit diagonal; hypothesis's floats bring ties and
     # extreme values (0, 1, subnormals) that the argmin must break alike.
-    upper = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k * (k - 1) // 2,
+    upper = data.draw(st.lists(st.floats(low, 1.0), min_size=k * (k - 1) // 2,
                                max_size=k * (k - 1) // 2))
     g = np.eye(k)
     g[np.triu_indices(k, 1)] = upper
@@ -193,15 +196,75 @@ def test_best_subset_ratio_matches_the_reference_bit_for_bit(data, k, k2):
     assert _best_subset_ratio(np.eye(0), np.eye(0)) == 1.0
 
 
-def test_lower_bounds_keep_value_and_lower_by():
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 20), k2=st.integers(0, 20),
+       low=st.sampled_from([0.0, 0.5]))
+def test_subset_ratio_cap_is_never_below_the_greedy(data, k, k2, low):
+    # No subset beats K / (1 + (K - 1) g_min), up to the margin that covers
+    # rounding; entries in [0.5, 1] make the cap close to the greedy's value.
+    g, g2 = _draw_gram(data, k, low), _draw_gram(data, k2, low)
+    for grams in ((g,), (g2,), (g, g2), (g2, g)):
+        assert _subset_ratio_cap(*grams) * (1.0 + CAP_MARGIN) >= _best_subset_ratio(*grams)
+    assert _subset_ratio_cap(g, g2) == max(_subset_ratio_cap(g), _subset_ratio_cap(g2))
+    assert _subset_ratio_cap(np.eye(0), np.eye(1)) == 1.0
+
+
+def _count_greedy(monkeypatch):
+    calls = []
+    greedy = classical._best_subset_ratio
+
+    def counting(*grams):
+        calls.append(len(grams))
+        return greedy(*grams)
+
+    monkeypatch.setattr(classical, "_best_subset_ratio", counting)
+    return calls
+
+
+def test_cap_equal_to_the_bound_still_runs_the_greedy(monkeypatch):
+    # Uniform 2x2: one rank, identical rows, so both Grams are all ones and
+    # the cap is 2 / (1 + 1) = 1, the Weyl bound. A 3x3 Gram with off-diagonal
+    # 0.25 caps at 3 / 1.5 = 2 exactly. The cap only settles a bound it clears
+    # by the margin, so both run the greedy and keep the rank bound.
+    calls = _count_greedy(monkeypatch)
+    assert _lower_bounds(UNIFORM, WITNESS_TOL) == (1, 1, "rank")
+    assert len(calls) == 1
+    quarter = np.full((3, 3), 0.25)
+    np.fill_diagonal(quarter, 1.0)
+    assert _subset_ratio_cap(quarter) == 2.0
+    monkeypatch.setattr(classical, "_fidelity_gram", lambda P, tol: quarter)
+    assert classical._with_fidelity(2, THIRD_I3, WITNESS_TOL) == (2, "rank")
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n, r", [(6, 3), (10, 4), (12, 4), (16, 4)])
+def test_cap_settles_planted_witnesses_and_keeps_the_fidelity_bound(monkeypatch, n, r):
+    # Planted distributions have near-parallel rows: the cap is near 1, far
+    # below the Weyl bound, so the greedy never runs. On I3/3 the orthogonal
+    # rows cap near 3 > 2, the greedy runs and the fidelity bound sets 3.
+    calls = _count_greedy(monkeypatch)
+    for seed in range(3):
+        p, _ = random_psd_factorization(np.random.default_rng(seed), n, n, r)
+        # Below n, so the fidelity half is reached and settled by the cap.
+        assert _lower_bounds(p, WITNESS_TOL)[1:] == (psd_rank_lower_bound(p), "rank")
+        assert 1 < psd_rank_lower_bound(p) < n
+    assert calls == []
+    assert _lower_bounds(THIRD_I3, WITNESS_TOL) == (3, 3, "fidelity")
+    assert calls == [2]
+
+
+def test_lower_bounds_keep_value_and_lower_by(monkeypatch):
     # The psd and the nonnegative lower ends and the names of the bounds
     # that set them, against the rank bounds and the rows and the columns
     # grown one Gram at a time by the reference. The reference computes the
     # fidelity bound even where the rank bound reaches min(n, m), where the
-    # code skips it.
+    # code skips it. Below min(n, m) the code settles each side by the
+    # closed-form cap or by the greedy; both branches are counted.
+    calls = _count_greedy(monkeypatch)
     rng = np.random.default_rng(18)
     seen = set()
     capped = {"psd": 0, "nonneg": 0}
+    branches = {"cap": 0, "greedy": 0}
     for i, tol in enumerate((WITNESS_TOL, 1e-12, 1e-3) * 50):
         n, m = (int(d) for d in rng.integers(1, 13, size=2))
         kind = i // 3 % 3
@@ -214,7 +277,9 @@ def test_lower_bounds_keep_value_and_lower_by():
             raw = rng.uniform(0.0, 1.0, (n, m)) * (rng.uniform(0.0, 1.0, (n, m)) >= 0.5)
             raw[np.arange(min(n, m)), np.arange(min(n, m))] += rng.uniform(0.0, 3.0)
         dist = validate_dist(raw, renormalize=True)
+        before = len(calls)
         rank, lower, lower_by = _lower_bounds(dist, tol)
+        ran = [len(calls) > before]
         assert rank == rank_at_tol(dist, tol)
         assert psd_rank_lower_bound(dist, tol) == lower
         fidelity = int(np.ceil(max(_best_subset_ratio_reference(_fidelity_gram(dist.p, tol)),
@@ -222,14 +287,21 @@ def test_lower_bounds_keep_value_and_lower_by():
         weyl = int(np.floor(np.sqrt(rank - 1))) + 1 if rank >= 1 else 1
         sides = [("psd", weyl, (lower, lower_by))]
         if tol <= WITNESS_TOL:
+            before = len(calls)
             nn = nonneg_rank_bounds(dist, SolverConfig(starts=0, max_iters=1, tol=tol))
+            ran.append(len(calls) > before)
             sides.append(("nonneg", rank, (nn.lower, nn.lower_by)))
-        for side, bound, got in sides:
+        for (side, bound, got), greedy in zip(sides, ran):
             want = (bound, "rank") if bound >= fidelity else (fidelity, "fidelity")
             assert got == want, (side, n, m, tol)
             capped[side] += bound == min(n, m)
+            if bound < min(n, m):
+                branches["greedy" if greedy else "cap"] += 1
+            else:
+                assert not greedy
             seen.add(want[1])
     assert seen == {"rank", "fidelity"} and min(capped.values()) >= 10
+    assert min(branches.values()) >= 10, branches
 
 
 def test_dist_matrix_holds_a_read_only_copy():

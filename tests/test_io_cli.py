@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qcorr import io as qio
 from qcorr.classical import PsdFactorization, validate_dist
 from qcorr.cli import main
-from qcorr.errors import ParseError
+from qcorr.errors import InvalidInput, ParseError
 from qcorr.general import GeneralFactorization
 from qcorr.linalg import DensityMatrix, RegisterState, ceil_log2
 from qcorr.pure import PureState
@@ -364,13 +364,18 @@ def test_cli_rejects_out_of_domain_solver_settings(tmp_path, capsys, flag, value
     assert field in captured.err
 
 
-def _malformed_protocol(tmp_path) -> dict:
-    path = tmp_path / "p.json"
-    assert main(["--json", "synth", "--dist", _write_half_csv(tmp_path),
-                 "--out-protocol", str(path)]) == 0
-    obj = json.loads(path.read_text())
-    obj["seed"] = [1, 2]
-    return obj
+def _protocol_with(key, value):
+    # A synthesized protocol file with one field replaced; json.dumps writes
+    # an infinite value as the non-JSON token Infinity.
+    def make(tmp_path) -> dict:
+        path = tmp_path / "p.json"
+        assert main(["--json", "synth", "--dist", _write_half_csv(tmp_path),
+                     "--out-protocol", str(path)]) == 0
+        obj = json.loads(path.read_text())
+        obj[key] = value
+        return obj
+
+    return make
 
 
 @pytest.mark.parametrize("extra", [["nnrank"], ["synth"],
@@ -393,7 +398,9 @@ def test_cli_negative_seed_exits_2_on_the_other_solver_commands(tmp_path, capsys
     ("extract", "--state", lambda tmp: {"format": "qcorr/1", "kind": "register_state",
                                         "dims": 4, "sides": ["A"], "amps": []},
      "register_state.dims"),
-    ("verify", "--protocol", _malformed_protocol, "protocol.seed"),
+    ("verify", "--protocol", _protocol_with("seed", [1, 2]), "protocol.seed"),
+    ("verify", "--protocol", _protocol_with("eps", float("inf")), "protocol.eps"),
+    ("verify", "--protocol", _protocol_with("eps", 10 ** 400), "protocol.eps"),
     ("schmidt", "--state", lambda tmp: {"format": "qcorr/1", "kind": "state",
                                         "dim_a": 1, "dim_b": 1, "amps": [[True, 0]]},
      "state.amps: entry 0"),
@@ -401,8 +408,8 @@ def test_cli_negative_seed_exits_2_on_the_other_solver_commands(tmp_path, capsys
                                         "dims": [2, 2], "sides": ["A", "B"],
                                         "amps": [[0.5, 0.0]] * 4, "names": [1, {"x": 1}]},
      "register_state.names"),
-], ids=["dim_a-string", "dim_b-negative", "dims-int", "seed-list", "amps-bool",
-        "names-not-strings"])
+], ids=["dim_a-string", "dim_b-negative", "dims-int", "seed-list", "eps-infinity",
+        "eps-huge-int", "amps-bool", "names-not-strings"])
 def test_cli_rejects_malformed_qcorr1_field(tmp_path, capsys, command, flag, make, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(make(tmp_path)))
@@ -451,6 +458,34 @@ def test_cli_synth_rejects_out_of_domain_eps_before_the_search(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "eps" in captured.err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+@pytest.mark.parametrize("command, out_flag", [
+    ("qeps", None), ("approx", "--out"), ("synth", "--out-protocol"),
+])
+def test_cli_refuses_a_non_finite_eps_and_writes_nothing(tmp_path, capsys, command,
+                                                        out_flag, value):
+    source = (["--dist", _write_half_csv(tmp_path)] if command == "synth"
+              else ["--state", _write_epr(tmp_path)])
+    out = tmp_path / "out.json"
+    extra = [out_flag, str(out)] if out_flag else []
+    rc = main(["--json", command, *source, "--eps", value, *extra])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eps" in captured.err
+    assert not out.exists()
+
+
+def test_save_refuses_a_non_finite_number_and_writes_nothing(tmp_path):
+    # The library accepts eps = inf (every state is within it); the qcorr/1
+    # writer does not, since JSON has no infinity.
+    spec = synth_pure_protocol(EPR, float("inf"))
+    path = tmp_path / "proto.json"
+    with pytest.raises(InvalidInput, match="proto.json"):
+        qio.save(str(path), spec)
+    assert not path.exists()
 
 
 def test_cli_non_psd_target_names_the_object(tmp_path, capsys):
