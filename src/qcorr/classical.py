@@ -300,6 +300,15 @@ STALL_DROP = 1e-3
 VALUE_FLOOR = 1e-28
 
 
+def _require_int(value, name: str, least: int) -> None:
+    """Raise InvalidInput naming ``name`` unless ``value`` is a Python or
+    numpy integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidInput(f"{name} must be >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the factorization searches; one seed drives all randomness.
@@ -319,16 +328,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 0:
-            raise InvalidInput(f"SolverConfig.starts must be >= 0, got {self.starts!r}")
-        if self.max_iters < 1:
-            raise InvalidInput(
-                f"SolverConfig.max_iters must be >= 1, got {self.max_iters!r}")
+        for field, least in (("starts", 0), ("max_iters", 1), ("seed", 0)):
+            _require_int(getattr(self, field), f"SolverConfig.{field}", least)
         if not 0.0 < self.tol <= WITNESS_TOL:
             raise InvalidInput(
                 f"SolverConfig.tol must be in (0, {WITNESS_TOL:g}], got {self.tol!r}")
-        if self.seed < 0:
-            raise InvalidInput(f"SolverConfig.seed must be >= 0, got {self.seed!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -425,92 +429,101 @@ class RankReport:
 def _jacobian(
     e: np.ndarray, f: np.ndarray, c: np.ndarray, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian of t[x, y] = tr(C_x D_y) with respect to E and F.
+    """Half the Jacobian of t[x, y] = tr(C_x D_y) with respect to E and F.
 
-    Returns (je, jf) of shapes (n, m, r, r) and (m, n, r, r):
-    je[x, y] = 2 E_x D_y is the derivative of t[x, y] with respect to E_x
-    and jf[y, x] = 2 F_y C_x the one with respect to F_y. The real part
+    Returns (ke, kf) of shapes (n, m, r, r) and (m, n, r, r): ke[x, y] =
+    E_x D_y is half the derivative of t[x, y] with respect to E_x and
+    kf[y, x] = F_y C_x half the one with respect to F_y. The real part
     holds the derivatives with respect to the real coordinates, the
     imaginary part those with respect to the imaginary coordinates.
     t[x, y] does not depend on E_x' or F_y' for x' != x, y' != y. Both come
     from broadcast products, each laid out by the factor it differentiates,
     so that each E_x's and each F_y's block set is contiguous.
     """
-    je = 2.0 * (e[:, None] @ d[None])
-    jf = 2.0 * (f[:, None] @ c[None])
-    return je, jf
+    return e[:, None] @ d[None], f[:, None] @ c[None]
+
+
+def _residual(P: np.ndarray, ef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram blocks of a parameter stack ef, E_x = ef[x] and F_y =
+    ef[n + y], in one batched product, and the residuals tr(C_x D_y) -
+    P(x, y)."""
+    grams = _grams(ef)
+    return grams, _trace_form(grams[:len(P)], grams[len(P):]) - P
 
 
 def _descend(
-    P: np.ndarray, e0: np.ndarray, f0: np.ndarray, cfg: SolverConfig
+    P: np.ndarray, ef0: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Levenberg-Marquardt on the n*m residuals tr(C_x D_y) - P(x, y) over
-    the real and imaginary parts of E and F.
+    the real and imaginary parts of E and F, held as one (n + m, r, r)
+    stack ``ef0``: E_x = ef0[x], F_y = ef0[n + y].
 
     The step is delta = -J^T (J J^T + lam I)^-1 res. A step is accepted
     when it lowers the squared residual; lam is divided by LM_DOWN after an
     accepted step and multiplied by LM_UP after a rejected one, or when
-    J J^T + lam I is singular in floating point. Real diagonal E and F give
-    real diagonal J, so every step keeps them real diagonal: from such a
-    start this is Levenberg-Marquardt on the nonnegative factorization
-    P ~ W H with W[x, i] = E_x[i, i]^2 and H[i, y] = F_y[i, i]^2. The start
-    stops when the squared residual is below VALUE_FLOOR, when it stalls
-    (lam passes LM_LAMBDA_CAP times its first value, or STALL_WINDOW
-    accepted steps lower it by less than the fraction STALL_DROP), or after
-    ``cfg.max_iters`` trial steps, accepted or not. Returns the final
-    factors and the squared residual after every accepted step, a
-    non-increasing sequence.
+    J J^T + lam I is singular in floating point. It is taken with the half
+    Jacobian K = J / 2 of ``_jacobian``: w solves (K K^T + lam' I) w = res,
+    lam' = lam / 4, and delta = -K^T (w / 2). J J^T, lam, its floor and its
+    cap all scale by exactly 4 and w by exactly 1/4, so the step is J's,
+    bit for bit. Real diagonal E and F give real diagonal J, so every step
+    keeps them real diagonal: from such a start this is Levenberg-Marquardt
+    on the nonnegative factorization P ~ W H with W[x, i] = E_x[i, i]^2 and
+    H[i, y] = F_y[i, i]^2. The start stops when the squared residual is
+    below VALUE_FLOOR, when it stalls (lam passes LM_LAMBDA_CAP times its
+    first value, or STALL_WINDOW accepted steps lower it by less than the
+    fraction STALL_DROP), or after ``cfg.max_iters`` trial steps, accepted
+    or not. Returns the final stack, its Gram blocks and the squared
+    residual after every accepted step, a non-increasing sequence.
     """
-    e = e0.astype(np.complex128).copy()
-    f = f0.astype(np.complex128).copy()
-    c, d = _grams(e), _grams(f)
-    resid = _trace_form(c, d) - P
+    n, m = P.shape
+    ef = ef0.astype(np.complex128, copy=False)
+    cd, resid = _residual(P, ef)
     history = [float((resid * resid).sum())]
     if history[-1] < VALUE_FLOOR:  # an exact start: no solver state to build
-        return e, f, history
-    n, m = P.shape
+        return ef, cd, history
     rows, cols, diag = np.arange(n), np.arange(m), np.arange(n * m)
+    step = np.empty((n + m, 2 * ef.shape[1] * ef.shape[2]))
     lam = floor = cap = None
     accepted = True
 
     for _ in range(cfg.max_iters):
         if accepted:
-            je, jf = _jacobian(e, f, c, d)
-            # The rows of J in real coordinates (real and imaginary parts
-            # side by side), grouped by E_x and by F_y. (J J^T)[(x, y),
+            ke, kf = _jacobian(ef[:n], ef[n:], cd[:n], cd[n:])
+            # The rows of K in real coordinates (real and imaginary parts
+            # side by side), grouped by E_x and by F_y. (K K^T)[(x, y),
             # (x', y')] couples residuals through a shared E_x (x = x') or a
             # shared F_y (y = y'): one batched product per block set.
-            ja = je.reshape(n, m, -1).view(np.float64)
-            jb = jf.reshape(m, n, -1).view(np.float64)
-            jjt = np.zeros((n, m, n, m))
-            jjt[rows, :, rows, :] = ja @ ja.swapaxes(1, 2)
-            jjt[:, cols, :, cols] += jb @ jb.swapaxes(1, 2)
-            jjt = jjt.reshape(n * m, n * m)
+            ka = ke.reshape(n, m, -1).view(np.float64)
+            kb = kf.reshape(m, n, -1).view(np.float64)
+            kkt = np.zeros((n, m, n, m))
+            kkt[rows, :, rows, :] = ka @ ka.swapaxes(1, 2)
+            kkt[:, cols, :, cols] += kb @ kb.swapaxes(1, 2)
+            kkt = kkt.reshape(n * m, n * m)
             if lam is None:
-                scale = float(np.trace(jjt)) / (n * m)
+                scale = float(np.trace(kkt)) / (n * m)
                 if scale <= 0.0:  # J = 0: a stationary point
                     break
                 lam = LM_LAMBDA0 * scale
                 floor, cap = LM_LAMBDA_FLOOR * lam, LM_LAMBDA_CAP * lam
-        shifted = jjt.copy()
+        shifted = kkt.copy()
         shifted[diag, diag] += lam
         try:
-            w = np.linalg.solve(shifted, resid.reshape(-1)).reshape(n, m)
+            half = 0.5 * np.linalg.solve(shifted, resid.reshape(-1)).reshape(n, m)
         except np.linalg.LinAlgError:
-            # J J^T can be singular (diagonal starts have at most r(n+m-1)
+            # K K^T can be singular (diagonal starts have at most r(n+m-1)
             # independent columns), and lam near its floor is lost in
             # rounding: reject the step so that lam grows.
             value = math.inf
         else:
-            # The step J^T w, per E_x and per F_y.
-            e_try = e - (w[:, None] @ ja).view(np.complex128).reshape(e.shape)
-            f_try = f - (w.T[:, None] @ jb).view(np.complex128).reshape(f.shape)
-            c_try, d_try = _grams(e_try), _grams(f_try)
-            r_try = _trace_form(c_try, d_try) - P
+            # The step K^T (w / 2), per E_x and per F_y.
+            np.matmul(half[:, None], ka, out=step[:n, None])
+            np.matmul(half.T[:, None], kb, out=step[n:, None])
+            ef_try = ef - step.view(np.complex128).reshape(ef.shape)
+            cd_try, r_try = _residual(P, ef_try)
             value = float((r_try * r_try).sum())
         accepted = value < history[-1]
         if accepted:
-            e, f, c, d, resid = e_try, f_try, c_try, d_try, r_try
+            ef, cd, resid = ef_try, cd_try, r_try
             history.append(value)
             lam = max(lam / LM_DOWN, floor)
             if value < VALUE_FLOOR or (
@@ -521,14 +534,20 @@ def _descend(
             lam *= LM_UP
             if lam > cap:
                 break
-    return e, f, history
+    return ef, cd, history
 
 
-def _witness(e: np.ndarray, f: np.ndarray, P: np.ndarray) -> PsdFactorization:
+def _witness(
+    e: np.ndarray, f: np.ndarray, P: np.ndarray, grams: np.ndarray | None = None
+) -> PsdFactorization:
     """The factorization C_x = E_x^dag E_x, D_y = F_y^dag F_y, with its
-    Frobenius residual against P. E_x and F_y may be k x r."""
+    Frobenius residual against P. E_x and F_y may be k x r. ``grams``, when
+    given, holds those Gram blocks already stacked, C_x then D_y, and is
+    read instead of recomputed."""
     n = e.shape[0]
-    grams = hermitize(np.concatenate([_grams(e), _grams(f)]))
+    if grams is None:
+        grams = np.concatenate([_grams(e), _grams(f)])
+    grams = hermitize(grams)
     residual = float(np.linalg.norm(_trace_form(grams[:n], grams[n:]) - P))
     return PsdFactorization._built(e.shape[-1], grams[:n], grams[n:], residual)
 
@@ -596,36 +615,50 @@ def _multistart(
     ``_exact_start`` (when r = 1 or r >= min(n, m)) and ``cfg.starts``
     draws of ``random_start``, in that order. Stops at the first start whose
     residual is below ``cfg.tol``; otherwise the best start wins, ties going
-    to the lowest start index. With no start to run (``cfg.starts == 0``
-    and 1 < r < min(n, m)) it returns the zero factors, whose residual is
-    the norm of P.
+    to the lowest start index. A closed-form start whose squared residual
+    is below both VALUE_FLOOR and tol^2, where its descent would stop at
+    once, is the witness of that one evaluation. With no start to run
+    (``cfg.starts == 0`` and 1 < r < min(n, m)) it returns the zero
+    factors, whose residual is the norm of P.
     """
     n, m = P.shape
-    zero_rows = P.sum(axis=1) <= 0.0
-    zero_cols = P.sum(axis=0) <= 0.0
+    # Zero rows/columns impose no constraint; their factors are pinned to
+    # zero, in one stack with E_x at x and F_y at n + y.
+    zero = np.concatenate([P.sum(axis=1), P.sum(axis=0)]) <= 0.0
+    pin = bool(zero.any())
+
+    def stacked(e0, f0):
+        ef0 = np.concatenate([e0, f0])
+        if pin:
+            ef0[zero] = 0.0
+        return ef0
+
+    exact = _exact_start(P, r)
+    if exact is not None:
+        exact = stacked(*exact)
+        grams, resid = _residual(P, exact)
+        value = float((resid * resid).sum())
+        if value < VALUE_FLOOR and value < cfg.tol * cfg.tol:
+            return _witness(exact[:n], exact[n:], P, grams)
 
     def starts():
         # Built lazily: the search often stops before the later starts.
-        exact = _exact_start(P, r)
         if exact is not None:
             yield exact
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.starts):
-            yield random_start(rng, n, m, r)
+            yield stacked(*random_start(rng, n, m, r))
 
     best_val = math.inf
-    best_e, best_f = np.zeros((n, r, r)), np.zeros((m, r, r))
-    for e0, f0 in starts():
-        # Zero rows/columns impose no constraint; pin their factors to zero.
-        e0[zero_rows] = 0.0
-        f0[zero_cols] = 0.0
-        e, f, history = _descend(P, e0, f0, cfg)
+    best_ef = best_grams = np.zeros((n + m, r, r))  # the zero factors' Grams are zero
+    for ef0 in starts():
+        ef, grams, history = _descend(P, ef0, cfg)
         if history[-1] < best_val:
             best_val = history[-1]
-            best_e, best_f = e, f
+            best_ef, best_grams = ef, grams
         if best_val < cfg.tol * cfg.tol:
             break
-    return _witness(best_e, best_f, P)
+    return _witness(best_ef[:n], best_ef[n:], P, best_grams)
 
 
 def psd_fit(
@@ -652,8 +685,7 @@ def psd_fit(
     """
     if not isinstance(p, DistMatrix):
         raise InvalidInput("expected a DistMatrix")
-    if r < 1:
-        raise InvalidInput("factorization size r must be positive")
+    _require_int(r, "factorization size r", 1)
     return _multistart(p.p, r, cfg or DEFAULT_CONFIG, _random_start)
 
 

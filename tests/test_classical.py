@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qcorr import classical
 from qcorr.classical import (
     CAP_MARGIN,
+    LM_LAMBDA0,
     WITNESS_TOL,
     DistMatrix,
     PsdFactorization,
@@ -21,6 +22,7 @@ from qcorr.classical import (
     _grams,
     _jacobian,
     _lower_bounds,
+    _random_diagonal_start,
     _random_start,
     _subset_ratio_cap,
     _trace_form,
@@ -386,7 +388,8 @@ def test_psd_rank_lower_bound_at_most_planted_size(kind, n, m, r, noisy, seed):
 def test_jacobian_matches_central_differences():
     rng = np.random.default_rng(53)
     e, f = _random_start(rng, 2, 3, 2)
-    je, jf = _jacobian(e, f, _grams(e), _grams(f))
+    # _jacobian returns K = J / 2; the derivative checked is 2K.
+    je, jf = (2.0 * k for k in _jacobian(e, f, _grams(e), _grams(f)))
 
     def trace_form(e, f):
         return _trace_form(_grams(e), _grams(f))
@@ -417,11 +420,53 @@ def test_descent_objective_non_increasing():
     for P in (np.eye(2) / 2, np.eye(3) / 3):
         n = P.shape[0]
         e0, f0 = _random_start(rng, n, n, 2)
-        e, f, history = _descend(P, e0, f0, SolverConfig(max_iters=300))
+        ef, grams, history = _descend(P, np.concatenate([e0, f0]),
+                                      SolverConfig(max_iters=300))
         assert len(history) > 1
         assert np.all(np.diff(history) <= 0.0)
-        diff = _trace_form(_grams(e), _grams(f)) - P
+        # The Grams handed back are those of the final factors.
+        np.testing.assert_array_equal(grams, _grams(ef))
+        diff = _trace_form(_grams(ef[:n]), _grams(ef[n:])) - P
         assert float((diff * diff).sum()) == history[-1]
+
+
+def _dense_lm_step(P, ef):
+    """The Levenberg-Marquardt step delta = J^T (J J^T + lam I)^-1 res of a
+    first trial, with J the true Jacobian assembled from ``_jacobian`` as an
+    explicit real (n m) x 2 r^2 (n + m) matrix over the real view of ef, and
+    lam = LM_LAMBDA0 times the mean diagonal of J J^T."""
+    n, m = P.shape
+    block = 2 * ef.shape[1] * ef.shape[2]
+    grams = _grams(ef)
+    ke, kf = _jacobian(ef[:n], ef[n:], grams[:n], grams[n:])
+    jac = np.zeros((n, m, n + m, block))
+    for x in range(n):
+        for y in range(m):
+            jac[x, y, x] = (2.0 * ke[x, y]).view(np.float64).ravel()
+            jac[x, y, n + y] = (2.0 * kf[y, x]).view(np.float64).ravel()
+    jac = jac.reshape(n * m, -1)
+    jjt = jac @ jac.T
+    lam = LM_LAMBDA0 * float(np.mean(np.diag(jjt)))
+    res = (_trace_form(grams[:n], grams[n:]) - P).ravel()
+    delta = jac.T @ np.linalg.solve(jjt + lam * np.eye(n * m), res)
+    return delta.view(np.complex128).reshape(ef.shape)
+
+
+@pytest.mark.parametrize("n, m, start", [
+    (2, 3, _random_start), (3, 3, _random_start), (3, 4, _random_diagonal_start),
+])
+def test_descend_step_matches_the_dense_reference(n, m, start):
+    # Folding the Jacobian's factor 2 out of the solve leaves the same step.
+    rng = np.random.default_rng(71)
+    ef0 = np.concatenate(start(rng, n, m, 2)).astype(complex)
+    # A target within 10% of the start's trace products, so that the first
+    # trial step is taken.
+    grams = _grams(ef0)
+    P = _trace_form(grams[:n], grams[n:]) * rng.uniform(0.9, 1.1, (n, m))
+    ef, _, history = _descend(P, ef0, SolverConfig(max_iters=1))
+    assert len(history) == 2  # the one trial step was accepted
+    delta = _dense_lm_step(P, ef0)
+    assert np.linalg.norm((ef0 - ef) - delta) <= 1e-12 * np.linalg.norm(delta)
 
 
 #: A 4 x 3 distribution on which J J^T + lam I became singular in floating
@@ -440,13 +485,12 @@ def test_descend_rejects_singular_solve_and_converges():
     h = 0.5 * rng.uniform(0.0, 1.0, (3, 2))
     e0 = np.stack([np.diag(row) for row in w])
     f0 = np.stack([np.diag(row) for row in h])
-    e, f, history = _descend(SINGULAR_SOLVE, e0, f0, SolverConfig())
+    ef, _, history = _descend(SINGULAR_SOLVE, np.concatenate([e0, f0]), SolverConfig())
     assert history[-1] < 1e-28
     assert np.all(np.diff(history) <= 0.0)
     # Real diagonal starts stay real diagonal.
-    for fam in (e, f):
-        assert not np.any(fam.imag)
-        assert not np.any(fam - np.einsum("kii->ki", fam)[:, :, None] * np.eye(2))
+    assert not np.any(ef.imag)
+    assert not np.any(ef - np.einsum("kii->ki", ef)[:, :, None] * np.eye(2))
 
 
 def test_psd_fit_uniform_product_rank1():
@@ -481,8 +525,10 @@ def test_psd_fit_residual_consistent_with_factors():
 
 
 def test_psd_fit_rejects_bad_rank():
-    with pytest.raises(InvalidInput):
-        psd_fit(UNIFORM, 0)
+    for r in (0, -1, 2.0, True):
+        with pytest.raises(InvalidInput, match="size r"):
+            psd_fit(UNIFORM, r)
+    assert psd_fit(UNIFORM, np.int64(1)).residual < 1e-8
 
 
 def test_psd_rank_search_uniform_product():
@@ -519,6 +565,25 @@ def test_product_distributions_settle_at_rank_one_without_starts(a, b):
         assert (report.lower, report.upper, report.status,
                 report.lower_by) == (1, 1, "certified", "rank")
         assert report.witness.residual < cfg.tol
+
+
+def test_exact_starts_run_no_descent(monkeypatch):
+    # A closed-form start that is exact is settled by the one evaluation
+    # that gives its witness residual: no descent runs, from it or after it.
+    def refuse(*args):
+        raise AssertionError("descended from an exact start")
+
+    monkeypatch.setattr(classical, "_descend", refuse)
+    # Rank 3 with orthogonal columns: the fidelity bound of P^T is 3.
+    full = np.zeros((5, 3))
+    full[np.arange(5), [0, 1, 2, 0, 1]] = np.arange(1.0, 6.0)
+    dists = [HALF_I2, THIRD_I3, validate_dist(full / full.sum()),
+             validate_dist(np.outer([0.2, 0.3, 0.5], [0.6, 0.4]))]
+    tol = SolverConfig().tol
+    for dist, rank in zip(dists, (2, 3, 3, 1)):
+        for report in (psd_rank_search(dist), nonneg_rank_bounds(dist)):
+            assert (report.lower, report.upper, report.status) == (rank, rank, "certified")
+            assert report.witness.residual < tol
 
 
 def test_exact_start_builds_no_solver_state():
@@ -571,11 +636,14 @@ def test_solver_config_rejects_out_of_domain_values():
     for field, value in (("starts", -5), ("max_iters", 0), ("max_iters", -2),
                          ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")),
                          ("tol", float("inf")), ("tol", 0.5), ("tol", 2 * WITNESS_TOL),
-                         ("seed", -1)):
-        with pytest.raises(InvalidInput, match=field):
+                         ("seed", -1), ("starts", 2.5), ("max_iters", 10.5),
+                         ("seed", 1.5), ("starts", True), ("max_iters", True),
+                         ("seed", False), ("starts", np.float64(2.0))):
+        with pytest.raises(InvalidInput, match=f"SolverConfig.{field}"):
             SolverConfig(**{field: value})
     SolverConfig(starts=0, max_iters=1, tol=1e-12)
     SolverConfig(tol=WITNESS_TOL)
+    SolverConfig(starts=np.int64(2), max_iters=np.int32(10), seed=np.uint8(3))
 
 
 def test_synth_trivial_point_mass():
