@@ -615,9 +615,9 @@ def _multistart(
     ``_exact_start`` (when r = 1 or r >= min(n, m)) and ``cfg.starts``
     draws of ``random_start``, in that order. Stops at the first start whose
     residual is below ``cfg.tol``; otherwise the best start wins, ties going
-    to the lowest start index. A closed-form start whose squared residual
-    is below both VALUE_FLOOR and tol^2, where its descent would stop at
-    once, is the witness of that one evaluation. With no start to run
+    to the lowest start index. An exact closed-form start takes no step:
+    ``_descend`` stops at its first evaluation and hands back the Grams
+    that the witness reads. With no start to run
     (``cfg.starts == 0`` and 1 < r < min(n, m)) it returns the zero
     factors, whose residual is the norm of P.
     """
@@ -625,26 +625,17 @@ def _multistart(
     # Zero rows/columns impose no constraint; their factors are pinned to
     # zero, in one stack with E_x at x and F_y at n + y.
     zero = np.concatenate([P.sum(axis=1), P.sum(axis=0)]) <= 0.0
-    pin = bool(zero.any())
 
     def stacked(e0, f0):
         ef0 = np.concatenate([e0, f0])
-        if pin:
-            ef0[zero] = 0.0
+        ef0[zero] = 0.0
         return ef0
-
-    exact = _exact_start(P, r)
-    if exact is not None:
-        exact = stacked(*exact)
-        grams, resid = _residual(P, exact)
-        value = float((resid * resid).sum())
-        if value < VALUE_FLOOR and value < cfg.tol * cfg.tol:
-            return _witness(exact[:n], exact[n:], P, grams)
 
     def starts():
         # Built lazily: the search often stops before the later starts.
+        exact = _exact_start(P, r)
         if exact is not None:
-            yield exact
+            yield stacked(*exact)
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.starts):
             yield stacked(*random_start(rng, n, m, r))

@@ -568,12 +568,12 @@ def test_product_distributions_settle_at_rank_one_without_starts(a, b):
 
 
 def test_exact_starts_run_no_descent(monkeypatch):
-    # A closed-form start that is exact is settled by the one evaluation
-    # that gives its witness residual: no descent runs, from it or after it.
+    # A closed-form start that is exact gives its witness with no LM step
+    # taken, from it or from a later start: no Jacobian is ever formed.
     def refuse(*args):
-        raise AssertionError("descended from an exact start")
+        raise AssertionError("stepped from an exact start")
 
-    monkeypatch.setattr(classical, "_descend", refuse)
+    monkeypatch.setattr(classical, "_jacobian", refuse)
     # Rank 3 with orthogonal columns: the fidelity bound of P^T is 3.
     full = np.zeros((5, 3))
     full[np.arange(5), [0, 1, 2, 0, 1]] = np.arange(1.0, 6.0)
