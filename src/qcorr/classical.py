@@ -24,6 +24,7 @@ by the exact diagonal construction, and its witness is off by rounding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,9 +331,9 @@ class SolverConfig:
     def __post_init__(self):
         for field, least in (("starts", 0), ("max_iters", 1), ("seed", 0)):
             _require_int(getattr(self, field), f"SolverConfig.{field}", least)
-        if not 0.0 < self.tol <= WITNESS_TOL:
+        if not isinstance(self.tol, numbers.Real) or not 0.0 < self.tol <= WITNESS_TOL:
             raise InvalidInput(
-                f"SolverConfig.tol must be in (0, {WITNESS_TOL:g}], got {self.tol!r}")
+                f"SolverConfig.tol must be a number in (0, {WITNESS_TOL:g}], got {self.tol!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()

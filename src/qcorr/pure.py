@@ -10,6 +10,7 @@ truncation of the Schmidt sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,7 +54,7 @@ class PureState:
                 f"amplitude length {vec.size} does not match "
                 f"{self.dim_a} x {self.dim_b}"
             )
-        norm = float(np.linalg.norm(vec))
+        norm = math.sqrt(np.vdot(vec, vec).real)
         if abs(norm - 1.0) > 1e-10:
             raise NotNormalized(f"state norm {norm!r} deviates from 1 beyond 1e-10")
         # Read-only, so that the cached Schmidt form stays valid.

@@ -9,7 +9,12 @@ distribution produced" always means the exact Born-rule diagonal, so
 acceptance checks carry no statistical noise.
 
 A channel holds its Kraus operators as one read-only stacked (K, out, in)
-array, checked once and read whole by the simulator. A pure seed with
+array, checked once and read whole by the simulator. Where it is checked
+depends on where it comes from: a channel from a ``qcorr/1`` file or from
+user code is checked on its stack by the public ``LocalChannel``
+constructor, and a channel the library builds from Schmidt vectors is
+checked on those columns by ``LocalChannel._of_isometry``, which then lays
+out the padded stack without checking it again. A pure seed with
 amplitude matrix Psi pushed through Kraus stacks is itself a
 purification: its output is the reduction (``linalg.comp_reduction``) of the dilated pair
 a[x, alpha, j] = (K_alpha Psi)[x, j] and b[y, beta, j] = K_beta[y, j]:
@@ -39,12 +44,13 @@ density matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .classical import DistMatrix, validate_dist
+from .classical import DistMatrix, _require_int, validate_dist
 from .errors import InvalidInput
 from .linalg import (
     DensityMatrix,
@@ -53,6 +59,7 @@ from .linalg import (
     SvdResult,
     _contract_cut,
     _cut_grams,
+    as_complex_array,
     as_complex_stack,
     ceil_log2,
     comp_reduction,
@@ -64,6 +71,16 @@ from .linalg import (
 # srank_eps is not used here, but stays importable from this module:
 # benchmarks/tracing.py wraps the name on this module too.
 from .pure import PureState, _truncation, require_eps, schmidt_decompose, srank_eps  # noqa: F401
+
+
+def _require_isometry(flat: np.ndarray) -> None:
+    """Raise InvalidInput unless V^dag V = I within 1e-9 entrywise, for V
+    the rows of ``flat``: the trace-preservation check of a channel, on its
+    stacked Kraus operators or on its isometry columns."""
+    gram = flat.conj().T @ flat
+    gram.reshape(-1)[::flat.shape[1] + 1] -= 1.0  # V^dag V - I, in place
+    if float(np.abs(gram).max()) > 1e-9:
+        raise InvalidInput("channel is not trace preserving within 1e-9")
 
 
 @dataclass(frozen=True)
@@ -80,11 +97,7 @@ class LocalChannel:
         if not len(self.kraus):
             raise InvalidInput("channel needs at least one Kraus operator")
         ops = as_complex_stack(self.kraus, "Kraus")
-        flat = ops.reshape(-1, ops.shape[2])
-        gram = flat.conj().T @ flat
-        gram.reshape(-1)[::ops.shape[2] + 1] -= 1.0  # K^dag K - I, in place
-        if float(np.abs(gram).max()) > 1e-9:
-            raise InvalidInput("channel is not trace preserving within 1e-9")
+        _require_isometry(ops.reshape(-1, ops.shape[2]))
         object.__setattr__(self, "kraus", ops)
 
     @property
@@ -98,6 +111,36 @@ class LocalChannel:
     @classmethod
     def identity(cls, dim: int) -> "LocalChannel":
         return cls(np.eye(dim, dtype=np.complex128)[None])
+
+    @classmethod
+    def _of_isometry(cls, columns: np.ndarray, in_dim: int, comp: int,
+                     aux: int) -> "LocalChannel":
+        """The channel that sends seed index i < t to ``columns[:, i]`` and
+        then traces out the aux block, built from and checked on the
+        (comp aux) x t isometry U = ``columns``; a seed index t <= i <
+        in_dim goes to |0> of the computational register.
+
+        The side's space factors as comp (x) aux with comp major. The Kraus
+        stack is (I_comp (x) <alpha|) U, padded with zero columns to in_dim,
+        for each alpha < aux, then one padding operator |0><i| for each
+        i >= t. The padding adds exact zeros and ones, so K^dag K - I of
+        the stack equals blockdiag(U^dag U - I_t, 0) entry for entry: the
+        public constructor's checks, finiteness and ``_require_isometry``,
+        run on U, decide the same. The stack is written once, read-only,
+        and not checked again.
+        """
+        out_dim, t = columns.shape
+        if out_dim != comp * aux:
+            raise InvalidInput("column length does not factor as comp x aux")
+        columns = as_complex_array(columns, "isometry")
+        _require_isometry(columns)
+        ops = np.zeros((aux + in_dim - t, comp, in_dim), dtype=np.complex128)
+        ops[:aux, :, :t] = columns.reshape(comp, aux, t).transpose(1, 0, 2)
+        ops[np.arange(aux, aux + in_dim - t), 0, np.arange(t, in_dim)] = 1.0
+        ops.flags.writeable = False
+        channel = object.__new__(cls)
+        object.__setattr__(channel, "kraus", ops)
+        return channel
 
 
 Seed = Union[PureState, DensityMatrix]
@@ -133,10 +176,11 @@ class ProtocolSpec:
 
     def __post_init__(self):
         require_eps(self.eps)
-        if self.seed_size_qubits < 0:
-            raise InvalidInput("seed size must be nonnegative")
+        _require_int(self.seed_size_qubits, "ProtocolSpec.seed_size_qubits", 0)
         if not isinstance(self.seed, (PureState, DensityMatrix)):
             raise InvalidInput("seed must be a PureState or a DensityMatrix")
+        if not isinstance(self.target, DensityMatrix):
+            raise InvalidInput("ProtocolSpec.target must be a DensityMatrix")
         da, db = self.seed.dim_a, self.seed.dim_b
         if self.alice.in_dim != da or self.bob.in_dim != db:
             raise InvalidInput(
@@ -291,31 +335,18 @@ def _protocol_from_schmidt(res: SvdResult, n: int, ka: int, m: int, kb: int,
     the norm of the state.
     """
     t = res.singulars.size  # one column per counted coefficient: the rank
-    coeffs = res.singulars / float(np.linalg.norm(res.singulars))
+    # One dot: bit for bit np.linalg.norm of a real vector.
+    coeffs = res.singulars / math.sqrt(res.singulars @ res.singulars)
     left, right = res.left, res.right.conj()
     if target is None:
         target = comp_reduction((left * coeffs).reshape(n, ka, t), right.reshape(m, kb, t))[0]
 
     d = 2 ** ceil_log2(t)
-    seed_amps = np.zeros((d, d), dtype=np.complex128)
-    seed_amps[np.arange(t), np.arange(t)] = coeffs
-    seed = PureState(d, d, seed_amps.reshape(-1))
+    seed_amps = np.zeros(d * d, dtype=np.complex128)
+    seed_amps[:t * (d + 1):d + 1] = coeffs  # the diagonal of the d x d matrix
+    seed = PureState(d, d, seed_amps)
 
-    alice = _rotate_and_discard(left, d, n, ka)
-    bob = _rotate_and_discard(right, d, m, kb)
+    alice = LocalChannel._of_isometry(left, d, n, ka)
+    bob = LocalChannel._of_isometry(right, d, m, kb)
     return ProtocolSpec(seed, ceil_log2(t), alice, bob, target, eps)
 
-
-def _rotate_and_discard(columns: np.ndarray, in_dim: int, comp: int, aux: int) -> LocalChannel:
-    """Compose |i> -> columns[:, i] with tracing out the aux block.
-
-    The side's space factors as comp (x) aux with comp major; the trace-out
-    Kraus operators are (I_comp (x) <alpha|).
-    """
-    out_dim, t = columns.shape
-    if out_dim != comp * aux:
-        raise InvalidInput("column length does not factor as comp x aux")
-    ops = np.zeros((aux + in_dim - t, comp, in_dim), dtype=np.complex128)
-    ops[:aux, :, :t] = columns.reshape(comp, aux, t).transpose(1, 0, 2)
-    ops[np.arange(aux, aux + in_dim - t), 0, np.arange(t, in_dim)] = 1.0
-    return LocalChannel(ops)

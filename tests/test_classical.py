@@ -638,7 +638,8 @@ def test_solver_config_rejects_out_of_domain_values():
                          ("tol", float("inf")), ("tol", 0.5), ("tol", 2 * WITNESS_TOL),
                          ("seed", -1), ("starts", 2.5), ("max_iters", 10.5),
                          ("seed", 1.5), ("starts", True), ("max_iters", True),
-                         ("seed", False), ("starts", np.float64(2.0))):
+                         ("seed", False), ("starts", np.float64(2.0)),
+                         ("tol", "1e-8"), ("tol", None), ("tol", [1e-8])):
         with pytest.raises(InvalidInput, match=f"SolverConfig.{field}"):
             SolverConfig(**{field: value})
     SolverConfig(starts=0, max_iters=1, tol=1e-12)

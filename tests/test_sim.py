@@ -1,11 +1,14 @@
 """Tests for protocol execution, measurement, transfers and verification."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 from qcorr import io as qio
 from qcorr import linalg, sim
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcorr.classical import PsdFactorization, gram_extract, synth_from_psd, validate_dist
@@ -73,32 +76,66 @@ FAMILIES = {
 }
 
 
+def _columns(kraus) -> np.ndarray:
+    """The isometry U of a Kraus stack, the (out aux) x in matrix whose row
+    (x, alpha) is row x of K_alpha: what ``LocalChannel._of_isometry``
+    lays out as that stack."""
+    ops = np.asarray(kraus, dtype=np.complex128)
+    return ops.transpose(1, 0, 2).reshape(-1, ops.shape[2])
+
+
+def _builders(kraus):
+    """The two builders of the channel of a Kraus stack: the public
+    constructor on the stack, and ``_of_isometry`` on its columns, padded
+    by one seed index."""
+    k, out, t = np.shape(kraus)
+    return (lambda: LocalChannel(kraus),
+            lambda: LocalChannel._of_isometry(_columns(kraus), t + 1, out, k))
+
+
 def test_channel_validation_messages():
     # The family checks of the Kraus operators are in the table below.
-    for kraus, message in [((), "channel needs at least one Kraus operator"),
-                           ((HALF, HALF, HALF), "not trace preserving within 1e-9")]:
-        with pytest.raises(InvalidInput, match=message):
-            LocalChannel(kraus)
-    ch = LocalChannel([HALF, np.array([[0, 1j], [1j, 0]]) / np.sqrt(2)])
+    with pytest.raises(InvalidInput, match="channel needs at least one Kraus operator"):
+        LocalChannel(())
+    for build in _builders((HALF, HALF, HALF)):
+        with pytest.raises(InvalidInput, match="not trace preserving within 1e-9"):
+            build()
+    for build in _builders((HALF, np.diag([np.nan, 1.0]))):
+        with pytest.raises(InvalidInput, match="contains non-finite entries"):
+            build()
+    with pytest.raises(InvalidInput, match="column length does not factor as comp x aux"):
+        LocalChannel._of_isometry(np.eye(3, 2), 2, 2, 2)
+    ops = (HALF, np.array([[0, 1j], [1j, 0]]) / np.sqrt(2))
+    ch = LocalChannel(ops)
     assert ch.kraus.shape == (2, 2, 2) and ch.kraus.dtype == np.complex128
     assert not ch.kraus.flags.writeable
     assert (len(ch.kraus), ch.in_dim, ch.out_dim) == (2, 2, 2)
+    # Unpadded, the columns give back the stack, byte for byte.
+    built = LocalChannel._of_isometry(_columns(ops), 2, 2, 2)
+    assert not built.kraus.flags.writeable
+    assert built.kraus.shape == ch.kraus.shape
+    assert built.kraus.tobytes() == ch.kraus.tobytes()
+    padded = _builders(ops)[1]()
+    assert padded.kraus.shape == (3, 2, 3)
+    assert padded.kraus.tobytes() == LocalChannel(padded.kraus).kraus.tobytes()
 
 
 @pytest.mark.parametrize("delta, accepted", [(2e-9, False), (5e-10, True)])
 def test_trace_preservation_bound_at_its_edge(delta, accepted):
     # K^dag K - I is delta on one diagonal entry: above it, from an extra
-    # Kraus operator, and below it, from a scaled isometry.
+    # Kraus operator, and below it, from a scaled isometry; the columns of
+    # the same stacks, padded, are judged alike.
     extra = np.zeros((2, 2))
     extra[0, 0] = np.sqrt(delta)
     above = (np.eye(2), extra)
     below = (np.diag([np.sqrt(1.0 - delta), 1.0]),)
     for kraus in (above, below):
-        if accepted:
-            LocalChannel(kraus)
-        else:
-            with pytest.raises(InvalidInput, match="not trace preserving within 1e-9"):
-                LocalChannel(kraus)
+        for build in _builders(kraus):
+            if accepted:
+                build()
+            else:
+                with pytest.raises(InvalidInput, match="not trace preserving within 1e-9"):
+                    build()
 
 
 @pytest.mark.parametrize("tag", list(FAMILIES))
@@ -663,6 +700,22 @@ def test_protocol_spec_validates_seed_size():
         )
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed_size_qubits", True, "ProtocolSpec.seed_size_qubits must be an integer"),
+    ("seed_size_qubits", 1.0, "ProtocolSpec.seed_size_qubits must be an integer"),
+    ("seed_size_qubits", "1", "ProtocolSpec.seed_size_qubits must be an integer"),
+    ("seed_size_qubits", -1, "ProtocolSpec.seed_size_qubits must be >= 0"),
+    ("target", EPR, "ProtocolSpec.target must be a DensityMatrix"),
+    ("target", np.eye(4) / 4, "ProtocolSpec.target must be a DensityMatrix"),
+])
+def test_protocol_spec_validates_field_types(field, value, message):
+    fields = dict(seed=EPR, seed_size_qubits=1, alice=LocalChannel.identity(2),
+                  bob=LocalChannel.identity(2), target=EPR.to_density(), eps=0.0)
+    with pytest.raises(InvalidInput, match=message):
+        ProtocolSpec(**{**fields, field: value})
+    assert verify_generation(ProtocolSpec(**{**fields, "seed_size_qubits": np.int64(1)})).passed
+
+
 def test_protocol_spec_validates_channel_dims():
     with pytest.raises(InvalidInput):
         ProtocolSpec(
@@ -858,3 +911,37 @@ def test_synth_pure_protocol_builds_no_purification(monkeypatch):
         # The patch is live: the route through a pair would have raised.
         with pytest.raises(AssertionError, match="Purification"):
             linalg.Purification._of_schmidt(_truncation(psi, eps), da, 1, db, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(builder=st.sampled_from(["pure", "purification"]), da=st.integers(1, 8),
+       db=st.integers(1, 8), r=st.integers(1, 4), eps=st.floats(0.0, 0.2),
+       seed=st.integers(0, 2**32 - 1))
+def test_built_channels_pass_the_public_check_and_a_file_round_trip(builder, da, db, r,
+                                                                      eps, seed):
+    # Channels checked on their columns pass the public check on their
+    # stacks, and their protocol reads back from a qcorr/1 file to the
+    # same file and the same report. A file holds a target densely, so a
+    # pure target's fidelity is read off an eigh on the way back, to
+    # rounding. A pure target keeps t Schmidt terms, t not a power of two,
+    # so each side has padding operators; a planted pair is the
+    # purification of a random psd factorization.
+    rng = np.random.default_rng(seed)
+    if builder == "pure":
+        spec = synth_pure_protocol(random_pure_state(rng, da, db), eps)
+        t = np.count_nonzero(spec.seed.amps)
+        assume(t & (t - 1))
+    else:
+        spec = protocol_from_purification(synth_from_psd(*random_psd_factorization(rng, da, db, r)))
+    for ch in (spec.alice, spec.bob):
+        assert LocalChannel(ch.kraus).kraus.tobytes() == ch.kraus.tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = os.path.join(tmp, "protocol.json"), os.path.join(tmp, "again.json")
+        qio.save(path, spec)
+        back = qio.load(path)
+        qio.save(again, back)
+        with open(path, "rb") as f, open(again, "rb") as g:
+            assert f.read() == g.read()
+    report, back_report = verify_generation(spec), verify_generation(back)
+    assert (back_report.passed, back_report.seed_size) == (report.passed, report.seed_size)
+    assert back_report.fidelity == pytest.approx(report.fidelity, rel=0, abs=1e-12)
