@@ -32,15 +32,7 @@ from .errors import (
     ParseError,
     QcorrError,
 )
-from .general import (
-    GeneralFactorization,
-    Purification,
-    canonical_purification,
-    factor_from_purification,
-    factorization_norm,
-    q_upper_bound,
-    reconstruct_from_factors,
-)
+from .general import Purification, canonical_purification, q_upper_bound
 from .linalg import (
     DensityMatrix,
     RegisterState,
@@ -85,7 +77,6 @@ __all__ = [
     "DensityMatrix",
     "DistMatrix",
     "FactorizationMismatch",
-    "GeneralFactorization",
     "GenerationReport",
     "InvalidInput",
     "LocalChannel",
@@ -108,8 +99,6 @@ __all__ = [
     "ceil_log2",
     "density_from_pure",
     "eigh",
-    "factor_from_purification",
-    "factorization_norm",
     "fidelity",
     "gram_extract",
     "matrix_rank",
@@ -123,7 +112,6 @@ __all__ = [
     "q_eps",
     "q_upper_bound",
     "rank_eps",
-    "reconstruct_from_factors",
     "schmidt_decompose",
     "schmidt_rank",
     "srank_eps",

@@ -751,7 +751,9 @@ def synth_from_psd(p: DistMatrix, f: PsdFactorization) -> Purification:
     registers (A, A', A1 | B, B', B1) of dims (n, n, r, m, m, r). Its
     reduction to (A, B) is exactly the classical state with diagonal
     tr(C_x D_y), and its Schmidt rank across the Alice|Bob cut is at most r.
-    The dense state is built only on request (``Purification.to_state``).
+    A file holds the pair (``general_factorization``, as ``synth
+    --out-state`` writes it); the dense state is built only on request
+    (``Purification.to_state``).
     """
     if not isinstance(p, DistMatrix):
         raise InvalidInput("expected a DistMatrix")

@@ -3,7 +3,11 @@
 One subcommand per pipeline: schmidt, qeps, approx (emit approximant),
 psdrank, nnrank, synth (distribution -> purification + protocol),
 extract (purification -> factorization), reconstruct (factorization ->
-density matrix), simulate, verify. Reports go to stdout as aligned text
+density matrix), simulate, verify. A purification and a general
+factorization are one factor pair in one file kind,
+``general_factorization``: synth writes it, extract reads it as it is (or
+decomposes a dense state file once) and writes the Schmidt pair, and
+reconstruct reads it. Reports go to stdout as aligned text
 or, with --json, as a deterministic JSON document that echoes every
 tolerance and the seed in a ``config`` block.
 
@@ -31,13 +35,7 @@ from .classical import (
     synth_from_psd,
 )
 from .errors import InvalidInput, QcorrError
-from .general import (
-    GeneralFactorization,
-    Purification,
-    factor_from_purification,
-    reconstruct_from_factors,
-)
-from .linalg import RegisterState, ceil_log2
+from .linalg import Purification, RegisterState, ceil_log2
 from .pure import PureState, build_approximant, require_eps, schmidt_decompose, srank_eps
 from .sim import (
     ProtocolSpec,
@@ -64,9 +62,13 @@ def _load(path: str, kind: type | tuple[type, ...], what: str):
     return obj
 
 
-def _load_register_state(path: str) -> RegisterState:
-    obj = _load(path, (RegisterState, PureState), "a pure state with registers")
-    return obj.to_registers() if isinstance(obj, PureState) else obj
+def _load_pair(path: str) -> Purification:
+    """A purification from a pair file as it is, or from a dense state file
+    through ``Purification.from_state``."""
+    obj = _load(path, (Purification, RegisterState, PureState), "a purification")
+    if isinstance(obj, PureState):
+        obj = obj.to_registers()
+    return obj if isinstance(obj, Purification) else Purification.from_state(obj)
 
 
 def _solver_config(args) -> SolverConfig:
@@ -155,7 +157,7 @@ def cmd_synth(args) -> dict:
     purif = synth_from_psd(dist, factors)
     spec = protocol_from_purification(purif, eps=args.eps)
     if args.out_state:
-        io.save(args.out_state, purif.to_state())
+        io.save(args.out_state, purif)
     if args.out_protocol:
         io.save(args.out_protocol, spec)
     return {
@@ -171,15 +173,13 @@ def cmd_synth(args) -> dict:
 
 
 def cmd_extract(args) -> dict:
-    state = _load_register_state(args.state)
+    pair = _load_pair(args.state)
     if args.mode == "psd":
-        fact = gram_extract(state)
-        result: dict = {"r": fact.r, "residual": fact.residual}
-        payload = fact
+        payload = gram_extract(pair)
+        result: dict = {"r": payload.r, "residual": payload.residual}
     else:
-        fact = factor_from_purification(Purification.from_state(state))
-        result = {"r": fact.r}
-        payload = fact
+        payload = pair.schmidt_pair()
+        result = {"r": payload.a.shape[2]}
     if args.out:
         io.save(args.out, payload)
     result["config"] = _config_block(args, ["mode"])
@@ -188,8 +188,8 @@ def cmd_extract(args) -> dict:
 
 
 def cmd_reconstruct(args) -> dict:
-    fact = _load(args.factors, GeneralFactorization, "a general factorization")
-    rho = reconstruct_from_factors(fact)
+    pair = _load(args.factors, Purification, "a general factorization")
+    rho = pair.reduction()
     if args.out:
         io.save(args.out, rho)
     return {
@@ -197,7 +197,7 @@ def cmd_reconstruct(args) -> dict:
         "dim_a": rho.dim_a,
         "dim_b": rho.dim_b,
         "trace": float(np.trace(rho.mat).real),
-        "qubits_upper": ceil_log2(fact.r),
+        "qubits_upper": ceil_log2(pair.a.shape[2]),
         "out": args.out,
     }
 

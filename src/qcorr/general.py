@@ -6,91 +6,20 @@ is exactly captured by matrix families {A_x}, {B_y} with r columns via
 
     rho = sum |x><x'| (x) |y><y'| . tr((A_x'^dag A_x)^T (B_y'^dag B_y)).
 
-This module converts between the three views (density matrix,
-purification, factorization) and derives seed-qubit upper bounds from
-them. For classical states it cross-checks against the psd-rank route.
+Those families are the two factors of a ``Purification``: A_x = a[x] and
+B_y = b[y]. A pair's ``reduction`` is the density matrix, its
+``schmidt_pair`` the families of least r, the Schmidt rank. This module
+purifies a density matrix and derives seed-qubit upper bounds from the
+pair. For classical states it cross-checks against the psd-rank route.
 """
 
 from __future__ import annotations
-
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import psd_rank_search, synth_from_psd, validate_dist, SolverConfig
 from .errors import InvalidInput
-from .linalg import (
-    DensityMatrix,
-    Purification,
-    _sq_norm,
-    as_complex_stack,
-    ceil_log2,
-    comp_reduction,
-)
-
-
-@dataclass(frozen=True)
-class GeneralFactorization:
-    """Families {A_x} (dim_a of them, each k_a x r) and {B_y} (dim_b of
-    them, each k_b x r), each held as one read-only complex stack
-    (``linalg.as_complex_stack``). Normalized when the induced purification
-    has unit norm; unnormalized inputs are accepted and rescaled downstream.
-    """
-
-    r: int
-    a_mats: np.ndarray
-    b_mats: np.ndarray
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise InvalidInput("factorization size r must be positive")
-        a_mats, b_mats = as_complex_stack(self.a_mats, "A"), as_complex_stack(self.b_mats, "B")
-        for fam, tag in ((a_mats, "A"), (b_mats, "B")):
-            if fam.shape[2] != self.r:
-                raise InvalidInput(f"{tag}[0] has {fam.shape[2]} columns, expected {self.r}")
-        object.__setattr__(self, "a_mats", a_mats)
-        object.__setattr__(self, "b_mats", b_mats)
-
-    @property
-    def dim_a(self) -> int:
-        return len(self.a_mats)
-
-    @property
-    def dim_b(self) -> int:
-        return len(self.b_mats)
-
-    @property
-    def rows_a(self) -> int:
-        return self.a_mats.shape[1]
-
-    @property
-    def rows_b(self) -> int:
-        return self.b_mats.shape[1]
-
-
-def factorization_norm(f: GeneralFactorization) -> float:
-    """sum_xy tr((A_x^dag A_x)^T (B_y^dag B_y)); the squared norm of the
-    purification assembled from the factors."""
-    return _sq_norm(f.a_mats, f.b_mats)
-
-
-def reconstruct_from_factors(f: GeneralFactorization) -> DensityMatrix:
-    """Density matrix encoded by a factorization.
-
-    Evaluates the bilinear form tr((A_x'^dag A_x)^T (B_y'^dag B_y)) for
-    every basis pair (``comp_reduction``); the result is psd by
-    construction with trace equal to the factorization norm. The output is
-    rescaled to unit trace, with a warning when the input deviates from
-    normalization beyond 1e-8. A zero factorization raises InvalidInput.
-    """
-    rho, trace = comp_reduction(f.a_mats, f.b_mats)
-    if abs(trace - 1.0) > 1e-8:
-        warnings.warn(
-            f"factorization norm {trace!r} deviates from 1; renormalizing",
-            stacklevel=2,
-        )
-    return rho
+from .linalg import DensityMatrix, Purification, ceil_log2
 
 
 def canonical_purification(rho: DensityMatrix) -> Purification:
@@ -111,18 +40,6 @@ def canonical_purification(rho: DensityMatrix) -> Purification:
     a = np.transpose(rho.factor.reshape(da, db, k), (0, 2, 1))  # (x, aux, y)
     return Purification(a / float(np.linalg.norm(a)), np.eye(db).reshape(db, 1, db),
                         names=("A", "A1", "B", "B1"))
-
-
-def factor_from_purification(p: Purification) -> GeneralFactorization:
-    """Matrix families whose columns are the aux blocks of the
-    coefficient-absorbed Schmidt vectors of the purification.
-
-    r equals the Schmidt rank across the Alice|Bob cut;
-    ``reconstruct_from_factors`` of the result equals the purification's
-    reduction.
-    """
-    pair = p.schmidt_pair()
-    return GeneralFactorization(r=pair.a.shape[2], a_mats=pair.a, b_mats=pair.b)
 
 
 def q_upper_bound(

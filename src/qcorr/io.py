@@ -12,14 +12,14 @@ import csv
 import json
 import math
 import os
+import warnings
 from typing import Any
 
 import numpy as np
 
 from .classical import DistMatrix, PsdFactorization, validate_dist
 from .errors import InvalidInput, NotNormalized, NotPsd, ParseError
-from .general import GeneralFactorization
-from .linalg import DensityMatrix, RegisterState
+from .linalg import DensityMatrix, Purification, RegisterState, _sq_norm, as_complex_stack
 from .pure import PureState
 from .sim import LocalChannel, ProtocolSpec
 
@@ -79,6 +79,14 @@ def _list(obj: Any, key: str, where: str) -> list:
     if not isinstance(val, list):
         raise ParseError(f"{where}.{key}: expected a list, got {val!r:.40}")
     return val
+
+
+def _require_count(obj: Any, key: str, count: int, what: str, where: str) -> None:
+    """Check that the integer field ``key`` declares the ``count`` members
+    of the family ``what``."""
+    declared = _int(obj, key, where)
+    if declared != count:
+        raise ParseError(f"{where}.{key}: declares {declared}, but {what} holds {count}")
 
 
 def _matrix_obj(arr: np.ndarray) -> dict:
@@ -181,33 +189,63 @@ def psd_factorization_from_obj(obj: dict, where: str = "psd_factorization") -> P
     r = _int(obj, "r", where)
     cs = [_matrix_from_obj(c, f"{where}.cs[{i}]")
           for i, c in enumerate(_list(obj, "cs", where))]
+    _require_count(obj, "n", len(cs), "cs", where)
     ds = [_matrix_from_obj(d, f"{where}.ds[{i}]")
           for i, d in enumerate(_list(obj, "ds", where))]
+    _require_count(obj, "m", len(ds), "ds", where)
     residual = _real(obj, "residual", where)
     return PsdFactorization(r=r, cs=cs, ds=ds, residual=residual)
 
 
-def general_factorization_to_obj(f: GeneralFactorization) -> dict:
+def general_factorization_to_obj(pair: Purification) -> dict:
     return {
         "format": FORMAT,
         "kind": "general_factorization",
-        "r": f.r,
-        "dim_a": f.dim_a,
-        "dim_b": f.dim_b,
-        "a_mats": [_matrix_obj(a) for a in f.a_mats],
-        "b_mats": [_matrix_obj(b) for b in f.b_mats],
+        "r": pair.a.shape[2],
+        "dim_a": len(pair.a),
+        "dim_b": len(pair.b),
+        "a_mats": [_matrix_obj(a) for a in pair.a],
+        "b_mats": [_matrix_obj(b) for b in pair.b],
     }
 
 
 def general_factorization_from_obj(
     obj: dict, where: str = "general_factorization"
-) -> GeneralFactorization:
+) -> Purification:
     r = _int(obj, "r", where)
     a_mats = [_matrix_from_obj(a, f"{where}.a_mats[{i}]")
               for i, a in enumerate(_list(obj, "a_mats", where))]
+    _require_count(obj, "dim_a", len(a_mats), "a_mats", where)
     b_mats = [_matrix_from_obj(b, f"{where}.b_mats[{i}]")
               for i, b in enumerate(_list(obj, "b_mats", where))]
-    return GeneralFactorization(r=r, a_mats=a_mats, b_mats=b_mats)
+    _require_count(obj, "dim_b", len(b_mats), "b_mats", where)
+    return _pair_from_families(r, a_mats, b_mats)
+
+
+def _pair_from_families(r: int, a_mats, b_mats) -> Purification:
+    """The pair of the general factorization {A_x} = ``a_mats``, {B_y} =
+    ``b_mats`` with r columns, at unit norm.
+
+    Each family is stacked and checked (``as_complex_stack``), so a fault
+    names its member, ``A[1]`` say. A zero pair raises InvalidInput. A pair
+    whose squared norm deviates from 1 beyond 1e-8 warns, and one that
+    ``Purification``'s unit-norm check would refuse is rescaled, so a
+    normalized pair is held bit for bit as it was given.
+    """
+    a, b = as_complex_stack(a_mats, "A"), as_complex_stack(b_mats, "B")
+    for fam, tag in ((a, "A"), (b, "B")):
+        if fam.shape[2] != r:
+            raise InvalidInput(f"{tag}[0] has {fam.shape[2]} columns, expected {r}")
+    norm_sq = _sq_norm(a, b)
+    if not norm_sq > 0.0:
+        raise InvalidInput("factor pair encodes the zero state")
+    if abs(norm_sq - 1.0) > 1e-8:
+        warnings.warn(f"factorization norm {norm_sq!r} deviates from 1; renormalizing",
+                      stacklevel=2)
+    try:
+        return Purification(a, b)
+    except NotNormalized:
+        return Purification(a / math.sqrt(norm_sq), b)
 
 
 def channel_to_obj(ch: LocalChannel) -> dict:
@@ -268,7 +306,7 @@ _TO_OBJ = {
     RegisterState: register_state_to_obj,
     DensityMatrix: density_to_obj,
     PsdFactorization: psd_factorization_to_obj,
-    GeneralFactorization: general_factorization_to_obj,
+    Purification: general_factorization_to_obj,
     LocalChannel: channel_to_obj,
     ProtocolSpec: protocol_to_obj,
 }

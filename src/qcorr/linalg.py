@@ -23,8 +23,8 @@ Conventions
   ``-EIG_CLAMP_TOL``, by a Cholesky factorization) on every file, random
   draw, partial trace, user matrix and non-diagonal contracted reduction.
 * One reduction: ``comp_reduction`` turns every factor pair (a
-  purification, a general factorization, a default target, a pure seed's
-  dilated pair) into its reduction to the computational registers, held
+  purification, a default target, a pure seed's dilated pair) into its
+  reduction to the computational registers, held
   as a diagonal, a factor or a contracted dense matrix.
 * Two block kernels: ``_grams`` forms the per-index Gram blocks
   G[x] = f_x^dag f_x of a stack as one batched product, and
@@ -38,12 +38,13 @@ Conventions
   through a computed factor's rank cutoff; a product that is a row or a
   column is read by its 2-norm, its one singular value, with no SVD, and
   two diagonal states are read off their diagonals.
-* One representation of a purification: the pair (a, b) of
-  ``Purification``, whose Schmidt form comes from thin QRs of the nonzero
-  rows of its two factors and an r x r SVD, or is kept from the
-  decomposition that made the pair. A dense ``RegisterState`` is
-  decomposed once, by ``Purification.from_state``, and built only for
-  files and tests.
+* One pair type: ``Purification`` holds a purification, and so a general
+  factorization {A_x = a[x]}, {B_y = b[y]}, as its factor pair (a, b),
+  which the ``general_factorization`` file kind stores. Its Schmidt form
+  comes from thin QRs of the nonzero rows of its two factors and an
+  r x r SVD, or is kept from the decomposition that made the pair. A dense
+  ``RegisterState`` is built only from a dense file or in tests, and
+  decomposed once, by ``Purification.from_state``.
 """
 
 from __future__ import annotations
@@ -373,8 +374,9 @@ class RegisterState:
     """Pure state on named registers with a declared Alice/Bob assignment.
 
     ``amps`` is indexed row-major in declared register order; ``sides[i]``
-    is ``"A"`` or ``"B"``. Norm is not enforced here; operations that need
-    a normalized state check at their own boundary.
+    is ``"A"`` or ``"B"``; ``amps`` is a read-only copy of the checked
+    input. Norm is not enforced here; operations that need a normalized
+    state check at their own boundary.
     """
 
     amps: np.ndarray
@@ -400,7 +402,7 @@ class RegisterState:
         names = tuple(self.names) if self.names is not None else None
         if names is not None and len(names) != len(dims):
             raise InvalidInput("names and dims length mismatch")
-        object.__setattr__(self, "amps", vec)
+        object.__setattr__(self, "amps", read_only_copy(vec))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "sides", sides)
         object.__setattr__(self, "names", names)
@@ -571,8 +573,9 @@ class Purification:
     ``a`` is (n, ka, r) and ``b`` is (m, kb, r): a[x, alpha, i] is the
     i-th term's amplitude at Alice's computational index x and aux index
     alpha, and b the same for Bob, so the Schmidt rank is at most r. The
-    reduction to the computational registers is the state purified.
-    Construction checks the shapes, finiteness and unit norm within 1e-10,
+    slices a[x] and b[y] are the families {A_x}, {B_y} of a general
+    factorization, whose reduction to the computational registers is the
+    state purified. Construction checks the shapes, finiteness and unit norm within 1e-10,
     and holds read-only copies of the two factors.
 
     ``dims_a`` and ``dims_b`` are each side's register dims, the

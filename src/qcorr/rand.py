@@ -9,8 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classical import DistMatrix, PsdFactorization
-from .general import GeneralFactorization, factorization_norm
-from .linalg import DensityMatrix, RegisterState, _trace_form, hermitize
+from .linalg import DensityMatrix, Purification, RegisterState, _sq_norm, _trace_form, hermitize
 from .pure import PureState
 
 
@@ -69,12 +68,12 @@ def random_psd_factorization(
 
 def random_general_factorization(
     rng: np.random.Generator, dim_a: int, dim_b: int, ka: int, kb: int, r: int
-) -> GeneralFactorization:
-    """Random normalized factorization (unit purification norm)."""
-    a_mats = [rng.standard_normal((ka, r)) + 1j * rng.standard_normal((ka, r))
-              for _ in range(dim_a)]
-    b_mats = [rng.standard_normal((kb, r)) + 1j * rng.standard_normal((kb, r))
-              for _ in range(dim_b)]
-    fact = GeneralFactorization(r=r, a_mats=a_mats, b_mats=b_mats)
-    scale = factorization_norm(fact) ** -0.25
-    return GeneralFactorization(r=r, a_mats=fact.a_mats * scale, b_mats=fact.b_mats * scale)
+) -> Purification:
+    """Random general factorization {A_x} (dim_a of them, ka x r) and {B_y}
+    (dim_b of them, kb x r), held as its normalized pair."""
+    a = np.array([rng.standard_normal((ka, r)) + 1j * rng.standard_normal((ka, r))
+                  for _ in range(dim_a)])
+    b = np.array([rng.standard_normal((kb, r)) + 1j * rng.standard_normal((kb, r))
+                  for _ in range(dim_b)])
+    scale = _sq_norm(a, b) ** -0.25
+    return Purification(a * scale, b * scale)

@@ -18,8 +18,7 @@ from qcorr.classical import (
     synth_from_psd,
     validate_dist,
 )
-from qcorr.general import reconstruct_from_factors
-from qcorr.linalg import Purification, ceil_log2, partial_trace, schmidt_rank
+from qcorr.linalg import ceil_log2, partial_trace, schmidt_rank
 from qcorr.pure import (
     build_approximant,
     q_eps,
@@ -156,15 +155,14 @@ def test_criterion_5_factorization_reconstruction():
     for _ in range(100):
         da, db, ka, kb = (int(v) for v in rng.integers(1, 4, size=4))
         r = int(rng.integers(1, 4))
-        fact = random_general_factorization(rng, da, db, ka, kb, r)
-        rho = reconstruct_from_factors(fact)
+        purif = random_general_factorization(rng, da, db, ka, kb, r)
+        rho = purif.reduction()
         if np.abs(rho.mat - rho.mat.conj().T).max() > 1e-9:
             ok = False
         if np.linalg.eigvalsh(rho.mat)[0] < -1e-9:
             ok = False
         if abs(np.trace(rho.mat).real - 1.0) > 1e-9:
             ok = False
-        purif = Purification(np.stack(fact.a_mats), np.stack(fact.b_mats))
         red = partial_trace(purif.to_state(), keep=[0, 2])
         if np.abs(rho.mat - red.mat).max() > 1e-9:
             ok = False

@@ -1,19 +1,16 @@
 """Tests for purifications, factorizations and mixed-state bounds."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from qcorr.classical import psd_rank_search, synth_from_psd, validate_dist
 from qcorr.errors import InvalidInput
-from qcorr.general import (
-    GeneralFactorization,
-    Purification,
-    canonical_purification,
-    factor_from_purification,
-    factorization_norm,
-    q_upper_bound,
-    reconstruct_from_factors,
-)
+from qcorr.cli import main
+from qcorr.general import Purification, canonical_purification, q_upper_bound
+from qcorr import io as qio
 from qcorr import linalg
 from qcorr.linalg import (
     DensityMatrix,
@@ -64,20 +61,20 @@ def test_canonical_purification_random_rank3():
     np.testing.assert_allclose(purif.reduction().mat, rho.mat, atol=1e-9)
 
 def test_factor_from_purification_epr():
-    fact = factor_from_purification(Purification.from_state(EPR.to_registers()))
-    assert fact.r == 2
+    pair = Purification.from_state(EPR.to_registers()).schmidt_pair()
+    assert pair.a.shape[2] == 2
     scale = 2.0 ** -0.25
-    np.testing.assert_allclose(np.abs(fact.a_mats[0]), [[scale, 0.0]], atol=1e-10)
-    np.testing.assert_allclose(np.abs(fact.a_mats[1]), [[0.0, scale]], atol=1e-10)
-    # Oracle: direct evaluation of the reconstruction formula.
-    rho = reconstruct_from_factors(fact)
+    np.testing.assert_allclose(np.abs(pair.a[0]), [[scale, 0.0]], atol=1e-10)
+    np.testing.assert_allclose(np.abs(pair.a[1]), [[0.0, scale]], atol=1e-10)
+    # Oracle: the dense reduction of the EPR pair.
+    rho = pair.reduction()
     np.testing.assert_allclose(rho.mat, EPR.to_density().mat, atol=1e-9)
 
 def test_factor_from_purification_product_state():
     psi = PureState(2, 2, [0, 1, 0, 0])  # |0>|1>
-    fact = factor_from_purification(Purification.from_state(psi.to_registers()))
-    assert fact.r == 1
-    rho = reconstruct_from_factors(fact)
+    pair = Purification.from_state(psi.to_registers()).schmidt_pair()
+    assert pair.a.shape[2] == 1
+    rho = pair.reduction()
     np.testing.assert_allclose(rho.mat, psi.to_density().mat, atol=1e-9)
 
 def test_factor_from_synth_half_i2():
@@ -89,14 +86,11 @@ def test_factor_from_synth_half_i2():
     ds = tuple((0.5 * np.diag([1.0 if y == i else 0.0 for i in range(2)])).astype(complex)
                for y in range(2))
     state = synth_from_psd(half, PsdFactorization(r=2, cs=cs, ds=ds, residual=0.0))
-    fact = factor_from_purification(state)
-    rho = reconstruct_from_factors(fact)
+    rho = state.schmidt_pair().reduction()
     np.testing.assert_allclose(rho.mat, np.diag([0.5, 0, 0, 0.5]), atol=1e-8)
 
 def test_reconstruct_trivial():
-    fact = GeneralFactorization(r=1, a_mats=(np.array([[1.0]]),),
-                                b_mats=(np.array([[1.0]]),))
-    rho = reconstruct_from_factors(fact)
+    rho = Purification(np.ones((1, 1, 1)), np.ones((1, 1, 1))).reduction()
     np.testing.assert_allclose(rho.mat, [[1.0]], atol=1e-12)
 
 def test_reconstruct_matches_assembled_purification():
@@ -108,8 +102,8 @@ def test_reconstruct_matches_assembled_purification():
     for draw in range(22):
         da, db, ka, kb = (int(v) for v in rng.integers(1, 4, size=4))
         r = int(rng.integers(1, 4))
-        fact = random_general_factorization(rng, da, db, ka, kb, r)
-        a, b = np.stack(fact.a_mats), np.stack(fact.b_mats)
+        pair = random_general_factorization(rng, da, db, ka, kb, r)
+        a, b = pair.a.copy(), pair.b.copy()
         if draw >= 10:
             if draw < 16:
                 a[:, 1:][:, rng.random(ka - 1) < 0.5] = 0.0
@@ -117,10 +111,10 @@ def test_reconstruct_matches_assembled_purification():
             else:
                 a[np.arange(da)[:, None] != np.arange(ka) % da] = 0.0
                 b[np.arange(db)[:, None] != np.arange(kb) % db] = 0.0
-            a /= np.sqrt(factorization_norm(GeneralFactorization(r, tuple(a), tuple(b))))
-            fact = GeneralFactorization(r, tuple(a), tuple(b))
-        rho = reconstruct_from_factors(fact)
-        state = Purification(a, b).to_state()
+            a /= np.sqrt(linalg._sq_norm(a, b))
+            pair = Purification(a, b)
+        rho = pair.reduction()
+        state = pair.to_state()
         red = partial_trace(state, keep=[0, 2])
         np.testing.assert_allclose(rho.mat, red.mat, atol=1e-9)
         vals = np.linalg.eigvalsh(rho.mat)
@@ -130,57 +124,87 @@ def test_reconstruct_matches_assembled_purification():
         copies = all(f.any(axis=2).sum(axis=0).max() <= 1 for f in (a, b))
         assert copies == (draw >= 16 or da == db == 1)
         assert rho.form == ("diagonal" if copies else "factor" if acting <= da * db else "dense")
-        assert comp_reduction(a, b)[1] == factorization_norm(fact)
+        assert comp_reduction(a, b)[1] == linalg._sq_norm(pair.a, pair.b)
         assert np.all(rho.mat.diagonal().imag == 0.0)
         if copies:
             assert np.all(rho.mat[~np.eye(da * db, dtype=bool)] == 0.0)
 
 
-def test_reconstruct_refuses_a_zero_factorization():
-    zero = GeneralFactorization(r=1, a_mats=(np.zeros((2, 1)),), b_mats=(np.ones((1, 1)),))
+def _write_pair(tmp_path, a, b) -> str:
+    """A ``general_factorization`` file of the families a[x], b[y], which
+    need not be normalized."""
+    path = str(tmp_path / "pair.json")
+    with open(path, "w") as fh:
+        json.dump({"format": "qcorr/1", "kind": "general_factorization",
+                   "r": np.shape(a)[2], "dim_a": len(a), "dim_b": len(b),
+                   "a_mats": [qio._matrix_obj(m) for m in a],
+                   "b_mats": [qio._matrix_obj(m) for m in b]}, fh)
+    return path
+
+
+def test_reconstruct_refuses_a_zero_factorization(tmp_path, capsys):
+    # A zero pair is refused where a file is read, and by the reduction.
+    path = _write_pair(tmp_path, np.zeros((1, 2, 1)), np.ones((1, 1, 1)))
     with pytest.raises(InvalidInput, match="zero state"):
-        reconstruct_from_factors(zero)
+        qio.load(path)
+    assert main(["--json", "reconstruct", "--factors", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "zero state" in captured.err
+    with pytest.raises(InvalidInput, match="zero state"):
+        comp_reduction(np.zeros((1, 2, 1)), np.ones((1, 1, 1)))
 
 
 def test_reconstruct_runs_no_psd_check(monkeypatch):
     # A reduction held as its factor (here 2 x 3 acting aux pairs against 6
     # outputs) is psd by form; the check runs on dense matrices only.
-    fact = random_general_factorization(np.random.default_rng(91), 3, 2, 2, 3, 2)
+    pair = random_general_factorization(np.random.default_rng(91), 3, 2, 2, 3, 2)
     checked = []
     require = linalg.require_psd
     monkeypatch.setattr(linalg, "require_psd",
                         lambda h, name="matrix": checked.append(name) or require(h, name))
-    rho = reconstruct_from_factors(fact)
+    rho = pair.reduction()
     assert rho.mat.shape == (6, 6) and checked == []
 
-def test_reconstruct_renormalizes_with_warning():
+def test_reconstruct_renormalizes_with_warning(tmp_path, capsys):
+    # An unnormalized pair file is rescaled where it is read: with a warning
+    # beyond 1e-8 in the squared norm, silently where only the pair's
+    # 1e-10 norm check would refuse it, and not at all within that check.
     rng = np.random.default_rng(97)
-    fact = random_general_factorization(rng, 2, 2, 2, 2, 2)
-    scaled = GeneralFactorization(
-        r=fact.r,
-        a_mats=tuple(2.0 * a for a in fact.a_mats),
-        b_mats=fact.b_mats,
-    )
-    with pytest.warns(UserWarning):
-        rho = reconstruct_from_factors(scaled)
+    pair = random_general_factorization(rng, 2, 2, 2, 2, 2)
+    path = _write_pair(tmp_path, 2.0 * pair.a, pair.b)
+    with pytest.warns(UserWarning, match="deviates from 1; renormalizing"):
+        loaded = qio.load(path)
+    rho = loaded.reduction()
     assert abs(np.trace(rho.mat).real - 1.0) <= 1e-10
     vals = np.linalg.eigvalsh(rho.mat)
     assert vals[0] >= -1e-9
+    np.testing.assert_allclose(rho.mat, pair.reduction().mat, rtol=0, atol=1e-12)
+    with pytest.warns(UserWarning, match="deviates from 1; renormalizing"):
+        assert main(["--json", "reconstruct", "--factors", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert abs(report["trace"] - 1.0) <= 1e-10
+    for scale, rescaled in ((1 + 1e-9, True), (1 + 2e-11, False)):
+        path = _write_pair(tmp_path, scale * pair.a, pair.b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = qio.load(path)
+        assert np.array_equal(loaded.a, scale * pair.a) != rescaled
+        assert abs(linalg._sq_norm(loaded.a, loaded.b) - 1.0) <= (1e-15 if rescaled else 1e-10)
 
 def test_factorization_norm_is_purification_norm():
     rng = np.random.default_rng(101)
-    fact = random_general_factorization(rng, 2, 3, 2, 2, 2)
-    amps = np.einsum("xai,ybi->xayb", np.stack(fact.a_mats), np.stack(fact.b_mats))
-    assert abs(factorization_norm(fact) - np.linalg.norm(amps) ** 2) <= 1e-9
+    pair = random_general_factorization(rng, 2, 3, 2, 2, 2)
+    a = 2.0 * pair.a
+    amps = np.einsum("xai,ybi->xayb", a, pair.b)
+    assert abs(linalg._sq_norm(a, pair.b) - np.linalg.norm(amps) ** 2) <= 1e-9
 
 def test_round_trip_purification_to_factors():
     rng = np.random.default_rng(103)
     for _ in range(5):
-        fact = random_general_factorization(rng, 3, 2, 2, 3, 3)
-        purif = Purification(np.stack(fact.a_mats), np.stack(fact.b_mats))
-        back = factor_from_purification(purif)
+        purif = random_general_factorization(rng, 3, 2, 2, 3, 3)
+        back = purif.schmidt_pair()
         np.testing.assert_allclose(
-            reconstruct_from_factors(back).mat,
+            back.reduction().mat,
             partial_trace(purif.to_state(), keep=[0, 2]).mat,
             atol=1e-8,
         )
@@ -232,9 +256,10 @@ def test_q_upper_bound_reads_a_diagonal_state_without_its_matrix():
 
 
 def test_general_factorization_shape_validation():
-    with pytest.raises(InvalidInput):
-        GeneralFactorization(r=2, a_mats=(np.ones((2, 2)), np.ones((3, 2))),
-                             b_mats=(np.ones((1, 2)),))
+    with pytest.raises(InvalidInput, match=r"A\[1\] shape \(3, 2\) differs"):
+        qio._pair_from_families(2, (np.ones((2, 2)), np.ones((3, 2))), (np.ones((1, 2)),))
+    with pytest.raises(InvalidInput, match=r"B\[0\] has 3 columns, expected 2"):
+        qio._pair_from_families(2, (np.ones((2, 2)),), (np.ones((1, 3)),))
 
 def test_extraction_paths_agree_on_classical_inputs():
     # The Gram route and the general-factorization route must assign the
@@ -246,8 +271,7 @@ def test_extraction_paths_agree_on_classical_inputs():
         rho = random_classical_density(rng, 2, 3)
         purif = canonical_purification(rho)
         psd = gram_extract(purif)
-        gen = factor_from_purification(purif)
-        diag = np.real(np.diag(reconstruct_from_factors(gen).mat))
+        diag = np.real(np.diag(purif.schmidt_pair().reduction().mat))
         np.testing.assert_allclose(
             psd.trace_products().reshape(-1), diag, atol=1e-8
         )
@@ -263,7 +287,7 @@ def test_bob_first_layout_reduces_in_alice_bob_order():
                                   ("B", "A", "A", "B"))
     red = Purification.from_state(state).reduction()
     assert (red.dim_a, red.dim_b) == (2, 3)
-    expected = reconstruct_from_factors(factor_from_purification(Purification.from_state(state)))
+    expected = Purification.from_state(state).schmidt_pair().reduction()
     np.testing.assert_allclose(red.mat, expected.mat, rtol=0, atol=1e-12)
     assert verify_generation(protocol_from_purification(state)).passed
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorr import io as qio
-from qcorr.classical import PsdFactorization, validate_dist
+from qcorr.classical import PsdFactorization, synth_from_psd, validate_dist
 from qcorr.cli import main
 from qcorr.errors import InvalidInput, ParseError
-from qcorr.general import GeneralFactorization
-from qcorr.linalg import DensityMatrix, RegisterState, ceil_log2
+from qcorr.linalg import DensityMatrix, Purification, RegisterState, ceil_log2, cut_svd
 from qcorr.pure import PureState
 from qcorr.rand import (
     random_density_matrix,
@@ -75,14 +75,49 @@ def test_psd_factorization_roundtrip(tmp_path):
 
 
 def test_general_factorization_roundtrip(tmp_path):
+    # A normalized pair loads bit for bit, with no warning.
     rng = np.random.default_rng(157)
-    fact = random_general_factorization(rng, 2, 2, 3, 2, 2)
+    pair = random_general_factorization(rng, 2, 2, 3, 2, 2)
     path = tmp_path / "gf.json"
-    qio.save(str(path), fact)
-    back = qio.load(str(path))
-    assert isinstance(back, GeneralFactorization)
-    for a, b in zip(back.a_mats, fact.a_mats):
-        np.testing.assert_array_equal(a, b)
+    qio.save(str(path), pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = qio.load(str(path))
+    assert isinstance(back, Purification)
+    np.testing.assert_array_equal(back.a, pair.a)
+    np.testing.assert_array_equal(back.b, pair.b)
+    obj = json.loads(path.read_text())
+    assert sorted(obj) == ["a_mats", "b_mats", "dim_a", "dim_b", "format", "kind", "r"]
+    assert (obj["kind"], obj["r"], obj["dim_a"], obj["dim_b"]) == (
+        "general_factorization", 2, 2, 2)
+
+
+@pytest.mark.parametrize("kind, field, family", [
+    ("general_factorization", "dim_a", "a_mats"),
+    ("general_factorization", "dim_b", "b_mats"),
+    ("psd_factorization", "n", "cs"),
+    ("psd_factorization", "m", "ds"),
+])
+def test_decoders_check_declared_dimensions(tmp_path, capsys, kind, field, family):
+    # A file whose declared count differs from the family it holds is
+    # refused, naming the field; the command reading it exits 2.
+    dist, fact = random_psd_factorization(np.random.default_rng(5), 2, 2, 2)
+    dist_path = str(tmp_path / "d.csv")
+    qio.save(dist_path, dist)
+    path = tmp_path / "f.json"
+    qio.save(str(path), fact if kind == "psd_factorization" else synth_from_psd(dist, fact))
+    obj = json.loads(path.read_text())
+    assert obj[field] == len(obj[family]) == 2
+    obj[field] = 7
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=f"{kind}.{field}: declares 7, but {family} holds 2"):
+        qio.load(str(path))
+    command = (["synth", "--dist", dist_path, "--factors"] if kind == "psd_factorization"
+               else ["reconstruct", "--factors"])
+    capsys.readouterr()
+    assert main(["--json", *command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{kind}.{field}" in captured.err
 
 
 def test_protocol_roundtrip(tmp_path):
@@ -315,6 +350,48 @@ def test_cli_full_pipeline(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert abs(report["trace"] - 1.0) <= 1e-9
     assert report["qubits_upper"] == 1
+
+
+def test_cli_extract_reads_a_pair_file_and_a_dense_file_alike(tmp_path, capsys):
+    # One planted synth output, read as the pair file synth writes and as the
+    # dense state of the same pair: the same r, both residuals within 1e-12.
+    dist, fact = random_psd_factorization(np.random.default_rng(6), 6, 6, 3)
+    dist_path, fact_path = str(tmp_path / "d.csv"), str(tmp_path / "f.json")
+    qio.save(dist_path, dist)
+    qio.save(fact_path, fact)
+    pair_path, dense_path = tmp_path / "pair.json", str(tmp_path / "dense.json")
+    texts = []
+    for _ in range(2):
+        assert main(["--json", "synth", "--dist", dist_path, "--factors", fact_path,
+                     "--out-state", str(pair_path)]) == 0
+        texts.append(pair_path.read_text())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["kind"] == "general_factorization"
+    purif = synth_from_psd(dist, fact)
+    np.testing.assert_array_equal(qio.load(str(pair_path)).a, purif.a)
+    qio.save(dense_path, purif.to_state())
+    reports = {}
+    for path in (str(pair_path), dense_path):
+        for mode in ("psd", "general"):
+            capsys.readouterr()
+            assert main(["--json", "extract", "--state", path, "--mode", mode]) == 0
+            reports[path, mode] = json.loads(capsys.readouterr().out)
+    assert {report["r"] for report in reports.values()} == {3}
+    assert max(reports[path, "psd"]["residual"] for path in (str(pair_path), dense_path)) <= 1e-12
+    # From a dense file, extract writes the coefficient-absorbed Schmidt
+    # vectors of the cut SVD, in the layout the file kind has always had.
+    out = tmp_path / "g.json"
+    assert main(["--json", "extract", "--state", dense_path, "--mode", "general",
+                 "--out", str(out)]) == 0
+    res = cut_svd(qio.load(dense_path))
+    t = res.rank
+    root = np.sqrt(res.singulars[:t])
+    a = (res.left[:, :t] * root).reshape(6, -1, t)
+    b = (res.right[:, :t].conj() * root).reshape(6, -1, t)
+    expected = {"format": "qcorr/1", "kind": "general_factorization", "r": t,
+                "dim_a": 6, "dim_b": 6, "a_mats": [qio._matrix_obj(m) for m in a],
+                "b_mats": [qio._matrix_obj(m) for m in b]}
+    assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_approx(tmp_path, capsys):

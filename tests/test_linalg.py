@@ -146,6 +146,18 @@ def _epr_registers():
     return RegisterState(amps, (2, 2), ("A", "B"))
 
 
+def test_register_state_holds_a_read_only_copy():
+    # Overwriting the source after construction leaves the checked
+    # amplitudes, and so the norm, as they were.
+    amps = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    state = RegisterState(amps, (2, 2), ("A", "B"))
+    amps[:] = np.nan
+    assert abs(state.norm() - 1.0) <= 1e-15
+    np.testing.assert_array_equal(state.amps, _epr_registers().amps)
+    with pytest.raises(ValueError, match="read-only"):
+        state.amps[0] = 0.0
+
+
 def test_partial_trace_epr_is_maximally_mixed():
     red = partial_trace(_epr_registers(), keep=[0])
     np.testing.assert_allclose(red.mat, np.eye(2) / 2, atol=1e-12)

@@ -23,7 +23,7 @@ from qcorr.linalg import (
     require_psd,
     schmidt_rank,
 )
-from qcorr.general import GeneralFactorization, Purification
+from qcorr.general import Purification
 from qcorr.pure import PureState, _truncation, build_approximant, q_eps, state_from_matrix
 from qcorr.rand import (
     random_density_matrix,
@@ -71,8 +71,7 @@ FAMILIES = {
     "Kraus": (LocalChannel, lambda ch: ch.kraus),
     "C": (lambda mats: PsdFactorization(r=2, cs=mats, ds=[np.eye(2) / 2], residual=0.0),
           lambda fact: fact.cs),
-    "A": (lambda mats: GeneralFactorization(r=2, a_mats=mats, b_mats=[np.eye(2)]),
-          lambda fact: fact.a_mats),
+    "A": (lambda mats: qio._pair_from_families(2, mats, [HALF]), lambda pair: pair.a),
 }
 
 
