@@ -48,7 +48,6 @@ from .linalg import (
 )
 from .pure import (
     PureState,
-    SchmidtForm,
     build_approximant,
     q_eps,
     rank_eps,
@@ -90,7 +89,6 @@ __all__ = [
     "QcorrError",
     "RankReport",
     "RegisterState",
-    "SchmidtForm",
     "SolverConfig",
     "SvdResult",
     "apply_protocol",

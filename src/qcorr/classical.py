@@ -33,7 +33,6 @@ from .errors import FactorizationMismatch, InvalidInput, NotNormalized
 from .linalg import (
     REL_RANK_TOL,
     Purification,
-    RegisterState,
     _grams,
     _require_unit_norm,
     _sq_norm,
@@ -785,7 +784,7 @@ def synth_from_psd(p: DistMatrix, f: PsdFactorization) -> Purification:
     )
 
 
-def gram_extract(purif: Purification | RegisterState) -> PsdFactorization:
+def gram_extract(purif: Purification) -> PsdFactorization:
     """Read a psd factorization off a purification.
 
     With coefficient-absorbed Schmidt vectors v_x^i (the aux slice of the
@@ -798,12 +797,11 @@ def gram_extract(purif: Purification | RegisterState) -> PsdFactorization:
     unit norm within 1e-10 (NotNormalized otherwise). The residual is taken
     against the distribution of the held pair, P(x, y) = sum_ij
     (a_x^dag a_x)[j, i] (b_y^dag b_y)[j, i], so it cross-checks the Schmidt
-    form. A RegisterState goes through ``Purification.from_state``: it must
-    have unit norm within 1e-10 (NotNormalized otherwise) and be nonzero
-    (InvalidInput).
+    form. Any input other than a Purification raises InvalidInput; a dense
+    state goes through ``Purification.from_state`` first.
     """
-    if isinstance(purif, RegisterState):
-        purif = Purification.from_state(purif)
+    if not isinstance(purif, Purification):
+        raise InvalidInput("expected a Purification")
     # P(x, y) = tr(G_x G'_y^T) with G_x = a_x^dag a_x and G'_y = b_y^dag b_y.
     P = _trace_form(_grams(purif.a), _grams(purif.b).swapaxes(1, 2))
     res = purif.schmidt

@@ -81,9 +81,11 @@ def cmd_schmidt(args) -> dict:
     return {
         "config": _config_block(args, []),
         "rank": form.rank,
-        "coeffs": [float(c) for c in form.coeffs],
+        "coeffs": [float(c) for c in form.singulars ** 2],
         "left": io._matrix_obj(form.left),
-        "right": io._matrix_obj(form.right),
+        # psi = sum_i sqrt(coeffs[i]) left_i (x) right_i: the conjugated
+        # right singular vectors.
+        "right": io._matrix_obj(form.right.conj()),
     }
 
 
@@ -91,7 +93,7 @@ def cmd_qeps(args) -> dict:
     psi = _load(args.state, PureState, "a bipartite pure state")
     r = srank_eps(psi, args.eps)
     form = schmidt_decompose(psi)
-    achievable = float(np.sqrt(np.cumsum(form.coeffs)[r - 1])) if r >= 1 else 0.0
+    achievable = float(np.sqrt(np.cumsum(form.singulars ** 2)[r - 1])) if r >= 1 else 0.0
     return {
         "config": _config_block(args, ["eps"]),
         "srank": r,

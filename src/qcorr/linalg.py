@@ -42,9 +42,13 @@ Conventions
   factorization {A_x = a[x]}, {B_y = b[y]}, as its factor pair (a, b),
   which the ``general_factorization`` file kind stores. Its Schmidt form
   comes from thin QRs of the nonzero rows of its two factors and an
-  r x r SVD, or is kept from the decomposition that made the pair. A dense
-  ``RegisterState`` is built only from a dense file or in tests, and
-  decomposed once, by ``Purification.from_state``.
+  r x r SVD, or is kept from the decomposition that made the pair.
+* One Schmidt form: every Schmidt decomposition is an ``SvdResult`` of
+  the cut matrix, with coefficients ``singulars ** 2``. A dense state has
+  one route, ``cut_svd``, an SVD on the support of the cut matrix: a
+  ``RegisterState`` (built only from a dense file or in tests) is
+  decomposed by it once, in ``Purification.from_state``, and a
+  ``pure.PureState`` in its cached ``schmidt_decompose``.
 """
 
 from __future__ import annotations
@@ -179,7 +183,9 @@ class SvdResult:
     """Thin SVD ``a = left @ diag(singulars) @ right^dag``.
 
     ``left`` and ``right`` both have orthonormal columns; ``singulars``
-    are nonnegative and sorted in descending order.
+    are nonnegative and sorted in descending order. The one Schmidt form:
+    of a cut matrix, the state is sum_i singulars[i] left_i (x)
+    conj(right_i), with Schmidt coefficients ``singulars ** 2``.
     """
 
     left: np.ndarray
@@ -413,9 +419,6 @@ class RegisterState:
     def side_dim(self, side: str) -> int:
         return int(np.prod([self.dims[i] for i in self.registers_on(side)], initial=1))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 def comp_aux_dims(state: RegisterState) -> tuple[int, int, int, int]:
     """``(n, m, ka, kb)`` of a purification layout.
@@ -436,13 +439,15 @@ def comp_aux_dims(state: RegisterState) -> tuple[int, int, int, int]:
 def cut_svd(state: RegisterState) -> SvdResult:
     """Thin SVD of the Alice|Bob cut matrix, computed on its support.
 
-    The cut matrix is the amplitudes with Alice's registers (in declared
-    order) indexing the rows and Bob's the columns. Zero rows and columns of the cut matrix carry no singular value, so
-    the SVD runs on the submatrix of nonzero rows and columns and the
-    singular vectors are put back to full length with zeros elsewhere.
-    This is exact for any state, and cheap for purifications whose
-    amplitudes vanish off a small support. A zero state gives zero
-    singular vectors and rank 0.
+    The one dense Schmidt route. The cut matrix is the amplitudes with
+    Alice's registers (in declared order) indexing the rows and Bob's the
+    columns. Zero rows and columns of the cut matrix carry no singular
+    value, so the SVD runs on the submatrix of nonzero rows and columns
+    and the singular vectors are put back to full length with zeros
+    elsewhere. This is exact for any state, and cheap for purifications
+    whose amplitudes vanish off a small support; on a full support it is
+    the SVD of the whole matrix. A zero state gives zero singular vectors
+    and rank 0.
     """
     regs = state.registers_on("A") + state.registers_on("B")
     mat = np.transpose(state.amps.reshape(state.dims), regs).reshape(
@@ -622,8 +627,9 @@ class Purification:
     @classmethod
     def from_state(cls, state: RegisterState) -> "Purification":
         """The coefficient-absorbed Schmidt pair of a dense state, on its
-        registers with Alice's before Bob's: the one place a dense state is
-        decomposed (``cut_svd``). A zero state raises InvalidInput."""
+        registers with Alice's before Bob's, from its ``cut_svd``: the one
+        way a dense state reaches ``sim.protocol_from_purification`` and
+        ``classical.gram_extract``. A zero state raises InvalidInput."""
         n, m, ka, kb = comp_aux_dims(state)
         res = cut_svd(state)
         if res.rank == 0:

@@ -1,11 +1,12 @@
 """Pure-state analysis for bipartite generation complexity.
 
 A normalized bipartite pure state is summarized by its amplitude matrix
-(the ``vec_inv`` image) and its Schmidt decomposition. The approximate
-rank of the amplitude matrix and the approximate Schmidt rank of the
-state determine how many seed qubits are needed to generate the state
-within a fidelity target, and the optimal approximant is an explicit
-truncation of the Schmidt sum.
+(the ``vec_inv`` image) and its Schmidt decomposition, an ``SvdResult`` of
+that matrix from ``linalg.cut_svd``, the one dense Schmidt route, cached
+on the state. The approximate rank of the amplitude matrix and the
+approximate Schmidt rank of the state determine how many seed qubits are
+needed to generate the state within a fidelity target, and the optimal
+approximant is an explicit truncation of the Schmidt sum.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .linalg import (
     SvdResult,
     as_complex_array,
     ceil_log2,
+    cut_svd,
     rank_from_singulars,
     read_only_copy,
-    svd,
 )
 
 #: Additive slack, in favor of the smaller rank, applied to every
@@ -66,10 +67,11 @@ class PureState:
         return DensityMatrix._of_factor(self.dim_a, self.dim_b, self.amps[:, None])
 
     @cached_property
-    def _schmidt(self) -> SchmidtForm:
-        """The state's one Schmidt decomposition (``schmidt_decompose``),
-        computed on first use, with read-only arrays."""
-        res = svd(vec_inv(self))
+    def _schmidt(self) -> SvdResult:
+        """The state's one Schmidt form (``schmidt_decompose``): ``cut_svd``
+        of its registers, cut to its rank, computed on first use, with
+        read-only arrays."""
+        res = cut_svd(self.to_registers())
         r = res.rank
         left = res.left[:, :r].copy()
         right = res.right[:, :r].conj()
@@ -79,31 +81,17 @@ class PureState:
             phase = pivot / abs(pivot)
             left[:, i] *= phase.conjugate()
             right[:, i] *= phase
-        coeffs = res.singulars[:r] ** 2
-        for arr in (coeffs, left, right):
-            arr.flags.writeable = False
-        return SchmidtForm(coeffs=coeffs, left=left, right=right)
+        # Phased on the product-form vectors conj(right), then conjugated
+        # back exactly: rotating right by conj(phase) instead would flip
+        # the sign of some zeros that ``schmidt --json`` prints.
+        right = right.conj()
+        left.flags.writeable = right.flags.writeable = False
+        return SvdResult(left=left, singulars=read_only_copy(res.singulars[:r]), right=right)
 
     def to_registers(self) -> RegisterState:
         return RegisterState(
             self.amps, (self.dim_a, self.dim_b), ("A", "B"), ("A", "B")
         )
-
-
-@dataclass(frozen=True)
-class SchmidtForm:
-    """Schmidt data: probabilities ``coeffs`` (descending, sum 1) and
-    orthonormal vector families ``left`` (dim_a x r) and ``right``
-    (dim_b x r); the state equals sum_i sqrt(coeffs[i]) left_i (x) right_i.
-    """
-
-    coeffs: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return int(self.coeffs.size)
 
 
 def vec_inv(psi: PureState) -> np.ndarray:
@@ -128,17 +116,19 @@ def tensor_product(psi: PureState, theta: PureState) -> PureState:
     return PureState(psi.dim_a * theta.dim_a, psi.dim_b * theta.dim_b, m.reshape(-1))
 
 
-def schmidt_decompose(psi: PureState) -> SchmidtForm:
+def schmidt_decompose(psi: PureState) -> SvdResult:
     """Schmidt decomposition with a canonical phase convention.
 
-    Coefficients are the squared singular values of the amplitude matrix,
-    truncated at the relative zero threshold. Degenerate coefficients keep
-    the SVD's ordering; each left vector is rotated so its
-    largest-magnitude entry is real positive, with the compensating phase
-    on the right vector, so decompositions are reproducible. A state is
-    decomposed once: every call returns the same form, cached on
-    ``psi``, whose arrays are read-only. Any input other than a
-    PureState raises InvalidInput.
+    The thin SVD of the amplitude matrix, vec_inv(psi) = left
+    diag(singulars) right^dag, by ``cut_svd`` on its nonzero rows and
+    columns, cut at the relative zero threshold: the Schmidt coefficients
+    are ``singulars ** 2`` and psi = sum_i singulars[i] left_i (x)
+    conj(right_i). Degenerate coefficients keep the SVD's ordering; each
+    left vector is rotated so its largest-magnitude entry is real positive,
+    with the compensating phase on the right vector, so decompositions are
+    reproducible. A state is decomposed once: every call returns the same
+    form, cached on ``psi``, whose arrays are read-only. Any input other
+    than a PureState raises InvalidInput.
     """
     if not isinstance(psi, PureState):
         raise InvalidInput("expected a PureState")
@@ -197,11 +187,12 @@ def srank_eps(psi: PureState, eps: float) -> int:
     within fidelity 1 - eps of ``psi``.
 
     Equals the minimal r' whose leading Schmidt coefficients sum to at
-    least (1 - eps)^2, and coincides with
-    ``rank_eps(vec_inv(psi), 2*eps - eps**2)``. Returns 0 for eps >= 1
-    (the empty protocol suffices).
+    least (1 - eps)^2. For 0 <= eps <= 1 it coincides with
+    ``rank_eps(vec_inv(psi), 2*eps - eps**2)``; beyond 1 that distance
+    shrinks again, while this returns 0 for every eps >= 1 (the empty
+    protocol suffices).
     """
-    return _min_terms(np.cumsum(schmidt_decompose(psi).coeffs), _kept_weight(eps))
+    return _min_terms(np.cumsum(schmidt_decompose(psi).singulars ** 2), _kept_weight(eps))
 
 
 def q_eps(psi: PureState, eps: float) -> int:
@@ -217,15 +208,15 @@ def q_eps(psi: PureState, eps: float) -> int:
 def _truncation(psi: PureState, eps: float) -> SvdResult:
     """Schmidt form of the approximant of ``build_approximant``: the
     r' = max(srank_eps(psi, eps), 1) leading Schmidt terms of psi with
-    their coefficients renormalized, as the SVD of its amplitude matrix,
-    one column per kept term. ``sim.synth_pure_protocol`` builds its
-    protocol straight from this form, so psi is decomposed once per
-    protocol."""
+    their coefficients renormalized, one column per kept term.
+    ``sim.synth_pure_protocol`` builds its protocol straight from this
+    form, so psi is decomposed once per protocol."""
     form = schmidt_decompose(psi)
-    cum = np.cumsum(form.coeffs)
+    coeffs = form.singulars ** 2
+    cum = np.cumsum(coeffs)
     r = max(_min_terms(cum, _kept_weight(eps)), 1)
-    return SvdResult(left=form.left[:, :r], singulars=np.sqrt(form.coeffs[:r] / float(cum[r - 1])),
-                     right=form.right[:, :r].conj())
+    return SvdResult(left=form.left[:, :r], singulars=np.sqrt(coeffs[:r] / float(cum[r - 1])),
+                     right=form.right[:, :r])
 
 
 def build_approximant(psi: PureState, eps: float) -> tuple[PureState, float]:

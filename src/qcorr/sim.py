@@ -39,7 +39,9 @@ classical target comes from the Schmidt form of a purification
 (``protocol_from_purification``), which a ``Purification`` computes from
 its factor pair without forming the dense state, and is the reduction that
 the Schmidt vectors encode, read off them without forming the state's
-density matrix.
+density matrix. Both forms are ``linalg.SvdResult``s. The builder takes a
+``Purification`` only; a dense state comes in through
+``Purification.from_state``.
 """
 
 from __future__ import annotations
@@ -301,20 +303,18 @@ def synth_pure_protocol(psi: PureState, eps: float) -> ProtocolSpec:
                                   psi.to_density(), eps)
 
 
-def protocol_from_purification(purif: Purification | RegisterState,
+def protocol_from_purification(purif: Purification,
                                target: DensityMatrix | None = None,
                                eps: float = 0.0) -> ProtocolSpec:
     """Protocol realizing the reduction of a purification.
 
     The protocol of the pair's ``schmidt`` form (``_protocol_from_schmidt``),
-    laid out as the pair's factors. A RegisterState of any nonzero norm is
-    scaled to unit norm and goes through ``Purification.from_state``, which
-    refuses a zero state.
+    laid out as the pair's factors. Any input other than a Purification
+    raises InvalidInput; a dense state goes through
+    ``Purification.from_state`` first.
     """
-    if isinstance(purif, RegisterState):
-        scale = purif.norm() or 1.0
-        purif = Purification.from_state(
-            RegisterState(purif.amps / scale, purif.dims, purif.sides, purif.names))
+    if not isinstance(purif, Purification):
+        raise InvalidInput("expected a Purification")
     (n, ka, _), (m, kb, _) = purif.a.shape, purif.b.shape
     return _protocol_from_schmidt(purif.schmidt, n, ka, m, kb, target, eps)
 

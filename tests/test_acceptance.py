@@ -85,8 +85,7 @@ def test_criterion_2_constructive_upper_bound():
     t0 = time.time()
     ok = True
     for psi in pure_corpus():
-        coeffs = schmidt_decompose(psi).coeffs
-        cum = np.cumsum(coeffs)
+        cum = np.cumsum(schmidt_decompose(psi).singulars ** 2)
         for eps in EPS_GRID:
             r = srank_eps(psi, eps)
             phi, fid = build_approximant(psi, eps)

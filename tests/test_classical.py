@@ -749,7 +749,7 @@ def test_witness_matches_the_checked_constructor():
 def test_gram_extract_product_state():
     amps = np.zeros(4)
     amps[0] = 1.0  # |0>|0>
-    fact = gram_extract(RegisterState(amps, (2, 2), ("A", "B")))
+    fact = gram_extract(Purification.from_state(RegisterState(amps, (2, 2), ("A", "B"))))
     assert fact.r == 1
     np.testing.assert_allclose(fact.cs[0], [[1.0]], atol=1e-10)
     np.testing.assert_allclose(fact.cs[1], [[0.0]], atol=1e-10)
@@ -774,8 +774,10 @@ def test_gram_extract_matches_measured_distribution():
 
 
 def test_gram_extract_rejects_unnormalized():
+    # A dense state reaches gram_extract through Purification.from_state,
+    # which refuses it.
     with pytest.raises(NotNormalized):
-        gram_extract(RegisterState(np.ones(4), (2, 2), ("A", "B")))
+        gram_extract(Purification.from_state(RegisterState(np.ones(4), (2, 2), ("A", "B"))))
 
 
 def _gram_extract_via_schmidt_pair(purif):

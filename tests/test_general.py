@@ -289,7 +289,7 @@ def test_bob_first_layout_reduces_in_alice_bob_order():
     assert (red.dim_a, red.dim_b) == (2, 3)
     expected = Purification.from_state(state).schmidt_pair().reduction()
     np.testing.assert_allclose(red.mat, expected.mat, rtol=0, atol=1e-12)
-    assert verify_generation(protocol_from_purification(state)).passed
+    assert verify_generation(protocol_from_purification(Purification.from_state(state))).passed
 
 
 @pytest.mark.parametrize("scale", [1 + 0.9e-10, 1 + 0.4e-10])
@@ -298,7 +298,7 @@ def test_purification_within_norm_check_reduces_to_unit_trace(scale):
     # off by 2e-10: the reduction and the protocol target divide it out.
     state = RegisterState(EPR.amps * scale, (2, 2), ("A", "B"))
     assert abs(np.trace(Purification.from_state(state).reduction().mat).real - 1.0) <= 1e-15
-    spec = protocol_from_purification(state)
+    spec = protocol_from_purification(Purification.from_state(state))
     assert abs(np.trace(spec.target.mat).real - 1.0) <= 1e-15
     report = verify_generation(spec)
     assert report.passed and report.fidelity <= 1 + 1e-12

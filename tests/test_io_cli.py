@@ -163,7 +163,7 @@ def test_qcorr1_roundtrip_bit_exact(dims, mixed, eps, seed):
     rng = np.random.default_rng(seed)
     _, fact = random_psd_factorization(rng, dims[0], dims[2], dims[1])
     state = random_register_state(rng, dims, ("A", "A", "B", "B"))
-    spec = protocol_from_purification(state, eps=eps)
+    spec = protocol_from_purification(Purification.from_state(state), eps=eps)
     if mixed:
         da, db = spec.alice.in_dim, spec.bob.in_dim
         spec = dataclasses.replace(spec, seed=random_density_matrix(rng, da, db),
@@ -233,6 +233,55 @@ def test_cli_schmidt(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["rank"] == 2
     np.testing.assert_allclose(report["coeffs"], [0.5, 0.5], atol=1e-12)
+
+
+def _assert_same_bits(got, want):
+    """Equal JSON values, with the sign of every zero equal too."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_same_bits(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+    else:
+        assert type(got) is type(want) and got == want
+        if isinstance(want, float):
+            assert np.signbit(got) == np.signbit(want)
+
+
+def _matrix(rows, cols, data):
+    return {"cols": cols, "data": data, "format": "qcorr/1", "kind": "matrix", "rows": rows}
+
+
+def test_cli_schmidt_and_approx_reports_are_pinned(tmp_path, capsys):
+    # The state diag(0.8, 0.6): its Schmidt report, its approximant at
+    # eps = 0.2 and that approximant's Schmidt report, down to the sign of
+    # each zero (none is negative).
+    path = tmp_path / "pure.json"
+    path.write_text('{"format": "qcorr/1", "kind": "state", "dim_a": 2, "dim_b": 2, '
+                    '"amps": [[0.8, 0.0], [0.0, 0.0], [0.0, 0.0], [0.6, 0.0]]}\n')
+    phi = tmp_path / "phi.json"
+
+    def run(*argv):
+        assert main(["--json", *argv]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    eye = _matrix(2, 2, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    _assert_same_bits(run("schmidt", "--state", str(path)), {
+        "coeffs": [0.6400000000000001, 0.36], "command": "schmidt", "config": {},
+        "format": "qcorr/1", "left": eye, "rank": 2, "right": eye})
+    _assert_same_bits(run("approx", "--state", str(path), "--eps", "0.2", "--out", str(phi)), {
+        "command": "approx", "config": {"eps": 0.2}, "fidelity": 0.8, "format": "qcorr/1",
+        "out": str(phi), "rank": 1})
+    _assert_same_bits(json.loads(phi.read_text()), {
+        "amps": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "dim_a": 2, "dim_b": 2,
+        "format": "qcorr/1", "kind": "state"})
+    e0 = _matrix(2, 1, [[1.0, 0.0], [0.0, 0.0]])
+    _assert_same_bits(run("schmidt", "--state", str(phi)), {
+        "coeffs": [1.0], "command": "schmidt", "config": {}, "format": "qcorr/1",
+        "left": e0, "rank": 1, "right": e0})
 
 
 def test_cli_qeps_skewed(tmp_path, capsys):

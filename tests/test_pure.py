@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorr.errors import InvalidInput, NotNormalized
-from qcorr.linalg import RegisterState
+from qcorr.linalg import RegisterState, rank_from_singulars
 from qcorr.pure import (
     PureState,
     build_approximant,
@@ -45,13 +45,13 @@ def test_vec_inv_singlet():
 def test_schmidt_product_state():
     form = schmidt_decompose(PureState(2, 2, [1, 0, 0, 0]))
     assert form.rank == 1
-    np.testing.assert_allclose(form.coeffs, [1.0], atol=1e-12)
+    np.testing.assert_allclose(form.singulars ** 2, [1.0], atol=1e-12)
 
 
 def test_schmidt_epr():
     form = schmidt_decompose(EPR)
     assert form.rank == 2
-    np.testing.assert_allclose(form.coeffs, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(form.singulars ** 2, [0.5, 0.5], atol=1e-12)
 
 
 def test_schmidt_coeffs_match_characteristic_polynomial():
@@ -65,8 +65,8 @@ def test_schmidt_coeffs_match_characteristic_polynomial():
     tr, det = np.trace(gram), np.linalg.det(gram)
     disc = np.sqrt(tr * tr - 4 * det)
     roots = sorted([(tr + disc) / 2, (tr - disc) / 2], reverse=True)
-    np.testing.assert_allclose(form.coeffs, roots, atol=1e-12)
-    assert abs(form.coeffs.sum() - 1.0) <= 1e-10
+    np.testing.assert_allclose(form.singulars ** 2, roots, atol=1e-12)
+    assert abs((form.singulars ** 2).sum() - 1.0) <= 1e-10
 
 
 def test_schmidt_reassembly_and_orthonormality():
@@ -82,7 +82,7 @@ def test_schmidt_reassembly_and_orthonormality():
         np.testing.assert_allclose(
             form.right.conj().T @ form.right, np.eye(r), atol=1e-10
         )
-        rebuilt = (form.left * np.sqrt(form.coeffs)) @ form.right.T
+        rebuilt = (form.left * form.singulars) @ form.right.conj().T
         np.testing.assert_allclose(rebuilt.reshape(-1), psi.amps, atol=1e-9)
 
 
@@ -137,12 +137,22 @@ def test_srank_eps_examples():
 
 
 def test_srank_matches_rank_of_amplitude_matrix():
+    # The identity holds on 0 <= eps <= 1, endpoints included.
     rng = np.random.default_rng(37)
-    for _ in range(30):
+    for i in range(30):
         da, db = rng.integers(2, 7, size=2)
         psi = random_pure_state(rng, da, db)
-        eps = float(rng.uniform(0.0, 0.6))
+        eps = (0.0, 1.0)[i] if i < 2 else float(rng.uniform(0.0, 1.0))
         assert srank_eps(psi, eps) == rank_eps(vec_inv(psi), 2 * eps - eps * eps)
+
+
+def test_srank_is_zero_beyond_eps_one_where_the_matrix_rank_is_not():
+    # Past eps = 1 the distance 2 eps - eps^2 falls again, so rank_eps
+    # grows back while the empty protocol still suffices.
+    psi = random_pure_state(np.random.default_rng(0), 3, 3)
+    for eps, matrix_rank in ((1.5, 1), (2.0, 3)):
+        assert srank_eps(psi, eps) == 0
+        assert rank_eps(vec_inv(psi), 2 * eps - eps * eps) == matrix_rank
 
 
 def test_srank_non_increasing_in_eps():
@@ -242,12 +252,58 @@ def test_schmidt_form_is_cached_and_read_only():
     assert schmidt_decompose(psi) is form
     fresh = schmidt_decompose(PureState(psi.dim_a, psi.dim_b, np.array(psi.amps)))
     assert fresh is not form
-    for name in ("coeffs", "left", "right"):
+    for name in ("singulars", "left", "right"):
         np.testing.assert_array_equal(getattr(form, name), getattr(fresh, name))
         with pytest.raises(ValueError, match="read-only"):
             getattr(form, name)[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         psi.amps[0] = 0.0
+
+
+def _reference_schmidt(psi):
+    """Reference Schmidt form: an SVD of the whole amplitude matrix and the
+    pivot-phase loop, with right the vectors of psi = sum_i s_i left_i (x)
+    right_i."""
+    u, s, vh = np.linalg.svd(vec_inv(psi), full_matrices=False)
+    r = rank_from_singulars(s)
+    left, right = u[:, :r].copy(), vh[:r].T.copy()
+    for i in range(r):
+        pivot = left[np.argmax(np.abs(left[:, i])), i]
+        phase = pivot / abs(pivot)
+        left[:, i] *= phase.conjugate()
+        right[:, i] *= phase
+    return s[:r], left, right
+
+
+@settings(max_examples=80, deadline=None)
+@given(da=dims, db=dims, k=st.integers(1, 5), zero=st.booleans(), seed=seeds)
+def test_schmidt_decompose_matches_the_whole_matrix_svd(da, db, k, zero, seed):
+    # Rank k (capped by the dims) with full support; with ``zero``, row 0
+    # and the last column are set to exactly zero, each where it is not the
+    # only one.
+    rng = np.random.default_rng(seed)
+    g = lambda a, b: rng.standard_normal((a, b)) + 1j * rng.standard_normal((a, b))
+    mat = g(da, k) @ g(k, db)
+    zero_row, zero_col = zero and da > 1, zero and db > 1
+    if zero_row:
+        mat[0] = 0.0
+    if zero_col:
+        mat[:, -1] = 0.0
+    psi = state_from_matrix(mat / np.linalg.norm(mat))
+    form = schmidt_decompose(psi)
+    s, left, right = _reference_schmidt(psi)
+    if not (zero_row or zero_col):
+        np.testing.assert_array_equal(form.singulars, s)
+        np.testing.assert_array_equal(form.left, left)
+        np.testing.assert_array_equal(form.right.conj(), right)
+        return
+    assert form.rank == s.size
+    np.testing.assert_allclose(form.singulars, s, rtol=0, atol=1e-14)
+    if zero_row:
+        assert not form.left[0].any()
+    if zero_col:
+        assert not form.right[-1].any()
+    np.testing.assert_allclose(form.reconstruct().reshape(-1), psi.amps, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("call", [

@@ -602,9 +602,9 @@ def test_synthesis_extraction_round_trip(n, m, r, seed):
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(state.reduction().mat, partial_trace(dense, [0, 3]).mat,
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(Purification.from_state(dense).to_state().amps, dense.amps,
-                               rtol=0, atol=1e-12)
-    back, dense_back = gram_extract(state), gram_extract(dense)
+    dense_pair = Purification.from_state(dense)
+    np.testing.assert_allclose(dense_pair.to_state().amps, dense.amps, rtol=0, atol=1e-12)
+    back, dense_back = gram_extract(state), gram_extract(dense_pair)
     assert back.r == dense_back.r <= r
     np.testing.assert_allclose(back.trace_products(), dist.p, rtol=0, atol=1e-8)
     np.testing.assert_allclose(back.trace_products(), dense_back.trace_products(),
@@ -613,7 +613,7 @@ def test_synthesis_extraction_round_trip(n, m, r, seed):
     np.testing.assert_allclose(spec.target.mat, partial_trace(dense, [0, 3]).mat,
                                rtol=0, atol=1e-12)
     report, dense_report = verify_generation(spec), verify_generation(
-        protocol_from_purification(dense))
+        protocol_from_purification(dense_pair))
     assert report.passed and dense_report.passed
     assert report.seed_size == dense_report.seed_size
 
@@ -661,7 +661,7 @@ def assert_built_psd(spec: ProtocolSpec) -> None:
 def test_purification_protocol_output_is_psd(n, m, ka, kb, k, seed):
     state = register_state_of_rank(np.random.default_rng(seed), (n, ka, m, kb),
                                    ("A", "A", "B", "B"), k)
-    assert_built_psd(protocol_from_purification(state))
+    assert_built_psd(protocol_from_purification(Purification.from_state(state)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -673,18 +673,20 @@ def test_pure_protocol_output_is_psd(da, db, eps, seed):
 
 
 def test_protocol_from_purification_rejects_zero_state():
+    # A dense state reaches the builder through Purification.from_state,
+    # which refuses a zero state.
     with pytest.raises(InvalidInput, match="zero state"):
-        protocol_from_purification(RegisterState(np.zeros(4), (2, 2), ("A", "B")))
+        protocol_from_purification(
+            Purification.from_state(RegisterState(np.zeros(4), (2, 2), ("A", "B"))))
 
 
-def test_protocol_from_purification_scales_a_state_to_unit_norm():
-    # Seed and target are read off the Schmidt coefficients divided by the
-    # state norm, so any nonzero multiple of a state gives its protocol.
-    unit = protocol_from_purification(EPR.to_registers())
-    scaled = protocol_from_purification(RegisterState(2 * EPR.amps, (2, 2), ("A", "B")))
-    np.testing.assert_allclose(scaled.seed.amps, unit.seed.amps, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(scaled.target.mat, unit.target.mat, rtol=0, atol=1e-15)
-    assert verify_generation(scaled).passed
+def test_dense_inputs_are_refused_by_the_pair_readers():
+    # protocol_from_purification and gram_extract take a Purification only;
+    # a dense state goes through Purification.from_state first.
+    for bad in (EPR.to_registers(), EPR, EPR.amps):
+        for read in (protocol_from_purification, gram_extract):
+            with pytest.raises(InvalidInput, match="expected a Purification"):
+                read(bad)
 
 
 def test_protocol_spec_validates_seed_size():
