@@ -23,9 +23,9 @@ Conventions
   ``-EIG_CLAMP_TOL``, by a Cholesky factorization) on every file, random
   draw, partial trace, user matrix and non-diagonal contracted reduction.
 * One reduction: ``comp_reduction`` turns every factor pair (a
-  purification, a default target, a pure seed's dilated pair) into its
-  reduction to the computational registers, held
-  as a diagonal, a factor or a contracted dense matrix.
+  purification, a default target, the dilated pair of a seed, pure or
+  mixed, through its channels) into its reduction to the computational
+  registers, held as a diagonal, a factor or a contracted dense matrix.
 * Two block kernels: ``_grams`` forms the per-index Gram blocks
   G[x] = f_x^dag f_x of a stack as one batched product, and
   ``_trace_form`` pairs two stacks of blocks, t[x, y] = tr(c_x d_y), as
@@ -33,11 +33,11 @@ Conventions
   classical chain, and the diagonal of a classical reduction, goes
   through them.
 * One factor: ``DensityMatrix.factor`` is a W with mat = W W^dag, which
-  fidelity, purification and seed ranks read. Fidelity has one formula,
-  the trace norm of sigma.factor^dag rho.factor, which reads low only
-  through a computed factor's rank cutoff; a product that is a row or a
-  column is read by its 2-norm, its one singular value, with no SVD, and
-  two diagonal states are read off their diagonals.
+  fidelity, purification, the simulator and seed ranks read. Fidelity has
+  one formula, the trace norm of sigma.factor^dag rho.factor, which reads
+  low only through a computed factor's rank cutoff; a product that is a
+  row or a column is read by its 2-norm, its one singular value, with no
+  SVD, and two diagonal states are read off their diagonals.
 * One pair type: ``Purification`` holds a purification, and so a general
   factorization {A_x = a[x]}, {B_y = b[y]}, as its factor pair (a, b),
   which the ``general_factorization`` file kind stores. Its Schmidt form

@@ -14,17 +14,17 @@ depends on where it comes from: a channel from a ``qcorr/1`` file or from
 user code is checked on its stack by the public ``LocalChannel``
 constructor, and a channel the library builds from Schmidt vectors is
 checked on those columns by ``LocalChannel._of_isometry``, which then lays
-out the padded stack without checking it again. A pure seed with
-amplitude matrix Psi pushed through Kraus stacks is itself a
-purification: its output is the reduction (``linalg.comp_reduction``) of the dilated pair
-a[x, alpha, j] = (K_alpha Psi)[x, j] and b[y, beta, j] = K_beta[y, j]:
-held as its diagonal when the channels copy x and y (a classical
-output), as its factor W when few Kraus pairs act, and contracted
-otherwise. A mixed seed is contracted with the Gram halves of both
-channels. Either way it costs |K_A| + |K_B| Kraus operators, not their
-product. The psd rule is ``linalg``'s: a diagonal or factor output is
-psd by form, and a contracted one is checked (a mixed seed's after
-hermitizing).
+out the padded stack without checking it again. Every seed enters the
+channels as a factor W with seed = W W^dag: a pure seed as its amplitude
+column, a mixed one as its cached ``DensityMatrix.factor``. With W_kappa
+the da x db slices of W, the output is the reduction
+(``linalg.comp_reduction``) of the dilated pair
+a[x, (alpha, kappa), j] = (K_alpha W_kappa)[x, j] and
+b[y, beta, j] = K_beta[y, j]: held as its diagonal when the channels copy
+x and y (a classical output), as its factor when few Kraus pairs act, and
+contracted otherwise. It costs |K_A| k + |K_B| Kraus products for a
+k-column W, not one per Kraus pair. The psd rule is ``linalg``'s: a
+diagonal or factor output is psd by form, and a contracted one is checked.
 
 Verification is ``linalg.fidelity``: for a pure target, held as its
 vector psi, against an output held as W, it is ||W^dag psi||, so a pure
@@ -59,15 +59,11 @@ from .linalg import (
     Purification,
     RegisterState,
     SvdResult,
-    _contract_cut,
-    _cut_grams,
     as_complex_array,
     as_complex_stack,
     ceil_log2,
     comp_reduction,
     fidelity,
-    hermitize,
-    partial_trace,
     rank_from_singulars,
 )
 # srank_eps is not used here, but stays importable from this module:
@@ -149,18 +145,26 @@ Seed = Union[PureState, DensityMatrix]
 
 
 def _seed_marginal_ranks(seed: Seed) -> tuple[int, int]:
-    """Schmidt rank of a pure seed; column counts of a mixed seed's
-    marginal factors. The Schmidt coefficients of a seed whose amplitude
-    matrix is exactly diagonal, as ``protocol_from_purification`` builds
-    it, are the moduli of its diagonal, so it needs no SVD; any other pure
-    seed reads its one cached Schmidt decomposition."""
+    """Schmidt rank of a pure seed; ranks of a mixed seed's two marginals.
+
+    The Schmidt coefficients of a pure seed whose amplitude matrix is
+    exactly diagonal, as ``protocol_from_purification`` builds it, are the
+    moduli of its diagonal, so it needs no SVD; any other pure seed reads
+    its one cached Schmidt decomposition. A mixed seed with factor W,
+    reshaped to (da, db, k), has marginals M M^dag for M its two
+    matricizations, da x (db k) and db x (da k): their ranks count the
+    squared singulars of M, under the eigenvalue cutoff of
+    ``DensityMatrix.factor``, with no marginal formed."""
     if isinstance(seed, PureState):
         psi = seed.amps.reshape(seed.dim_a, seed.dim_b)
         diag = np.diagonal(psi)
         exact = np.count_nonzero(psi) == np.count_nonzero(diag)
         r = rank_from_singulars(np.abs(diag)) if exact else schmidt_decompose(seed).rank
         return r, r
-    return tuple(partial_trace(seed, [side]).factor.shape[1] for side in (0, 1))
+    w = seed.factor.reshape(seed.dim_a, seed.dim_b, -1)
+    return tuple(rank_from_singulars(np.linalg.svd(m, compute_uv=False) ** 2)
+                 for m in (w.reshape(seed.dim_a, -1),
+                           w.transpose(1, 0, 2).reshape(seed.dim_b, -1)))
 
 
 @dataclass(frozen=True)
@@ -200,44 +204,40 @@ class ProtocolSpec:
             raise InvalidInput("declared seed size cannot hold the seed marginals")
 
 
-def _unit_trace(trace: float) -> float:
-    if abs(trace - 1.0) > 1e-9:
-        raise InvalidInput(f"protocol output trace {trace!r} deviates beyond 1e-9")
-    return trace
-
-
 def apply_protocol(spec: ProtocolSpec) -> DensityMatrix:
     """Run the protocol: (Phi_A (x) Phi_B)(seed) on the target's space.
 
-    A pure seed with amplitude matrix Psi gives the reduction of the
-    dilated pair a[x, alpha, j] = (K_alpha Psi)[x, j] and
+    Every seed enters as a factor W, (da db) x k, with seed = W W^dag: a
+    pure seed as its amplitude column (k = 1), a mixed one as its cached
+    ``DensityMatrix.factor``, which drops every eigenvalue at or below the
+    rank cutoff, so a negative one that the psd check accepted enters as
+    zero, clamped as ``EIG_CLAMP_TOL`` says. With W reshaped to
+    (da, db, k), the output is the reduction of the dilated pair
+    a[x, (alpha, kappa), j] = (K_alpha W_kappa)[x, j] and
     b[y, beta, j] = K_beta[y, j], j over Bob's seed support, so a padding
-    operator has a zero slice and drops out (``comp_reduction``). A mixed
-    seed sigma[(i, j), (I, J)] is contracted with Alice's Gram half over
-    (i, I), then, through ``_contract_cut``, with Bob's over (j, J), and
-    hermitized and checked, since a seed accepted at a least eigenvalue
-    just above -EIG_CLAMP_TOL can map below it. The cost grows with
-    |K_A| + |K_B|, not with the number of Kraus pairs.
+    operator has a zero slice and drops out (``comp_reduction``). The
+    output is psd by form or checked there, and its trace must equal
+    ||W||_F^2, the seed's held mass, within 1e-9. The cost grows with
+    |K_A| k + |K_B|, not with the number of Kraus pairs.
     """
     seed = spec.seed
     oa, ob = spec.target.dim_a, spec.target.dim_b
     if spec.alice.out_dim != oa or spec.bob.out_dim != ob:
         raise InvalidInput("channel output dims do not match the target")
     alice, bob = spec.alice.kraus, spec.bob.kraus  # aux-major (K, out, in)
-    if isinstance(seed, PureState):
-        psi = seed.amps.reshape(seed.dim_a, seed.dim_b)
-        on = psi.any(axis=0)  # Bob's seed support
-        # left[alpha, x, j] = (K_alpha Psi)[x, j], from one product.
-        left = (alice.reshape(-1, seed.dim_a) @ psi[:, on]).reshape(len(alice), oa, -1)
-        rho, trace = comp_reduction(left.transpose(1, 0, 2),
-                                    bob.compress(on, axis=2).transpose(1, 0, 2))
-        _unit_trace(trace)
-        return rho
-    da, db = seed.dim_a, seed.dim_b
-    s = seed.mat.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
-    out = _contract_cut(_cut_grams(alice) @ s, _cut_grams(bob), oa, ob)
-    trace = _unit_trace(float(np.trace(out).real))
-    return DensityMatrix(oa, ob, hermitize(out) / trace)
+    w = seed.amps[:, None] if isinstance(seed, PureState) else seed.factor
+    da, k = seed.dim_a, w.shape[1]
+    w = w.reshape(da, seed.dim_b, k)
+    on = w.any(axis=(0, 2))  # Bob's seed support
+    # left[alpha, x, j, kappa] = (K_alpha W_kappa)[x, j], from one product.
+    left = alice.reshape(-1, da) @ w.compress(on, axis=1).reshape(da, -1)
+    a = left.reshape(len(alice), oa, -1, k).transpose(1, 0, 3, 2).reshape(oa, len(alice) * k, -1)
+    rho, trace = comp_reduction(a, bob.compress(on, axis=2).transpose(1, 0, 2))
+    mass = float(np.vdot(w, w).real)
+    if abs(trace - mass) > 1e-9:
+        raise InvalidInput(f"protocol output trace {trace!r} deviates from the seed's "
+                           f"{mass!r} beyond 1e-9")
+    return rho
 
 
 def measure_computational(rho: DensityMatrix) -> DistMatrix:

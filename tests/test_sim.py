@@ -773,17 +773,74 @@ def test_mixed_seed_protocol():
     assert report.fidelity >= 1 - 1e-9
 
 
-def test_mixed_seed_output_keeps_the_psd_check():
-    # Each negative eigenvalue of the seed is within tolerance, but the
-    # channel pours both into one output state, which is not.
+def test_mixed_seed_enters_as_its_clamped_factor():
+    # Each negative eigenvalue of the seed is within tolerance, so the seed
+    # is accepted, and it enters the channels as its factor, which clamps
+    # them to zero: the channel that would pour both into one output state
+    # gives exactly diag(0, 1), and the protocol verifies.
     seed = DensityMatrix(3, 1, np.diag([1 + 1.8e-10, -0.9e-10, -0.9e-10]))
     alice = LocalChannel((np.array([[0, 0, 0], [1, 0, 0]]),
                           np.array([[0, 1, 0], [0, 0, 0]]),
                           np.array([[0, 0, 1], [0, 0, 0]])))
     target = DensityMatrix(2, 1, np.diag([0.0, 1.0]))
     spec = ProtocolSpec(seed, 0, alice, LocalChannel.identity(1), target, 0.0)
-    with pytest.raises(NotPsd, match="-1.800e-10"):
-        apply_protocol(spec)
+    out = apply_protocol(spec)
+    assert out.form == "diagonal"
+    np.testing.assert_array_equal(out.mat, np.diag([0.0, 1.0]))
+    report = verify_generation(spec)
+    assert report.passed and report.fidelity == 1.0
+
+
+def test_mixed_seed_trace_is_checked_against_its_factor_mass():
+    # One large eigenvalue and 255 at 0.9e-10 of it, below the rank cutoff:
+    # the factor holds 1 - 2.3e-8 of the trace, and the output's trace is
+    # compared with that mass, not with 1.
+    rng = np.random.default_rng(173)
+    vals = np.full(256, 0.9e-10)
+    vals[0] = 1.0
+    vals /= vals.sum()
+    u = np.linalg.qr(rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256)))[0]
+    seed = DensityMatrix(16, 16, (u * vals) @ u.conj().T)
+    assert 1e-9 < 1.0 - np.vdot(seed.factor, seed.factor).real < 1e-7
+    spec = ProtocolSpec(seed, 4, random_channel(rng, 16, 3, 2, 0),
+                        random_channel(rng, 16, 2, 3, 0),
+                        DensityMatrix(3, 2, np.eye(6) / 6), 1.0)
+    np.testing.assert_allclose(apply_protocol(spec).mat, kraus_pair_sum(spec),
+                               rtol=0, atol=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(da=st.integers(1, 4), db=st.integers(1, 4), diagonal=st.booleans(), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_seed_marginal_ranks_match_the_partial_traces(da, db, diagonal, data, seed):
+    # The ranks read off the seed's factor equal the column counts of the
+    # factors of its two dense marginals, the reference.
+    rng = np.random.default_rng(seed)
+    if diagonal:
+        weights = rng.integers(0, 3, da * db)
+        weights[rng.integers(da * db)] += 1  # exact zeros, but not all zero
+        sigma = DensityMatrix(da, db, np.diag(weights / weights.sum()))
+        assert sigma.form == "diagonal"
+    else:
+        sigma = random_density_matrix(rng, da, db, data.draw(st.integers(1, da * db)))
+    assert _seed_marginal_ranks(sigma) == tuple(
+        partial_trace(sigma, [side]).factor.shape[1] for side in (0, 1))
+
+
+def test_shared_randomness_seed_stays_diagonal():
+    # k = 16 shared values, held as their diagonal, through a dephasing
+    # channel a side: the output is diagonal, and the seed never forms mat.
+    k = 16
+    p = np.zeros((k, k))
+    p[np.arange(k), np.arange(k)] = np.arange(1.0, k + 1)
+    seed = DensityMatrix._of_diagonal(k, k, p.reshape(-1) / p.sum())
+    dephase = LocalChannel(np.eye(k)[:, None, :] * np.eye(k)[:, :, None])
+    spec = ProtocolSpec(seed, ceil_log2(k), dephase, dephase, seed, 0.0)
+    out = apply_protocol(spec)
+    report = verify_generation(spec)
+    assert out.form == "diagonal"
+    assert "mat" not in vars(seed)
+    assert report.passed
 
 
 def test_mixed_seed_ranks_ignore_rounding_eigenvalues():
